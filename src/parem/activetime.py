@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 MS_PER_MINUTE = 60_000
@@ -74,32 +76,40 @@ def active_time(timestamps: Iterable[int], cap_minutes: int) -> ActiveTimeEstima
     Clusters split at gaps strictly greater than the cap, so a gap exactly
     equal to the cap contributes fully and stays inside one cluster.
     """
-    if cap_minutes <= 0:
-        raise ValueError(f"cap_minutes must be positive, got {cap_minutes}")
-    unique = sorted(set(timestamps))
-    if not unique:
-        return ActiveTimeEstimate(cap_minutes, 0.0, 0, 0)
-    cap_ms = cap_minutes * MS_PER_MINUTE
-    total_ms = 0
-    clusters = 1
-    previous = unique[0]
-    for current in unique[1:]:
-        gap = current - previous
-        total_ms += gap if gap < cap_ms else cap_ms
-        if gap > cap_ms:
-            clusters += 1
-        previous = current
-    return ActiveTimeEstimate(cap_minutes, total_ms / MS_PER_HOUR, clusters, len(unique))
+    return cap_sensitivity(timestamps, (cap_minutes,))[0]
 
 
 def cap_sensitivity(
     timestamps: Iterable[int], caps: Sequence[int] = DEFAULT_CAPS
 ) -> list[ActiveTimeEstimate]:
-    """One estimate per cap; hours are non-decreasing and clusters non-increasing in cap."""
+    """One estimate per cap; hours are non-decreasing and clusters non-increasing in cap.
+
+    The unique timestamps and their gaps are sorted once; each cap is then
+    answered by bisecting the sorted gaps: gaps below the cap count in full
+    (a prefix sum), the rest count as the cap, and each gap above the cap
+    starts a new cluster.
+    """
     if not caps:
         raise ValueError("caps must not be empty")
+    for cap in caps:
+        if cap <= 0:
+            raise ValueError(f"cap_minutes must be positive, got {cap}")
     unique = sorted(set(timestamps))
-    return [active_time(unique, cap) for cap in caps]
+    if not unique:
+        return [ActiveTimeEstimate(cap, 0.0, 0, 0) for cap in caps]
+    gaps = sorted([current - previous for previous, current in zip(unique, unique[1:])])
+    prefix = list(accumulate(gaps, initial=0))
+    n = len(gaps)
+    estimates = []
+    for cap in caps:
+        cap_ms = cap * MS_PER_MINUTE
+        below = bisect_left(gaps, cap_ms)
+        total_ms = prefix[below] + cap_ms * (n - below)
+        clusters = 1 + n - bisect_right(gaps, cap_ms)
+        estimates.append(
+            ActiveTimeEstimate(cap, total_ms / MS_PER_HOUR, clusters, len(unique))
+        )
+    return estimates
 
 
 def gap_histogram(

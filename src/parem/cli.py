@@ -10,7 +10,8 @@ from pathlib import Path
 
 from .dedup import deduplicate, exclude_untimed_for_time_analysis
 from .ingest import WorkspaceError, scan_and_parse, scan_workspace
-from .pipeline import RunConfig, load_config_file, run_analysis
+from .metrics import window_timestamps
+from .pipeline import RunConfig, derive_window, load_config_file, run_analysis
 from .report import ReportError
 from .synth import CorpusSpec, generate_corpus
 from .tokens import aggregate_tokens, per_route
@@ -207,7 +208,8 @@ def cmd_activetime(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _, deduped, _ = _scoped_deduped(config)
     timed, _ = exclude_untimed_for_time_analysis(deduped)
-    timestamps = sorted({e.timestamp_ms for e in timed})
+    window = derive_window(timed, config.window, [])
+    timestamps = window_timestamps(timed, window)
     estimates = cap_sensitivity(timestamps, config.caps) if timestamps else []
     _print_json([e.to_mapping() for e in estimates])
     return 0

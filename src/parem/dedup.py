@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal
 
 from .ingest import Event
 
@@ -59,73 +59,73 @@ class DedupStats:
         )
 
 
-def _encode(value: object) -> bytes:
-    if value is None:
-        return _ABSENT
-    if isinstance(value, int):
-        return str(value).encode("ascii")
-    return str(value).encode("utf-8")
+def _material(event: Event) -> tuple[KeyTier, str | bytes]:
+    """The key tier and the exact material its key is taken from.
 
-
-def _digest(fields: Sequence[object]) -> str:
-    return hashlib.sha256(_SEPARATOR.join(_encode(f) for f in fields)).hexdigest()
+    A model-completed record without message material (no content prefix, no
+    tool name) is a trajectory record: its material holds the trajectory
+    fields, including the timestamp, so same-instant completions with
+    different token counts stay distinct. Hashed tiers join their fields'
+    UTF-8 bytes with a separator, with absence as a byte no text contains.
+    """
+    if event.event_id is not None:
+        return "explicit_id", event.event_id
+    if event.role == "model_completed" and not event.content_prefix and event.tool_name is None:
+        tokens = event.tokens
+        tier: KeyTier = "trajectory_hash"
+        fields: tuple = (
+            event.timestamp_ms,
+            event.provider_route,
+            event.model,
+            f"{tokens.input},{tokens.output},{tokens.cache_read},{tokens.cache_write}"
+            if tokens is not None
+            else None,
+        )
+    else:
+        tier = "content_hash"
+        fields = (
+            event.timestamp_ms,
+            event.role,
+            event.event_type,
+            event.content_prefix or None,
+            event.tool_name,
+        )
+    return tier, _SEPARATOR.join(
+        [_ABSENT if value is None else str(value).encode("utf-8") for value in fields]
+    )
 
 
 def dedup_key(event: Event) -> DedupKey:
     """Assign the first available stable key in the cascade order.
 
-    A model-completed record without message material (no content prefix, no
-    tool name) is a trajectory record: its key hashes the trajectory fields,
-    including the timestamp, so same-instant completions with different token
-    counts stay distinct.
+    An explicit identifier is kept verbatim; the other tiers are the SHA-256
+    hex digest of their material.
     """
-    if event.event_id is not None:
-        return DedupKey("explicit_id", event.event_id)
-    lacks_message_material = not event.content_prefix and event.tool_name is None
-    if event.role == "model_completed" and lacks_message_material:
-        tokens = event.tokens
-        token_counts = (
-            f"{tokens.input},{tokens.output},{tokens.cache_read},{tokens.cache_write}"
-            if tokens is not None
-            else None
-        )
-        return DedupKey(
-            "trajectory_hash",
-            _digest(
-                (event.timestamp_ms, event.provider_route, event.model, token_counts)
-            ),
-        )
-    return DedupKey(
-        "content_hash",
-        _digest(
-            (
-                event.timestamp_ms,
-                event.role,
-                event.event_type,
-                event.content_prefix or None,
-                event.tool_name,
-            )
-        ),
-    )
+    tier, material = _material(event)
+    if tier == "explicit_id":
+        return DedupKey(tier, material)
+    return DedupKey(tier, hashlib.sha256(material).hexdigest())
 
 
 def deduplicate(events: Iterable[Event]) -> tuple[list[Event], DedupStats]:
     """Retain one event per key; the canonically first source (path, line) wins.
 
+    Events are grouped by their unhashed key material, which holds exactly
+    the bytes ``dedup_key`` hashes, so the groups are the same as by key.
     The retained set and representatives are identical under any permutation
     of the input, and the output comes back in canonical order.
     """
-    retained: dict[DedupKey, Event] = {}
+    retained: dict[tuple[KeyTier, str | bytes], Event] = {}
     removed_by_tier: dict[KeyTier, int] = {}
     input_count = 0
     for event in events:
         input_count += 1
-        key = dedup_key(event)
+        key = _material(event)
         existing = retained.get(key)
         if existing is None:
             retained[key] = event
             continue
-        removed_by_tier[key.tier] = removed_by_tier.get(key.tier, 0) + 1
+        removed_by_tier[key[0]] = removed_by_tier.get(key[0], 0) + 1
         if (event.source_path, event.line_number) < (
             existing.source_path,
             existing.line_number,

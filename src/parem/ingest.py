@@ -9,12 +9,14 @@ one of its lines parsed.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterator, Literal, Mapping
+from typing import Any, Literal, Mapping
 
 from .classify import ClassificationRules, SurfaceCounts, surface_counts
 
@@ -72,15 +74,6 @@ class TokenUsage:
 
     def total(self) -> int:
         return self.input + self.output + self.cache_read + self.cache_write
-
-
-@dataclass(frozen=True, slots=True)
-class RawRecord:
-    """One non-empty line of a scanned file, parsed or opaque."""
-
-    source_path: str
-    line_number: int
-    payload: dict | str
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,6 +137,11 @@ class FieldAliases:
         "cache_creation_input_tokens",
     )
     version: str = "field-aliases/1"
+
+    @cached_property
+    def compiled(self) -> "CompiledAliases":
+        """These aliases as per-key-shape lookup plans, compiled once per instance."""
+        return CompiledAliases(self)
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "FieldAliases":
@@ -288,6 +286,8 @@ def normalize_timestamp(raw: object) -> int | None:
 
 
 def _epoch_to_ms(value: float) -> int | None:
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     ms = round(value) if abs(value) >= EPOCH_MS_THRESHOLD else round(value * 1000)
     return ms if UTC_MIN_MS <= ms < UTC_MAX_MS else None
 
@@ -305,15 +305,137 @@ def normalize_content_prefix(value: object, limit: int = CONTENT_PREFIX_CHARS) -
     return _WHITESPACE_RUN.sub(" ", text).strip()[:limit]
 
 
-def _lookup(record: dict, envelope: dict | None, names: tuple[str, ...]) -> object:
+# Alias plans are cached per key shape; past this many shapes the cache is
+# dropped, so input with ever-new key sets cannot grow it without bound.
+PLAN_CACHE_LIMIT = 4096
+
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+_TEXT_FIELDS = (
+    "event_id",
+    "event_type",
+    "tool_name",
+    "provider_route",
+    "model",
+    "content_prefix",
+)
+
+
+def _first_present(present: set, names: tuple[str, ...]) -> str | None:
     for name in names:
-        if name in record:
-            return record[name]
-    if envelope is not None:
-        for name in names:
-            if name in envelope:
-                return envelope[name]
+        if name in present:
+            return name
     return None
+
+
+class CompiledAliases:
+    """FieldAliases compiled into one lookup plan per record key shape.
+
+    A plan records, for a tuple of keys, which key each field reads (the
+    first alias present, in priority order) and which envelope keys are
+    present. Record-level keys win over the envelope, even when their value
+    is null; the first envelope whose value is a dict is used.
+    """
+
+    def __init__(self, aliases: FieldAliases) -> None:
+        self._envelopes = aliases.envelopes
+        self._fields = (
+            aliases.event_id,
+            aliases.timestamp,
+            aliases.role,
+            aliases.event_type,
+            aliases.tool_name,
+            aliases.provider_route,
+            aliases.model,
+            aliases.usage,
+            aliases.content,
+        )
+        self._usage_fields = (
+            aliases.usage_input,
+            aliases.usage_output,
+            aliases.usage_cache_read,
+            aliases.usage_cache_write,
+        )
+        self._plans: dict[tuple, tuple[list, tuple[str, ...]]] = {}
+        self._usage_plans: dict[tuple, list] = {}
+
+    def _plan(self, shape: tuple) -> tuple[list, tuple[str, ...]]:
+        plan = self._plans.get(shape)
+        if plan is None:
+            if len(self._plans) >= PLAN_CACHE_LIMIT:
+                self._plans.clear()
+            present = set(shape)
+            keys = [_first_present(present, names) for names in self._fields]
+            envelopes = tuple(name for name in self._envelopes if name in present)
+            plan = self._plans[shape] = (keys, envelopes)
+        return plan
+
+    def resolve(self, payload: dict) -> list:
+        """The raw value of each of the nine fields, None where absent."""
+        keys, envelopes = self._plan(tuple(payload))
+        values = [payload[key] if key is not None else None for key in keys]
+        if None not in keys:
+            return values
+        for name in envelopes:
+            envelope = payload[name]
+            if isinstance(envelope, dict):
+                nested = self._plan(tuple(envelope))[0]
+                for i, key in enumerate(keys):
+                    if key is None and nested[i] is not None:
+                        values[i] = envelope[nested[i]]
+                break
+        return values
+
+    def usage(self, value: object) -> TokenUsage | None:
+        if not isinstance(value, dict):
+            return None
+        shape = tuple(value)
+        keys = self._usage_plans.get(shape)
+        if keys is None:
+            if len(self._usage_plans) >= PLAN_CACHE_LIMIT:
+                self._usage_plans.clear()
+            present = set(shape)
+            keys = self._usage_plans[shape] = [
+                _first_present(present, names) for names in self._usage_fields
+            ]
+        return TokenUsage(*[_coerce_count(value[key]) if key is not None else 0 for key in keys])
+
+    def parse(
+        self,
+        payload: dict,
+        source_path: str,
+        line_number: int,
+        agent_scope: AgentScope,
+    ) -> Event | None:
+        """Turn one parsed line into an Event, or None when nothing is recognized."""
+        values = self.resolve(payload)
+        if values.count(None) == len(values):
+            return None
+        raw_id, raw_ts, raw_role, raw_type, raw_tool = values[:5]
+        raw_route, raw_model, raw_usage, raw_content = values[5:]
+
+        kind = raw_role if isinstance(raw_role, str) else None
+        if kind is None and isinstance(raw_type, str):
+            kind = raw_type
+        role: Role = _ROLE_SYNONYMS.get(kind.strip().lower(), "other") if kind else "other"
+
+        tokens = self.usage(raw_usage)
+        if role == "model_completed" and tokens is None:
+            tokens = TokenUsage()
+
+        return Event(
+            role=role,
+            source_path=source_path,
+            line_number=line_number,
+            agent_scope=agent_scope,
+            event_id=str(raw_id) if raw_id is not None else None,
+            timestamp_ms=normalize_timestamp(raw_ts),
+            event_type=raw_type if isinstance(raw_type, str) else None,
+            tool_name=raw_tool if isinstance(raw_tool, str) else None,
+            provider_route=raw_route if isinstance(raw_route, str) else None,
+            model=raw_model if isinstance(raw_model, str) else None,
+            tokens=tokens,
+            content_prefix=normalize_content_prefix(raw_content),
+        )
 
 
 def _coerce_count(value: object) -> int:
@@ -321,100 +443,23 @@ def _coerce_count(value: object) -> int:
         return 0
     if isinstance(value, int):
         return max(0, value)
-    if isinstance(value, float):
+    if isinstance(value, float) and math.isfinite(value):
         return max(0, round(value))
     return 0
 
 
-def _coerce_usage(value: object, aliases: FieldAliases) -> TokenUsage | None:
-    if not isinstance(value, dict):
-        return None
-    return TokenUsage(
-        input=_coerce_count(_lookup(value, None, aliases.usage_input)),
-        output=_coerce_count(_lookup(value, None, aliases.usage_output)),
-        cache_read=_coerce_count(_lookup(value, None, aliases.usage_cache_read)),
-        cache_write=_coerce_count(_lookup(value, None, aliases.usage_cache_write)),
-    )
+def _replace_lone_surrogates(event: Event) -> Event:
+    """Swap each lone surrogate in the event's text for U+FFFD.
 
-
-def parse_record(
-    payload: dict,
-    source_path: str,
-    line_number: int,
-    aliases: FieldAliases,
-    agent_scope: AgentScope = "main",
-) -> Event | None:
-    """Turn one parsed line into an Event, or None when nothing is recognized."""
-    envelope = None
-    for key in aliases.envelopes:
-        nested = payload.get(key)
-        if isinstance(nested, dict):
-            envelope = nested
-            break
-
-    raw_id = _lookup(payload, envelope, aliases.event_id)
-    raw_ts = _lookup(payload, envelope, aliases.timestamp)
-    raw_role = _lookup(payload, envelope, aliases.role)
-    raw_type = _lookup(payload, envelope, aliases.event_type)
-    raw_tool = _lookup(payload, envelope, aliases.tool_name)
-    raw_route = _lookup(payload, envelope, aliases.provider_route)
-    raw_model = _lookup(payload, envelope, aliases.model)
-    raw_usage = _lookup(payload, envelope, aliases.usage)
-    raw_content = _lookup(payload, envelope, aliases.content)
-
-    recognized = (
-        raw_id,
-        raw_ts,
-        raw_role,
-        raw_type,
-        raw_tool,
-        raw_route,
-        raw_model,
-        raw_usage,
-        raw_content,
-    )
-    if all(value is None for value in recognized):
-        return None
-
-    kind = raw_role if isinstance(raw_role, str) else None
-    if kind is None and isinstance(raw_type, str):
-        kind = raw_type
-    role: Role = _ROLE_SYNONYMS.get(kind.strip().lower(), "other") if kind else "other"
-
-    tokens = _coerce_usage(raw_usage, aliases)
-    if role == "model_completed" and tokens is None:
-        tokens = TokenUsage()
-
-    return Event(
-        role=role,
-        source_path=source_path,
-        line_number=line_number,
-        agent_scope=agent_scope,
-        event_id=str(raw_id) if raw_id is not None else None,
-        timestamp_ms=normalize_timestamp(raw_ts),
-        event_type=raw_type if isinstance(raw_type, str) else None,
-        tool_name=raw_tool if isinstance(raw_tool, str) else None,
-        provider_route=raw_route if isinstance(raw_route, str) else None,
-        model=raw_model if isinstance(raw_model, str) else None,
-        tokens=tokens,
-        content_prefix=normalize_content_prefix(raw_content),
-    )
-
-
-def read_raw_records(path: str | Path) -> Iterator[RawRecord]:
-    """Yield a RawRecord per non-empty line; payload is a dict when the line is JSON."""
-    with open(path, "r", encoding="utf-8", errors="replace") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                payload: dict | str = json.loads(text)
-            except json.JSONDecodeError:
-                payload = text
-            if not isinstance(payload, dict):
-                payload = text
-            yield RawRecord(str(path), line_number, payload)
+    JSON ``\\ud800``-style escapes can decode to code points that no UTF-8
+    writer accepts; undecodable bytes already read as U+FFFD, and so do these.
+    """
+    changes = {}
+    for name in _TEXT_FIELDS:
+        value = getattr(event, name)
+        if value is not None and _LONE_SURROGATE.search(value):
+            changes[name] = _LONE_SURROGATE.sub("\ufffd", value)
+    return replace(event, **changes) if changes else event
 
 
 def parse_session_file(
@@ -425,21 +470,35 @@ def parse_session_file(
 ) -> tuple[list[Event], FileParseStats]:
     """Parse one JSONL-like file tolerantly, preserving file order.
 
-    Unparseable lines are skipped and counted. An I/O failure mid-file keeps
-    the events parsed so far and flags the stats as truncated.
+    Every non-empty line counts toward ``total_lines``. A line that is not a
+    JSON object (including one too deeply nested to decode) or carries no
+    recognized field is skipped. An I/O failure mid-file keeps the events
+    parsed so far and flags the stats as truncated.
     """
-    aliases = aliases or FieldAliases()
+    compiled = (aliases or FieldAliases()).compiled
     label = source_path if source_path is not None else str(path)
     events: list[Event] = []
     total = 0
     try:
-        for record in read_raw_records(path):
-            total += 1
-            if isinstance(record.payload, dict):
-                event = parse_record(
-                    record.payload, label, record.line_number, aliases, agent_scope
-                )
+        with open(path, "r", encoding="utf-8", errors="replace") as handle:
+            for line_number, line in enumerate(handle, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                total += 1
+                try:
+                    payload = json.loads(text)
+                except (ValueError, RecursionError):  # also too-long integers, too-deep nesting
+                    continue
+                if not isinstance(payload, dict):
+                    continue
+                try:
+                    event = compiled.parse(payload, label, line_number, agent_scope)
+                except RecursionError:  # content nested too deeply to serialize
+                    continue
                 if event is not None:
+                    if "\\u" in text:
+                        event = _replace_lone_surrogates(event)
                     events.append(event)
     except (OSError, UnicodeError):
         return events, FileParseStats(total, len(events), truncated=True)

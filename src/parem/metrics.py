@@ -11,7 +11,12 @@ from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .activetime import DEFAULT_CAP_MINUTES, SENSITIVITY_CAP_MINUTES, active_time
+from .activetime import (
+    DEFAULT_CAP_MINUTES,
+    SENSITIVITY_CAP_MINUTES,
+    ActiveTimeEstimate,
+    active_time,
+)
 from .ingest import Event, ROLES, WorkspaceInventory
 
 if TYPE_CHECKING:
@@ -33,6 +38,9 @@ RULE_IDS: dict[str, str] = {
 
 REASON_ZERO_DENOMINATOR = "zero_denominator"
 
+MS_PER_DAY = 86_400_000
+EPOCH_DATE = date(1970, 1, 1)
+
 
 @dataclass(frozen=True)
 class ObservationWindow:
@@ -51,6 +59,14 @@ class ObservationWindow:
 
     def contains(self, day: date) -> bool:
         return self.start_date <= day <= self.end_date
+
+    @property
+    def ms_bounds(self) -> tuple[int, int]:
+        """``[lo, hi)`` in UTC epoch ms: ``lo <= ts < hi`` iff ts's UTC date is inside."""
+        return (
+            (self.start_date - EPOCH_DATE).days * MS_PER_DAY,
+            (self.end_date - EPOCH_DATE).days * MS_PER_DAY + MS_PER_DAY,
+        )
 
     def dates(self) -> Iterable[date]:
         current = self.start_date
@@ -167,16 +183,18 @@ def calendar_days(window: ObservationWindow) -> int:
     return window.calendar_days
 
 
+def window_timestamps(events: Iterable[Event], window: ObservationWindow) -> list[int]:
+    """Sorted unique timestamps of the timed events whose UTC date is in the window."""
+    lo, hi = window.ms_bounds
+    return sorted(
+        {ts for event in events if (ts := event.timestamp_ms) is not None and lo <= ts < hi}
+    )
+
+
 def active_days(events: Iterable[Event], window: ObservationWindow) -> set[date]:
     """UTC dates with at least one timed event, intersected with the window."""
-    days = set()
-    for event in events:
-        if event.timestamp_ms is None:
-            continue
-        day = utc_date(event.timestamp_ms)
-        if window.contains(day):
-            days.add(day)
-    return days
+    days = {ts // MS_PER_DAY for ts in window_timestamps(events, window)}
+    return {EPOCH_DATE + timedelta(days=day) for day in days}
 
 
 def role_counts(events: Iterable[Event]) -> RoleCounts:
@@ -222,24 +240,27 @@ def compute_pare_m(
     token_totals: "TokenTotals",
     primary_cap: int = DEFAULT_CAP_MINUTES,
     sensitivity_cap: int = SENSITIVITY_CAP_MINUTES,
+    timestamps: Sequence[int] | None = None,
+    estimates: Sequence[ActiveTimeEstimate] = (),
 ) -> MetricReport:
     """Assemble the full PARE-M report from de-duplicated analysis inputs.
 
     ``events`` must already be de-duplicated and scoped; OPR and GER are
     flagged undefined (never infinite) when there are no active days.
+    ``timestamps`` are ``window_timestamps(events, window)`` when the caller
+    has them, and ``estimates`` the cap estimates over them; a cap they do
+    not cover is computed here.
     """
-    days = active_days(events, window)
-    day_count = len(days)
+    if timestamps is None:
+        timestamps = window_timestamps(events, window)
+    day_count = len({ts // MS_PER_DAY for ts in timestamps})
 
-    timestamps = sorted(
-        {
-            e.timestamp_ms
-            for e in events
-            if e.timestamp_ms is not None and window.contains(utc_date(e.timestamp_ms))
-        }
-    )
-    primary = active_time(timestamps, primary_cap)
-    sensitivity = active_time(timestamps, sensitivity_cap)
+    by_cap = {estimate.cap_minutes: estimate for estimate in estimates}
+    for cap in (primary_cap, sensitivity_cap):
+        if cap not in by_cap:
+            by_cap[cap] = active_time(timestamps, cap)
+    primary = by_cap[primary_cap]
+    sensitivity = by_cap[sensitivity_cap]
 
     output_count = sum(1 for p in proxies if p.kind == "output")
     governance_count = sum(1 for p in proxies if p.kind == "governance")

@@ -39,7 +39,7 @@ from .ingest import (
     WorkspaceConventions,
     scan_and_parse,
 )
-from .metrics import ObservationWindow, compute_pare_m, utc_date
+from .metrics import ObservationWindow, compute_pare_m, utc_date, window_timestamps
 from .report import (
     Provenance,
     ReportBundle,
@@ -161,14 +161,15 @@ class RunConfig:
         return replace(self.classification, exclude_generated=self.exclude_generated)
 
 
-def _derive_window(
+def derive_window(
     timed_events: list[Event], configured: ObservationWindow | None, warnings: list[str]
 ) -> ObservationWindow:
+    """The configured window, else the UTC date span of the timed events."""
     if configured is not None:
         return configured
     if timed_events:
-        days = [utc_date(e.timestamp_ms) for e in timed_events]
-        window = ObservationWindow(min(days), max(days))
+        stamps = [e.timestamp_ms for e in timed_events]
+        window = ObservationWindow(utc_date(min(stamps)), utc_date(max(stamps)))
         warnings.append(
             "observation window defaulted to the event date span "
             f"{window.start_date.isoformat()}..{window.end_date.isoformat()}; "
@@ -202,15 +203,9 @@ def _build(config: RunConfig) -> tuple[ReportBundle, list[Event]]:
 
     deduped, dedup_stats = deduplicate(scoped)
     timed, _untimed = exclude_untimed_for_time_analysis(deduped)
-    window = _derive_window(timed, config.window, warnings)
+    window = derive_window(timed, config.window, warnings)
 
-    timestamps = sorted(
-        {
-            e.timestamp_ms
-            for e in timed
-            if window.contains(utc_date(e.timestamp_ms))
-        }
-    )
+    timestamps = window_timestamps(timed, window)
     sensitivity = cap_sensitivity(timestamps, config.caps)
     histogram = gap_histogram(timestamps, config.gap_bin_minutes, config.gap_clip_minutes)
 
@@ -237,10 +232,9 @@ def _build(config: RunConfig) -> tuple[ReportBundle, list[Event]]:
     totals = aggregate_tokens(strict, window)
     routes = per_route(strict, window)
     daily = daily_composition(strict, window)
+    lo, hi = window.ms_bounds
     strict_in_window = [
-        e
-        for e in strict
-        if e.timestamp_ms is not None and window.contains(utc_date(e.timestamp_ms))
+        e for e in strict if e.timestamp_ms is not None and lo <= e.timestamp_ms < hi
     ]
     association = cache_output_association(strict_in_window, log1p=config.log1p)
     token_events = [
@@ -266,6 +260,8 @@ def _build(config: RunConfig) -> tuple[ReportBundle, list[Event]]:
         totals,
         primary_cap=config.primary_cap,
         sensitivity_cap=config.sensitivity_cap,
+        timestamps=timestamps,
+        estimates=sensitivity,
     )
 
     provenance = Provenance(

@@ -362,7 +362,7 @@ def render_report(bundle: ReportBundle, format: str = "text") -> str:
             f"{route.completions} completions, cache dominance {route_cdr_text}"
         )
     association = bundle.association
-    if association.pearson_r_log is None:
+    if association.reason is not None:
         lines.append(f"cache/output association: undefined ({association.reason})")
     else:
         lines.append(

@@ -15,7 +15,7 @@ from datetime import date
 from typing import Iterable, Mapping, Sequence
 
 from .ingest import Event
-from .metrics import ObservationWindow, utc_date
+from .metrics import MS_PER_DAY, ObservationWindow
 
 UNKNOWN_ROUTE = "unknown"
 
@@ -122,6 +122,14 @@ class AssociationStats:
     excluded_zero_events: int
     reason: str | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("pearson_r_log", "spearman_rho"):
+            if (getattr(self, name) is None) != (self.reason is not None):
+                raise ValueError(
+                    f"{name} must be None exactly when a reason is given, "
+                    f"got {getattr(self, name)!r} with reason {self.reason!r}"
+                )
+
     def to_mapping(self) -> dict:
         return {
             "pearson_r_log": self.pearson_r_log,
@@ -145,17 +153,16 @@ class AssociationStats:
 def _completions_in_window(
     events: Iterable[Event], window: ObservationWindow | None
 ) -> list[Event]:
-    selected = []
-    for event in events:
-        if event.role != "model_completed":
-            continue
-        if window is not None:
-            if event.timestamp_ms is None:
-                continue
-            if not window.contains(utc_date(event.timestamp_ms)):
-                continue
-        selected.append(event)
-    return selected
+    if window is None:
+        return [event for event in events if event.role == "model_completed"]
+    lo, hi = window.ms_bounds
+    return [
+        event
+        for event in events
+        if event.role == "model_completed"
+        and (ts := event.timestamp_ms) is not None
+        and lo <= ts < hi
+    ]
 
 
 def aggregate_tokens(
@@ -203,10 +210,11 @@ def daily_composition(
     events: Iterable[Event], window: ObservationWindow
 ) -> list[DailyTokens]:
     """One row per UTC date in the window, zero-filled where nothing happened."""
-    rows: dict[date, list[int]] = {day: [0, 0, 0, 0, 0] for day in window.dates()}
+    first_day = window.ms_bounds[0] // MS_PER_DAY
+    rows = [[0, 0, 0, 0, 0] for _ in range(window.calendar_days)]
     for event in _completions_in_window(events, window):
         assert event.timestamp_ms is not None
-        bucket = rows[utc_date(event.timestamp_ms)]
+        bucket = rows[event.timestamp_ms // MS_PER_DAY - first_day]
         usage = event.tokens
         if usage is not None:
             bucket[0] += usage.input
@@ -215,8 +223,8 @@ def daily_composition(
             bucket[3] += usage.cache_write
         bucket[4] += 1
     return [
-        DailyTokens(day, *rows[day][:4], completions=rows[day][4])
-        for day in sorted(rows)
+        DailyTokens(day, *row[:4], completions=row[4])
+        for day, row in zip(window.dates(), rows)
     ]
 
 
@@ -237,15 +245,19 @@ def average_ranks(values: Sequence[float]) -> list[float]:
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
-    """Sample Pearson correlation; None when either side has zero variance."""
+    """Sample Pearson correlation; None when either side has zero variance.
+
+    Zero variance means all values are equal, which is tested exactly: the
+    floating-point variance of a constant series can leave a residue.
+    """
+    if min(xs) == max(xs) or min(ys) == max(ys):
+        return None
     n = len(xs)
     mean_x = math.fsum(xs) / n
     mean_y = math.fsum(ys) / n
     cov = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     var_x = math.fsum((x - mean_x) ** 2 for x in xs)
     var_y = math.fsum((y - mean_y) ** 2 for y in ys)
-    if var_x == 0.0 or var_y == 0.0:
-        return None
     r = cov / math.sqrt(var_x * var_y)
     return max(-1.0, min(1.0, r))
 
@@ -279,14 +291,13 @@ def cache_output_association(
     if len(pairs) < 3:
         return AssociationStats(None, None, len(pairs), excluded, REASON_TOO_FEW_EVENTS)
 
-    if log1p:
-        log_x = [math.log1p(x) for x, _ in pairs]
-        log_y = [math.log1p(y) for _, y in pairs]
-    else:
-        log_x = [math.log(x) for x, _ in pairs]
-        log_y = [math.log(y) for _, y in pairs]
-
-    r = pearson(log_x, log_y)
-    rho = spearman([x for x, _ in pairs], [y for _, y in pairs])
-    reason = REASON_ZERO_VARIANCE if r is None or rho is None else None
-    return AssociationStats(r, rho, len(pairs), excluded, reason)
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    transform = math.log1p if log1p else math.log
+    r = pearson([transform(x) for x in xs], [transform(y) for y in ys])
+    rho = spearman(xs, ys)
+    # rho is None exactly when the integer counts on one side are all equal;
+    # r also when distinct counts collapse to one float logarithm
+    if r is None or rho is None:
+        return AssociationStats(None, None, len(pairs), excluded, REASON_ZERO_VARIANCE)
+    return AssociationStats(r, rho, len(pairs), excluded)

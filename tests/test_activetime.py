@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from parem.activetime import (
     DEFAULT_CAPS,
+    ActiveTimeEstimate,
     active_time,
     cap_sensitivity,
     gap_histogram,
@@ -182,3 +183,40 @@ def test_histogram_total_is_unique_count_minus_one(stream):
 def test_reference_cap_estimates_are_monotone():
     # the published pair respects the monotonicity the estimator guarantees
     assert 674.1 >= 579.7
+
+
+def reference_estimate(timestamps, cap_minutes):
+    """The per-cap scan: walk the sorted unique timestamps once per cap."""
+    unique = sorted(set(timestamps))
+    if not unique:
+        return ActiveTimeEstimate(cap_minutes, 0.0, 0, 0)
+    cap_ms = cap_minutes * MIN
+    total_ms = 0
+    clusters = 1
+    for previous, current in zip(unique, unique[1:]):
+        gap = current - previous
+        total_ms += gap if gap < cap_ms else cap_ms
+        if gap > cap_ms:
+            clusters += 1
+    return ActiveTimeEstimate(cap_minutes, total_ms / 3_600_000, clusters, len(unique))
+
+
+@st.composite
+def streams_and_caps(draw):
+    """Unsorted caps, duplicate timestamps, and gaps exactly equal to a cap."""
+    caps = draw(st.lists(st.integers(min_value=1, max_value=240), min_size=1, max_size=8))
+    stream = draw(st.lists(st.integers(min_value=0, max_value=10**8), max_size=80))
+    if stream:
+        for anchor in draw(st.lists(st.sampled_from(stream), max_size=10)):
+            stream.append(anchor)
+            stream.append(anchor + draw(st.sampled_from(caps)) * MIN)
+    return draw(st.permutations(stream)), caps
+
+
+@given(streams_and_caps())
+@settings(max_examples=200)
+def test_cap_sensitivity_matches_per_cap_scan(case):
+    stream, caps = case
+    assert cap_sensitivity(stream, caps) == [reference_estimate(stream, cap) for cap in caps]
+    for cap in caps:
+        assert active_time(stream, cap) == reference_estimate(stream, cap)

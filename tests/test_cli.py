@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from datetime import timedelta
 
 import pytest
 
@@ -240,3 +241,27 @@ def test_all_agent_scope_sees_more_records(corpus, capsys):
     assert main(["dedup", "--root", str(root), "--scope", "all-agent"]) == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["retained_count"] > ground_truth.drc
+
+
+def activetime_by_cap(args, capsys):
+    assert main(["activetime", *args]) == 0
+    return {e["cap_minutes"]: e for e in json.loads(capsys.readouterr().out)}
+
+
+def test_activetime_honours_the_window(corpus, tmp_path, capsys):
+    root, ground_truth = corpus
+    start = ground_truth.window_start
+    window = [
+        "--window-start",
+        start.isoformat(),
+        "--window-end",
+        (start + timedelta(days=4)).isoformat(),
+    ]
+    in_window = activetime_by_cap(["--root", str(root), *window], capsys)
+    whole_span = activetime_by_cap(["--root", str(root)], capsys)
+    assert in_window[30]["hours"] < whole_span[30]["hours"]
+
+    out = tmp_path / "out"
+    assert main(["analyze", "--root", str(root), "--out", str(out), *window]) == 0
+    report = json.loads((out / "reports" / "report.json").read_text(encoding="utf-8"))
+    assert in_window[30]["hours"] == report["metrics"]["values"]["ATE"]["value"]

@@ -282,3 +282,32 @@ def test_ledger_rows_sorted_by_source():
     rows = ledger_rows(events)
     assert [row[2] for row in rows] == ["sessions/a.jsonl", "sessions/b.jsonl"]
     assert all(row[0] == "content_hash" for row in rows)
+
+
+def digest_keyed_deduplicate(events):
+    """Group by the SHA-256 key itself; the canonically first source wins."""
+    retained = {}
+    removed_by_tier = {}
+    for event in events:
+        key = dedup_key(event)
+        existing = retained.get(key)
+        if existing is None:
+            retained[key] = event
+            continue
+        removed_by_tier[key.tier] = removed_by_tier.get(key.tier, 0) + 1
+        if (event.source_path, event.line_number) < (existing.source_path, existing.line_number):
+            retained[key] = event
+    output = sorted(retained.values(), key=lambda e: (e.source_path, e.line_number))
+    return output, removed_by_tier
+
+
+@given(event_lists, st.randoms())
+@settings(max_examples=150)
+def test_matches_digest_keyed_reference(events, rnd):
+    shuffled = list(events)
+    rnd.shuffle(shuffled)
+    retained, stats = deduplicate(shuffled)
+    expected, removed_by_tier = digest_keyed_deduplicate(shuffled)
+    assert retained == expected
+    assert stats.removed_by_tier == removed_by_tier
+    assert stats.retained_count == len(expected)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -8,12 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parem.dedup import dedup_key
 from parem.ingest import (
+    PLAN_CACHE_LIMIT,
+    CompiledAliases,
+    FieldAliases,
+    TokenUsage,
     WorkspaceError,
     normalize_content_prefix,
     normalize_timestamp,
     parse_session_file,
-    read_raw_records,
     scan_workspace,
 )
 
@@ -306,11 +311,13 @@ def test_recoverable_iff_one_line_parsed(tmp_path_factory, lines):
 
 def test_raw_record_per_nonempty_line(tmp_path):
     path = tmp_path / "r.jsonl"
-    path.write_text('{"role": "user"}\n\n   \nplain text\n', encoding="utf-8")
-    records = list(read_raw_records(path))
-    assert [r.line_number for r in records] == [1, 4]
-    assert isinstance(records[0].payload, dict)
-    assert records[1].payload == "plain text"
+    path.write_text(
+        '{"role": "user"}\n\n   \nplain text\n{"role": "assistant"}\n', encoding="utf-8"
+    )
+    events, stats = parse_session_file(path)
+    assert [e.line_number for e in events] == [1, 5]
+    assert stats.total_lines == 3
+    assert stats.parsed_lines == 2
 
 
 class TestScanWorkspace:
@@ -401,3 +408,213 @@ class TestScanWorkspace:
         )
         write_lines(tmp_path / "memory" / "2026-01-01.md", ["note"])
         assert scan_workspace(tmp_path) == scan_workspace(tmp_path)
+
+
+# --- alias plans against the per-field scan they replace --------------------
+
+FIELD_NAMES = (
+    "event_id",
+    "timestamp",
+    "role",
+    "event_type",
+    "tool_name",
+    "provider_route",
+    "model",
+    "usage",
+    "content",
+)
+USAGE_NAMES = ("usage_input", "usage_output", "usage_cache_read", "usage_cache_write")
+
+
+def reference_lookup(record, envelope, names):
+    for name in names:
+        if name in record:
+            return record[name]
+    if envelope is not None:
+        for name in names:
+            if name in envelope:
+                return envelope[name]
+    return None
+
+
+def reference_resolve(payload, aliases):
+    envelope = None
+    for key in aliases.envelopes:
+        nested = payload.get(key)
+        if isinstance(nested, dict):
+            envelope = nested
+            break
+    return [reference_lookup(payload, envelope, getattr(aliases, name)) for name in FIELD_NAMES]
+
+
+def reference_count(value):
+    if isinstance(value, bool):
+        return 0
+    if isinstance(value, int):
+        return max(0, value)
+    if isinstance(value, float) and math.isfinite(value):
+        return max(0, round(value))
+    return 0
+
+
+# a small pool, so custom alias sets overlap each other and the envelopes
+ALIAS_POOL = ("id", "ts", "role", "type", "text", "message", "payload", "usage", "key", "output")
+KEY_NAMES = sorted(
+    set(ALIAS_POOL)
+    | {
+        name
+        for attribute in (*FIELD_NAMES, *USAGE_NAMES, "envelopes")
+        for name in getattr(FieldAliases(), attribute)
+    }
+)
+alias_tuples = st.lists(st.sampled_from(ALIAS_POOL), min_size=1, max_size=3, unique=True).map(
+    tuple
+)
+alias_sets = st.one_of(
+    st.just(FieldAliases()),
+    st.builds(
+        FieldAliases,
+        **{name: alias_tuples for name in (*FIELD_NAMES, *USAGE_NAMES, "envelopes")},
+    ),
+)
+leaves = st.one_of(
+    st.none(),
+    st.integers(min_value=-5, max_value=5),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+)
+key_names = st.sampled_from(KEY_NAMES)
+payloads = st.dictionaries(
+    key_names, st.one_of(leaves, st.dictionaries(key_names, leaves, max_size=6)), max_size=8
+)
+
+
+@given(alias_sets, st.lists(payloads, max_size=8))
+@settings(max_examples=200)
+def test_plan_resolver_matches_per_field_scan(aliases, records):
+    compiled = CompiledAliases(aliases)
+    for payload in records:
+        # the same key shape with other values reuses the cached plan
+        for variant in (payload, dict.fromkeys(payload), {k: {} for k in payload}):
+            assert compiled.resolve(variant) == reference_resolve(variant, aliases)
+        for value in payload.values():
+            expected = (
+                TokenUsage(
+                    *[
+                        reference_count(reference_lookup(value, None, getattr(aliases, name)))
+                        for name in USAGE_NAMES
+                    ]
+                )
+                if isinstance(value, dict)
+                else None
+            )
+            assert compiled.usage(value) == expected
+
+
+def test_plan_cache_is_bounded():
+    compiled = CompiledAliases(FieldAliases())
+    for i in range(PLAN_CACHE_LIMIT + 10):
+        assert compiled.resolve({f"k{i}": 1, "role": "user"})[2] == "user"
+    assert len(compiled._plans) <= PLAN_CACHE_LIMIT
+
+
+# --- no line can abort a parse ------------------------------------------------
+
+
+def test_pathological_numbers_and_nesting_are_tolerated(tmp_path):
+    path = tmp_path / "p.jsonl"
+    write_lines(
+        path,
+        [
+            '{"role": "user", "ts": NaN}',
+            '{"role": "user", "ts": 1e400}',
+            '{"role": "model_completed", "usage": {"output": Infinity, "input": 7}}',
+            '{"role": "user", "ts": "-inf"}',
+            '{"content": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            '{"id": ' + "9" * 5000 + "}",
+        ],
+    )
+    events, stats = parse_session_file(path)
+    assert stats.total_lines == 6
+    assert stats.parsed_lines == 4
+    assert [e.timestamp_ms for e in events] == [None, None, None, None]
+    assert events[2].tokens == TokenUsage(input=7)
+
+
+def test_lone_surrogates_become_replacement_characters(tmp_path):
+    path = tmp_path / "s.jsonl"
+    write_lines(
+        path,
+        [
+            '{"role": "user", "content": "a\\ud800b", "model": "m\\udfff"}',
+            '{"role": "user", "content": "pair \\ud83d\\ude00 kept"}',
+        ],
+    )
+    events, _ = parse_session_file(path)
+    assert events[0].content_prefix == "a\ufffdb"
+    assert events[0].model == "m\ufffd"
+    assert events[1].content_prefix == "pair \U0001F600 kept"
+
+
+SURROGATES = st.integers(min_value=0xD800, max_value=0xDFFF).map(chr)
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.sampled_from([10**400, -(10**400), 10**11, 2**63]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=12),
+    st.text(alphabet=st.one_of(st.characters(), SURROGATES), max_size=6),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3), st.dictionaries(key_names, children, max_size=4)
+    ),
+    max_leaves=12,
+)
+json_lines = st.dictionaries(
+    st.one_of(key_names, st.text(max_size=4)), json_values, max_size=6
+).map(lambda record: json.dumps(record).encode())
+nested_lines = st.integers(min_value=1, max_value=100_000).map(
+    lambda depth: ('{"role": "user", "content": ' + "[" * depth + "]" * depth + "}").encode()
+)
+literal_lines = st.sampled_from(
+    [
+        b'{"role": "user", "ts": NaN}',
+        b'{"ts": 1e400}',
+        b'{"ts": -Infinity, "usage": {"output": Infinity, "cache_read": NaN}}',
+        b'{"id": ' + b"9" * 5000 + b"}",
+        b'{"role": "user", "content": "\\udc80"}',
+        b"\xff\xfe{not json",
+        b"[1, 2, 3]",
+        b"   ",
+        b"",
+    ]
+)
+file_lines = st.lists(
+    st.one_of(st.binary(max_size=40), json_lines, nested_lines, literal_lines), max_size=12
+)
+
+
+def nonempty_line_count(data: bytes) -> int:
+    text = data.decode("utf-8", errors="replace").replace("\r\n", "\n").replace("\r", "\n")
+    return sum(1 for line in text.split("\n") if line.strip())
+
+
+@given(file_lines)
+@settings(max_examples=150, deadline=None)
+def test_line_fuzz_never_raises(tmp_path_factory, lines):
+    data = b"\n".join(lines)
+    path = tmp_path_factory.mktemp("fuzz") / "f.jsonl"
+    path.write_bytes(data)
+    events, stats = parse_session_file(path)
+    assert stats.total_lines == nonempty_line_count(data)
+    assert len(events) == stats.parsed_lines <= stats.total_lines
+    assert not stats.truncated
+    for event in events:
+        for name in ("event_id", "event_type", "tool_name", "provider_route", "model"):
+            (getattr(event, name) or "").encode("utf-8")
+        event.content_prefix.encode("utf-8")
+        dedup_key(event)

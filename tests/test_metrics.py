@@ -4,6 +4,8 @@ import math
 from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_completion, make_event
 from parem.ingest import WorkspaceInventory
@@ -20,6 +22,7 @@ from parem.metrics import (
     round_proportion,
     round_rate,
     utc_date,
+    window_timestamps,
 )
 from parem.tokens import TokenTotals
 
@@ -220,3 +223,30 @@ class TestComputePareM:
         )
         again = MetricReport.from_mapping(report.to_mapping())
         assert again == report
+
+
+@st.composite
+def windows_and_timestamps(draw):
+    """A window plus timestamps at and +-1 ms around both edges' UTC midnights."""
+    start = draw(st.dates(min_value=date(1970, 1, 5), max_value=date(2099, 12, 1)))
+    window = ObservationWindow(start, start + timedelta(days=draw(st.integers(0, 30))))
+    lo = (start - date(1970, 1, 1)).days * DAY_MS
+    hi = lo + window.calendar_days * DAY_MS
+    edges = [edge + delta for edge in (lo, hi) for delta in (-1, 0, 1)]
+    spread = st.integers(min_value=lo - 3 * DAY_MS, max_value=hi + 3 * DAY_MS)
+    stamps = draw(st.lists(st.one_of(st.sampled_from(edges), spread), max_size=40))
+    return window, stamps
+
+
+@given(windows_and_timestamps())
+@settings(max_examples=200)
+def test_ms_bounds_filter_matches_utc_date_containment(case):
+    window, stamps = case
+    lo, hi = window.ms_bounds
+    for ts in stamps:
+        assert (lo <= ts < hi) == window.contains(utc_date(ts))
+    events = [make_event(timestamp_ms=ts, line=i) for i, ts in enumerate(stamps)]
+    events.append(make_event(line=len(stamps)))  # untimed
+    inside = [ts for ts in stamps if window.contains(utc_date(ts))]
+    assert window_timestamps(events, window) == sorted(set(inside))
+    assert active_days(events, window) == {utc_date(ts) for ts in inside}

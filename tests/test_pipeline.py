@@ -6,7 +6,8 @@ from datetime import date
 import pytest
 
 from parem.metrics import ObservationWindow
-from parem.pipeline import RunConfig, build_bundle, load_config_file
+from parem.pipeline import REPORT_TEXT, RunConfig, build_bundle, load_config_file, run_analysis
+from parem.report import EVENTS_TOKENS_CSV
 from parem.synth import CorpusSpec, generate_corpus
 
 
@@ -120,3 +121,49 @@ def test_report_json_is_valid_json(corpus, tmp_path):
     report_path = next(p for p in written if p.name == "report.json")
     data = json.loads(report_path.read_text())
     assert data["metrics"]["values"]["DRC"]["value"] == ground_truth.drc
+
+
+def write_trajectory(root, lines):
+    path = root / "trajectories" / "t.jsonl"
+    path.parent.mkdir(parents=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_lone_surrogates_do_not_abort_analysis(tmp_path):
+    root = tmp_path / "workspace"
+    write_trajectory(
+        root,
+        [
+            '{"role": "user", "ts": "2026-05-01T10:00:00Z", "content": "a\\ud800b"}',
+            '{"type": "model_completed", "ts": "2026-05-01T10:05:00Z", "model": "m\\udc00",'
+            ' "usage": {"input": 1, "output": 2, "cache_read": 3}}',
+        ],
+    )
+    out = tmp_path / "out"
+    bundle, _ = run_analysis(RunConfig(root=str(root), out_dir=str(out)))
+    assert bundle.dedup_stats.retained_count == 2
+    assert [row.model for row in bundle.token_events] == ["m\ufffd"]
+    assert "m\ufffd" in (out / EVENTS_TOKENS_CSV).read_text(encoding="utf-8")
+
+
+def test_degenerate_association_renders(tmp_path):
+    # cache_read 39, 39, 39: zero variance, which a float test misses
+    root = tmp_path / "workspace"
+    write_trajectory(
+        root,
+        [
+            json.dumps(
+                {
+                    "type": "model_completed",
+                    "ts": f"2026-05-01T10:0{i}:00Z",
+                    "usage": {"input": 1, "output": output, "cache_read": 39},
+                }
+            )
+            for i, output in enumerate((1, 1, 2))
+        ],
+    )
+    out = tmp_path / "out"
+    bundle, _ = run_analysis(RunConfig(root=str(root), out_dir=str(out)))
+    assert bundle.association.reason == "zero_variance"
+    text = (out / REPORT_TEXT).read_text(encoding="utf-8")
+    assert "cache/output association: undefined (zero_variance)" in text
