@@ -84,22 +84,24 @@ def cap_sensitivity(
 ) -> list[ActiveTimeEstimate]:
     """One estimate per cap; hours are non-decreasing and clusters non-increasing in cap.
 
-    The unique timestamps and their gaps are sorted once; each cap is then
-    answered by bisecting the sorted gaps: gaps below the cap count in full
-    (a prefix sum), the rest count as the cap, and each gap above the cap
-    starts a new cluster.
+    The timestamps and their gaps are sorted once; each cap is then answered
+    by bisecting the sorted gaps: gaps below the cap count in full (a prefix
+    sum), the rest count as the cap, and each gap above the cap starts a new
+    cluster. A repeated timestamp only adds a zero gap, which adds no time
+    and splits no cluster, so duplicates need no removal.
     """
     if not caps:
         raise ValueError("caps must not be empty")
     for cap in caps:
         if cap <= 0:
             raise ValueError(f"cap_minutes must be positive, got {cap}")
-    unique = sorted(set(timestamps))
-    if not unique:
+    ordered = sorted(timestamps)
+    if not ordered:
         return [ActiveTimeEstimate(cap, 0.0, 0, 0) for cap in caps]
-    gaps = sorted([current - previous for previous, current in zip(unique, unique[1:])])
+    gaps = sorted([current - previous for previous, current in zip(ordered, ordered[1:])])
     prefix = list(accumulate(gaps, initial=0))
     n = len(gaps)
+    unique_count = len(ordered) - bisect_right(gaps, 0)
     estimates = []
     for cap in caps:
         cap_ms = cap * MS_PER_MINUTE
@@ -107,7 +109,7 @@ def cap_sensitivity(
         total_ms = prefix[below] + cap_ms * (n - below)
         clusters = 1 + n - bisect_right(gaps, cap_ms)
         estimates.append(
-            ActiveTimeEstimate(cap, total_ms / MS_PER_HOUR, clusters, len(unique))
+            ActiveTimeEstimate(cap, total_ms / MS_PER_HOUR, clusters, unique_count)
         )
     return estimates
 

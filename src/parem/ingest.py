@@ -305,8 +305,9 @@ def normalize_content_prefix(value: object, limit: int = CONTENT_PREFIX_CHARS) -
     return _WHITESPACE_RUN.sub(" ", text).strip()[:limit]
 
 
-# Alias plans are cached per key shape; past this many shapes the cache is
-# dropped, so input with ever-new key sets cannot grow it without bound.
+# Alias plans are cached per key shape. A cache holding this many shapes
+# keeps them and resolves further shapes without storing them, so input with
+# ever-new key sets neither grows it nor pays for churning it.
 PLAN_CACHE_LIMIT = 4096
 
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
@@ -320,11 +321,25 @@ _TEXT_FIELDS = (
 )
 
 
-def _first_present(present: set, names: tuple[str, ...]) -> str | None:
-    for name in names:
-        if name in present:
-            return name
-    return None
+def _alias_ranks(fields: tuple[tuple[str, ...], ...]) -> dict[str, tuple[tuple[int, int], ...]]:
+    """Each alias name -> the (field index, priority) pairs it stands for."""
+    ranks: dict[str, list[tuple[int, int]]] = {}
+    for index, names in enumerate(fields):
+        for priority, name in enumerate(names):
+            ranks.setdefault(name, []).append((index, priority))
+    return {name: tuple(pairs) for name, pairs in ranks.items()}
+
+
+def _plan_keys(shape: tuple, ranks: dict, count: int) -> tuple[str | None, ...]:
+    """For each field, the key in ``shape`` that is its first alias, or None."""
+    keys: list[str | None] = [None] * count
+    best = [math.inf] * count
+    for key in shape:
+        for index, priority in ranks.get(key, ()):
+            if priority < best[index]:
+                best[index] = priority
+                keys[index] = key
+    return tuple(keys)
 
 
 class CompiledAliases:
@@ -355,30 +370,33 @@ class CompiledAliases:
             aliases.usage_cache_read,
             aliases.usage_cache_write,
         )
-        self._plans: dict[tuple, tuple[list, tuple[str, ...]]] = {}
-        self._usage_plans: dict[tuple, list] = {}
+        self._ranks = _alias_ranks(self._fields)
+        self._usage_ranks = _alias_ranks(self._usage_fields)
+        self._plans: dict[tuple, tuple[tuple, tuple[str, ...]]] = {}
+        self._usage_plans: dict[tuple, tuple] = {}
 
-    def _plan(self, shape: tuple) -> tuple[list, tuple[str, ...]]:
+    def _plan(self, record: dict) -> tuple[tuple, tuple[str, ...]]:
+        shape = tuple(record)
         plan = self._plans.get(shape)
         if plan is None:
-            if len(self._plans) >= PLAN_CACHE_LIMIT:
-                self._plans.clear()
-            present = set(shape)
-            keys = [_first_present(present, names) for names in self._fields]
-            envelopes = tuple(name for name in self._envelopes if name in present)
-            plan = self._plans[shape] = (keys, envelopes)
+            plan = (
+                _plan_keys(shape, self._ranks, len(self._fields)),
+                tuple([name for name in self._envelopes if name in record]),
+            )
+            if len(self._plans) < PLAN_CACHE_LIMIT:
+                self._plans[shape] = plan
         return plan
 
     def resolve(self, payload: dict) -> list:
         """The raw value of each of the nine fields, None where absent."""
-        keys, envelopes = self._plan(tuple(payload))
+        keys, envelopes = self._plan(payload)
         values = [payload[key] if key is not None else None for key in keys]
         if None not in keys:
             return values
         for name in envelopes:
             envelope = payload[name]
             if isinstance(envelope, dict):
-                nested = self._plan(tuple(envelope))[0]
+                nested = self._plan(envelope)[0]
                 for i, key in enumerate(keys):
                     if key is None and nested[i] is not None:
                         values[i] = envelope[nested[i]]
@@ -391,12 +409,9 @@ class CompiledAliases:
         shape = tuple(value)
         keys = self._usage_plans.get(shape)
         if keys is None:
-            if len(self._usage_plans) >= PLAN_CACHE_LIMIT:
-                self._usage_plans.clear()
-            present = set(shape)
-            keys = self._usage_plans[shape] = [
-                _first_present(present, names) for names in self._usage_fields
-            ]
+            keys = _plan_keys(shape, self._usage_ranks, len(self._usage_fields))
+            if len(self._usage_plans) < PLAN_CACHE_LIMIT:
+                self._usage_plans[shape] = keys
         return TokenUsage(*[_coerce_count(value[key]) if key is not None else 0 for key in keys])
 
     def parse(

@@ -11,12 +11,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .activetime import (
-    DEFAULT_CAP_MINUTES,
-    SENSITIVITY_CAP_MINUTES,
-    ActiveTimeEstimate,
-    active_time,
-)
+from .activetime import DEFAULT_CAP_MINUTES, SENSITIVITY_CAP_MINUTES, active_time
 from .ingest import Event, ROLES, WorkspaceInventory
 
 if TYPE_CHECKING:
@@ -238,29 +233,20 @@ def compute_pare_m(
     inventory: WorkspaceInventory,
     window: ObservationWindow,
     token_totals: "TokenTotals",
+    timestamps: Sequence[int],
     primary_cap: int = DEFAULT_CAP_MINUTES,
     sensitivity_cap: int = SENSITIVITY_CAP_MINUTES,
-    timestamps: Sequence[int] | None = None,
-    estimates: Sequence[ActiveTimeEstimate] = (),
 ) -> MetricReport:
     """Assemble the full PARE-M report from de-duplicated analysis inputs.
 
-    ``events`` must already be de-duplicated and scoped; OPR and GER are
-    flagged undefined (never infinite) when there are no active days.
-    ``timestamps`` are ``window_timestamps(events, window)`` when the caller
-    has them, and ``estimates`` the cap estimates over them; a cap they do
-    not cover is computed here.
+    ``events`` must already be de-duplicated and scoped, and ``timestamps``
+    are ``window_timestamps(events, window)``. OPR and GER are flagged
+    undefined (never infinite) when there are no active days.
     """
-    if timestamps is None:
-        timestamps = window_timestamps(events, window)
     day_count = len({ts // MS_PER_DAY for ts in timestamps})
 
-    by_cap = {estimate.cap_minutes: estimate for estimate in estimates}
-    for cap in (primary_cap, sensitivity_cap):
-        if cap not in by_cap:
-            by_cap[cap] = active_time(timestamps, cap)
-    primary = by_cap[primary_cap]
-    sensitivity = by_cap[sensitivity_cap]
+    primary = active_time(timestamps, primary_cap)
+    sensitivity = active_time(timestamps, sensitivity_cap)
 
     output_count = sum(1 for p in proxies if p.kind == "output")
     governance_count = sum(1 for p in proxies if p.kind == "governance")

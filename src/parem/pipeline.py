@@ -258,10 +258,9 @@ def _build(config: RunConfig) -> tuple[ReportBundle, list[Event]]:
         inventory,
         window,
         totals,
+        timestamps,
         primary_cap=config.primary_cap,
         sensitivity_cap=config.sensitivity_cap,
-        timestamps=timestamps,
-        estimates=sensitivity,
     )
 
     provenance = Provenance(

@@ -248,7 +248,9 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     """Sample Pearson correlation; None when either side has zero variance.
 
     Zero variance means all values are equal, which is tested exactly: the
-    floating-point variance of a constant series can leave a residue.
+    floating-point variance of a constant series can leave a residue. Values
+    spread so little that the variance product underflows to zero also give
+    None.
     """
     if min(xs) == max(xs) or min(ys) == max(ys):
         return None
@@ -258,6 +260,8 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     cov = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     var_x = math.fsum((x - mean_x) ** 2 for x in xs)
     var_y = math.fsum((y - mean_y) ** 2 for y in ys)
+    if var_x * var_y == 0.0:
+        return None
     r = cov / math.sqrt(var_x * var_y)
     return max(-1.0, min(1.0, r))
 

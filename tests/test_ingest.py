@@ -516,7 +516,9 @@ def test_plan_cache_is_bounded():
     compiled = CompiledAliases(FieldAliases())
     for i in range(PLAN_CACHE_LIMIT + 10):
         assert compiled.resolve({f"k{i}": 1, "role": "user"})[2] == "user"
-    assert len(compiled._plans) <= PLAN_CACHE_LIMIT
+    # a full cache keeps the shapes it holds and stores no new ones
+    assert len(compiled._plans) == PLAN_CACHE_LIMIT
+    assert ("k0", "role") in compiled._plans
 
 
 # --- no line can abort a parse ------------------------------------------------

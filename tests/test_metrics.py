@@ -146,7 +146,7 @@ def empty_inventory(surface_counts_map=None) -> WorkspaceInventory:
 class TestComputePareM:
     def test_empty_workspace(self):
         report = compute_pare_m(
-            [], [], empty_inventory(), REFERENCE_WINDOW, TokenTotals()
+            [], [], empty_inventory(), REFERENCE_WINDOW, TokenTotals(), []
         )
         assert report.values["DRC"].value == 0
         assert report.values["ADF"].value == 0.0
@@ -158,7 +158,7 @@ class TestComputePareM:
 
     def test_asb_from_inventory(self):
         inventory = empty_inventory({f"surface-{i}": 1 for i in range(10)})
-        report = compute_pare_m([], [], inventory, REFERENCE_WINDOW, TokenTotals())
+        report = compute_pare_m([], [], inventory, REFERENCE_WINDOW, TokenTotals(), [])
         assert report.values["ASB"].value == 10
 
     def test_value_times_denominator_is_numerator(self):
@@ -172,6 +172,7 @@ class TestComputePareM:
             empty_inventory({"s": 1}),
             REFERENCE_WINDOW,
             TokenTotals(1, 2, 3, 4),
+            window_timestamps(events, REFERENCE_WINDOW),
         )
         for name in METRIC_NAMES:
             metric = report.values[name]
@@ -192,6 +193,7 @@ class TestComputePareM:
             empty_inventory({"s": 2}),
             REFERENCE_WINDOW,
             TokenTotals(10, 20, 30, 40),
+            window_timestamps(events, REFERENCE_WINDOW),
         )
         assert compute_pare_m(*args) == compute_pare_m(*args)
 
@@ -201,7 +203,12 @@ class TestComputePareM:
             for i in range(4)
         ]
         report = compute_pare_m(
-            events, [], empty_inventory(), REFERENCE_WINDOW, TokenTotals()
+            events,
+            [],
+            empty_inventory(),
+            REFERENCE_WINDOW,
+            TokenTotals(),
+            window_timestamps(events, REFERENCE_WINDOW),
         )
         # gaps of 45 min: capped at 30 -> 1.5h, at 60 -> 2.25h
         assert report.values["ATE"].value == pytest.approx(1.5)
@@ -212,14 +219,24 @@ class TestComputePareM:
     def test_lower_bound_annotation_when_telemetry_starts_late(self):
         events = [make_event(timestamp_ms=FEB2_MS, content_prefix="late")]
         report = compute_pare_m(
-            events, [], empty_inventory(), REFERENCE_WINDOW, TokenTotals()
+            events,
+            [],
+            empty_inventory(),
+            REFERENCE_WINDOW,
+            TokenTotals(),
+            window_timestamps(events, REFERENCE_WINDOW),
         )
         assert any("lower bound" in a for a in report.annotations)
 
     def test_report_round_trip(self):
         events = [make_event(timestamp_ms=FEB2_MS, content_prefix="x")]
         report = compute_pare_m(
-            events, [], empty_inventory({"s": 1}), REFERENCE_WINDOW, TokenTotals(1, 1, 1, 1)
+            events,
+            [],
+            empty_inventory({"s": 1}),
+            REFERENCE_WINDOW,
+            TokenTotals(1, 1, 1, 1),
+            window_timestamps(events, REFERENCE_WINDOW),
         )
         again = MetricReport.from_mapping(report.to_mapping())
         assert again == report

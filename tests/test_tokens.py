@@ -284,6 +284,13 @@ def test_constant_series_undefined():
         assert stats == AssociationStats(None, None, len(pairs), 0, "zero_variance")
 
 
+def test_pearson_underflowing_variance_undefined():
+    # not all equal, but the squared deviations underflow to zero
+    assert pearson([1e-200, 2e-200, 3e-200], [1.0, 2.0, 4.0]) is None
+    # each variance is nonzero, their product underflows
+    assert pearson([1e-100, 2e-100, 3e-100], [1e-100, 2e-100, 4e-100]) is None
+
+
 @pytest.mark.parametrize(
     "values",
     [(0.5, None, 3, 0, None), (None, 0.5, 3, 0, "zero_variance"), (None, None, 3, 0, None)],
