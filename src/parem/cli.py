@@ -10,8 +10,15 @@ from pathlib import Path
 
 from .dedup import deduplicate, exclude_untimed_for_time_analysis
 from .ingest import WorkspaceError, scan_and_parse, scan_workspace
+from .jsonfmt import dumps_indented
 from .metrics import window_timestamps
-from .pipeline import RunConfig, derive_window, load_config_file, run_analysis
+from .pipeline import (
+    RunConfig,
+    derive_window,
+    extract_in_window,
+    load_config_file,
+    run_analysis,
+)
 from .report import ReportError
 from .synth import CorpusSpec, generate_corpus
 from .tokens import aggregate_tokens, per_route
@@ -122,7 +129,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _print_json(data: object) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True))
+    print(dumps_indented(data))
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -202,13 +209,18 @@ def cmd_dedup(args: argparse.Namespace) -> int:
     return 0
 
 
+def _timed_in_window(config: RunConfig):
+    """The inventory, the timed de-duplicated events and the window, as analyze derives them."""
+    inventory, deduped, _ = _scoped_deduped(config)
+    timed, _ = exclude_untimed_for_time_analysis(deduped)
+    return inventory, timed, derive_window(timed, config.window, [])
+
+
 def cmd_activetime(args: argparse.Namespace) -> int:
     from .activetime import cap_sensitivity
 
     config = _config_from_args(args)
-    _, deduped, _ = _scoped_deduped(config)
-    timed, _ = exclude_untimed_for_time_analysis(deduped)
-    window = derive_window(timed, config.window, [])
+    _, timed, window = _timed_in_window(config)
     timestamps = window_timestamps(timed, window)
     estimates = cap_sensitivity(timestamps, config.caps) if timestamps else []
     _print_json([e.to_mapping() for e in estimates])
@@ -235,30 +247,10 @@ def cmd_tokens(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    from .extraction import (
-        extract_governance_events,
-        extract_output_proxies,
-        parse_memory_sections,
-    )
-
     config = _config_from_args(args)
-    inventory = scan_workspace(
-        config.root,
-        config.effective_classification(),
-        config.conventions,
-        config.aliases,
-    )
-    sections, warnings = parse_memory_sections(
-        inventory.memory_paths, config.heading_pattern, root=config.root
-    )
-    outputs = extract_output_proxies(
-        sections,
-        config.output_rules,
-        granularity=config.granularity,
-        repeat_horizon_days=config.repeat_horizon_days,
-    )
-    governance = extract_governance_events(
-        sections, config.governance_rules, granularity=config.granularity
+    inventory, _, window = _timed_in_window(config)
+    sections, outputs, governance, warnings = extract_in_window(
+        config, inventory.memory_paths, window
     )
     by_class: dict[str, int] = {}
     for proxy in governance:

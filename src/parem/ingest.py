@@ -12,11 +12,11 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Literal, Mapping
+from typing import Any, Literal, Mapping, NamedTuple
 
 from .classify import ClassificationRules, SurfaceCounts, surface_counts
 
@@ -59,14 +59,14 @@ _ROLE_SYNONYMS: dict[str, Role] = {
 }
 
 _WHITESPACE_RUN = re.compile(r"\s+")
+_scan_once = json.JSONDecoder().scan_once
 
 
 class WorkspaceError(Exception):
     """Raised when the workspace root cannot be scanned at all."""
 
 
-@dataclass(frozen=True, slots=True)
-class TokenUsage:
+class TokenUsage(NamedTuple):
     input: int = 0
     output: int = 0
     cache_read: int = 0
@@ -76,9 +76,12 @@ class TokenUsage:
         return self.input + self.output + self.cache_read + self.cache_write
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    """A normalized telemetry record from a session or trajectory line."""
+class Event(NamedTuple):
+    """A normalized telemetry record from a session or trajectory line.
+
+    A named tuple, so immutable and hashable, and cheap to build: one is
+    built per parsed line.
+    """
 
     role: Role
     source_path: str
@@ -310,6 +313,7 @@ def normalize_content_prefix(value: object, limit: int = CONTENT_PREFIX_CHARS) -
 # ever-new key sets neither grows it nor pays for churning it.
 PLAN_CACHE_LIMIT = 4096
 
+_INT_ONLY = {int}
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 _TEXT_FIELDS = (
     "event_id",
@@ -412,7 +416,10 @@ class CompiledAliases:
             keys = _plan_keys(shape, self._usage_ranks, len(self._usage_fields))
             if len(self._usage_plans) < PLAN_CACHE_LIMIT:
                 self._usage_plans[shape] = keys
-        return TokenUsage(*[_coerce_count(value[key]) if key is not None else 0 for key in keys])
+        counts = [value[key] if key is not None else 0 for key in keys]
+        if set(map(type, counts)) != _INT_ONLY or min(counts) < 0:
+            counts = [_coerce_count(count) for count in counts]
+        return TokenUsage._make(counts)
 
     def parse(
         self,
@@ -474,7 +481,7 @@ def _replace_lone_surrogates(event: Event) -> Event:
         value = getattr(event, name)
         if value is not None and _LONE_SURROGATE.search(value):
             changes[name] = _LONE_SURROGATE.sub("\ufffd", value)
-    return replace(event, **changes) if changes else event
+    return event._replace(**changes) if changes else event
 
 
 def parse_session_file(
@@ -501,11 +508,13 @@ def parse_session_file(
                 if not text:
                     continue
                 total += 1
+                # json.loads minus its whitespace skips, which a stripped line
+                # never needs; a leading BOM fails the scan as it fails loads
                 try:
-                    payload = json.loads(text)
-                except (ValueError, RecursionError):  # also too-long integers, too-deep nesting
-                    continue
-                if not isinstance(payload, dict):
+                    payload, end = _scan_once(text, 0)
+                except (StopIteration, ValueError, RecursionError):
+                    continue  # not JSON, too-long integers, too-deep nesting
+                if end != len(text) or not isinstance(payload, dict):
                     continue
                 try:
                     event = compiled.parse(payload, label, line_number, agent_scope)

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from . import __version__
 from .activetime import (
@@ -28,7 +28,9 @@ from .extraction import (
     DEFAULT_GOVERNANCE_RULES,
     DEFAULT_HEADING_PATTERN,
     DEFAULT_OUTPUT_RULES,
+    DatedSection,
     KeywordRuleSet,
+    ProxyEvent,
     extract_governance_events,
     extract_output_proxies,
     parse_memory_sections,
@@ -182,6 +184,27 @@ def derive_window(
     return ObservationWindow(date(1970, 1, 1), date(1970, 1, 1))
 
 
+def extract_in_window(
+    config: RunConfig, memory_paths: Sequence[str], window: ObservationWindow
+) -> tuple[list[DatedSection], list[ProxyEvent], list[ProxyEvent], list[str]]:
+    """The window's dated memory sections, the output and governance proxies
+    found in them, and the warnings from reading the memory files."""
+    sections, warnings = parse_memory_sections(
+        memory_paths, config.heading_pattern, root=config.root
+    )
+    in_window = [s for s in sections if window.contains(s.date)]
+    output_proxies = extract_output_proxies(
+        in_window,
+        config.output_rules,
+        granularity=config.granularity,
+        repeat_horizon_days=config.repeat_horizon_days,
+    )
+    governance_proxies = extract_governance_events(
+        in_window, config.governance_rules, granularity=config.granularity
+    )
+    return in_window, output_proxies, governance_proxies, warnings
+
+
 def build_bundle(config: RunConfig) -> ReportBundle:
     """Run the full pipeline in memory and return the completed bundle."""
     bundle, _ = _build(config)
@@ -209,20 +232,10 @@ def _build(config: RunConfig) -> tuple[ReportBundle, list[Event]]:
     sensitivity = cap_sensitivity(timestamps, config.caps)
     histogram = gap_histogram(timestamps, config.gap_bin_minutes, config.gap_clip_minutes)
 
-    sections, memory_warnings = parse_memory_sections(
-        inventory.memory_paths, config.heading_pattern, root=config.root
+    sections_in_window, output_proxies, governance_proxies, memory_warnings = (
+        extract_in_window(config, inventory.memory_paths, window)
     )
     warnings.extend(memory_warnings)
-    sections_in_window = [s for s in sections if window.contains(s.date)]
-    output_proxies = extract_output_proxies(
-        sections_in_window,
-        config.output_rules,
-        granularity=config.granularity,
-        repeat_horizon_days=config.repeat_horizon_days,
-    )
-    governance_proxies = extract_governance_events(
-        sections_in_window, config.governance_rules, granularity=config.granularity
-    )
 
     strict = [
         e

@@ -9,15 +9,15 @@ precisions (3 d.p. proportions, 2 d.p. rates, 0.1 h hours).
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .activetime import ActiveTimeEstimate, GapHistogram
 from .dedup import DedupStats
 from .extraction import ProxyEvent
 from .ingest import WorkspaceInventory
+from .jsonfmt import dumps_indented
 from .metrics import (
     METRIC_NAMES,
     MetricReport,
@@ -69,8 +69,7 @@ class ReportError(Exception):
     """Raised for incomplete bundles or failed exports."""
 
 
-@dataclass(frozen=True)
-class TokenEventRow:
+class TokenEventRow(NamedTuple):
     """One strict-subset completion, as exported to the events CSV."""
 
     timestamp_ms: int | None
@@ -82,15 +81,7 @@ class TokenEventRow:
     cache_write: int
 
     def to_mapping(self) -> dict:
-        return {
-            "timestamp_ms": self.timestamp_ms,
-            "provider_route": self.provider_route,
-            "model": self.model,
-            "input": self.input,
-            "output": self.output,
-            "cache_read": self.cache_read,
-            "cache_write": self.cache_write,
-        }
+        return self._asdict()
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "TokenEventRow":
@@ -258,7 +249,7 @@ def render_report(bundle: ReportBundle, format: str = "text") -> str:
     """Render the bundle deterministically as text or structured JSON."""
     bundle.require_complete()
     if format == "structured":
-        return json.dumps(bundle.to_mapping(), indent=2, sort_keys=True) + "\n"
+        return dumps_indented(bundle.to_mapping()) + "\n"
     if format != "text":
         raise ReportError(f"unknown report format: {format!r}")
 

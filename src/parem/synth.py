@@ -15,6 +15,8 @@ from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import Mapping
 
+from .jsonfmt import dumps_indented
+
 _MASK64 = (1 << 64) - 1
 
 DEFAULT_CAPS: tuple[int, ...] = (15, 30, 45, 60, 90)
@@ -687,7 +689,7 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> GroundTruth:
     )
 
     (out_path / "ground_truth.json").write_text(
-        json.dumps(ground_truth.to_mapping(), indent=2, sort_keys=True) + "\n",
+        dumps_indented(ground_truth.to_mapping()) + "\n",
         encoding="utf-8",
     )
     return ground_truth

@@ -213,7 +213,7 @@ def test_acceptance_5_dedup_properties():
                         **{
                             **{
                                 f: getattr(event, f)
-                                for f in Event.__dataclass_fields__
+                                for f in Event._fields
                             },
                             "source_path": "sessions/overlap.jsonl",
                             "line_number": size + i + 1,

@@ -236,6 +236,27 @@ def test_stage_extract_counts(corpus, capsys):
     assert data["governance_by_class"] == ground_truth.governance_by_class
 
 
+@pytest.mark.parametrize(
+    "window", [[], ["--window-start", "2024-01-02", "--window-end", "2024-01-03"]]
+)
+def test_extract_counts_match_the_report(corpus, tmp_path, capsys, window):
+    root, _ = corpus
+    assert main(["extract", "--root", str(root), *window]) == 0
+    extracted = json.loads(capsys.readouterr().out)
+
+    out = tmp_path / "out"
+    assert main(["analyze", "--root", str(root), "--out", str(out), *window]) == 0
+    report = json.loads((out / "reports" / "report.json").read_text(encoding="utf-8"))
+    governance_by_class: dict[str, int] = {}
+    for proxy in report["governance_proxies"]:
+        key = proxy["governance_class"] or "unclassified"
+        governance_by_class[key] = governance_by_class.get(key, 0) + 1
+    assert extracted["dated_sections"] == report["dated_section_count"]
+    assert extracted["output_proxies"] == len(report["output_proxies"])
+    assert extracted["governance_proxies"] == len(report["governance_proxies"])
+    assert extracted["governance_by_class"] == governance_by_class
+
+
 def test_all_agent_scope_sees_more_records(corpus, capsys):
     root, ground_truth = corpus
     assert main(["dedup", "--root", str(root), "--scope", "all-agent"]) == 0

@@ -13,6 +13,7 @@ from parem.dedup import dedup_key
 from parem.ingest import (
     PLAN_CACHE_LIMIT,
     CompiledAliases,
+    Event,
     FieldAliases,
     TokenUsage,
     WorkspaceError,
@@ -21,6 +22,7 @@ from parem.ingest import (
     parse_session_file,
     scan_workspace,
 )
+from parem.report import TokenEventRow
 
 
 def iso_oracle_ms(year, month, day, hour=0, minute=0, second=0):
@@ -544,6 +546,23 @@ def test_pathological_numbers_and_nesting_are_tolerated(tmp_path):
     assert events[2].tokens == TokenUsage(input=7)
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        Event(role="user", source_path="s.jsonl", line_number=1),
+        TokenUsage(1, 2, 3, 4),
+        TokenEventRow(None, "route", "model", 1, 2, 3, 4),
+    ],
+)
+def test_records_are_immutable(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert hash(record) == hash(type(record)(*record))
+
+
 def test_lone_surrogates_become_replacement_characters(tmp_path):
     path = tmp_path / "s.jsonl"
     write_lines(
@@ -593,6 +612,15 @@ literal_lines = st.sampled_from(
         b"[1, 2, 3]",
         b"   ",
         b"",
+        b"{} {}",
+        b'{"role":"user"} x',
+        b'{"role": "user"}{"role": "user"}',
+        b'{"role": "user"},',
+        b' \t {"role": "user"} \t ',
+        b'\xc2\xa0{"role": "user"}\xe2\x80\x83',  # Unicode spaces, stripped like ASCII ones
+        b'\xef\xbb\xbf{"role": "user"}',  # a BOM json.loads refuses
+        b'{"role": null}',
+        b'{"role": "user", "role": 5}',
     ]
 )
 file_lines = st.lists(
@@ -600,9 +628,20 @@ file_lines = st.lists(
 )
 
 
-def nonempty_line_count(data: bytes) -> int:
+def text_lines(data: bytes) -> list[str]:
     text = data.decode("utf-8", errors="replace").replace("\r\n", "\n").replace("\r", "\n")
-    return sum(1 for line in text.split("\n") if line.strip())
+    return text.split("\n")
+
+
+def reference_is_event(line: str) -> bool:
+    """json.loads of the stripped line is a dict with a recognized field."""
+    try:
+        payload = json.loads(line.strip())
+    except (ValueError, RecursionError):
+        return False
+    if not isinstance(payload, dict):
+        return False
+    return any(value is not None for value in reference_resolve(payload, FieldAliases()))
 
 
 @given(file_lines)
@@ -612,9 +651,17 @@ def test_line_fuzz_never_raises(tmp_path_factory, lines):
     path = tmp_path_factory.mktemp("fuzz") / "f.jsonl"
     path.write_bytes(data)
     events, stats = parse_session_file(path)
-    assert stats.total_lines == nonempty_line_count(data)
+    numbered = list(enumerate(text_lines(data), start=1))
+    assert stats.total_lines == sum(1 for _, line in numbered if line.strip())
     assert len(events) == stats.parsed_lines <= stats.total_lines
     assert not stats.truncated
+    # a line is an event exactly when json.loads reads it as a dict with a
+    # recognized field; near the recursion limit the parser, a few frames
+    # deeper than this test, may refuse a line json.loads accepted here
+    parsed = {e.line_number for e in events}
+    expected = {n for n, line in numbered if reference_is_event(line)}
+    assert parsed <= expected
+    assert all("[" * 500 in line for n, line in numbered if n in expected - parsed)
     for event in events:
         for name in ("event_id", "event_type", "tool_name", "provider_route", "model"):
             (getattr(event, name) or "").encode("utf-8")

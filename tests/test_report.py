@@ -46,6 +46,12 @@ def test_render_deterministic(corpus_bundle):
     assert render_report(bundle, "structured") == render_report(bundle, "structured")
 
 
+def test_structured_is_json_dumps_indented(corpus_bundle, empty_bundle):
+    for bundle in (corpus_bundle[0], empty_bundle):
+        expected = json.dumps(bundle.to_mapping(), indent=2, sort_keys=True) + "\n"
+        assert render_report(bundle, "structured") == expected
+
+
 def test_render_text_reflects_ground_truth(corpus_bundle):
     bundle, ground_truth = corpus_bundle
     text = render_report(bundle, "text")
