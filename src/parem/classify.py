@@ -149,20 +149,3 @@ def surface_counts(paths: Iterable[str], rules: ClassificationRules) -> SurfaceC
             continue
         counter[classify_file(path, rules)] += 1
     return SurfaceCounts(counts=dict(counter), fallback=rules.fallback)
-
-
-def basename_duplicate_groups(paths: Iterable[str]) -> dict[str, list[str]]:
-    """Candidate logical-artifact groups: basenames appearing under more than one path.
-
-    This is a stub report for a future logical-artifact audit, not a completed
-    de-duplication.
-    """
-    groups: dict[str, list[str]] = {}
-    for path in paths:
-        name = _normalize(path).rsplit("/", 1)[-1]
-        groups.setdefault(name, []).append(path)
-    return {
-        name: sorted(group)
-        for name, group in sorted(groups.items())
-        if len(group) > 1
-    }

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from .dedup import deduplicate, exclude_untimed_for_time_analysis
-from .ingest import WorkspaceError, scan_and_parse, scan_workspace
+from .ingest import WorkspaceError
 from .jsonfmt import dumps_indented
 from .metrics import window_timestamps
 from .pipeline import (
@@ -17,6 +17,7 @@ from .pipeline import (
     derive_window,
     extract_in_window,
     load_config_file,
+    read_workspace,
     run_analysis,
 )
 from .report import ReportError
@@ -134,12 +135,7 @@ def _print_json(data: object) -> None:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    inventory = scan_workspace(
-        config.root,
-        config.effective_classification(),
-        config.conventions,
-        config.aliases,
-    )
+    inventory, _ = read_workspace(config)
     if args.json:
         _print_json(inventory.to_mapping())
         return 0
@@ -190,12 +186,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _scoped_deduped(config: RunConfig):
-    inventory, events = scan_and_parse(
-        config.root,
-        config.effective_classification(),
-        config.conventions,
-        config.aliases,
-    )
+    inventory, events = read_workspace(config)
     if config.scope == "main":
         events = [e for e in events if e.agent_scope == "main"]
     deduped, stats = deduplicate(events)
@@ -229,14 +220,14 @@ def cmd_activetime(args: argparse.Namespace) -> int:
 
 def cmd_tokens(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    _, deduped, _ = _scoped_deduped(config)
+    _, timed, window = _timed_in_window(config)
     strict = [
         e
-        for e in deduped
+        for e in timed
         if e.role == "model_completed" and config.conventions.is_trajectory(e.source_path)
     ]
-    totals = aggregate_tokens(strict, config.window)
-    routes = per_route(strict, config.window)
+    totals = aggregate_tokens(strict, window)
+    routes = per_route(strict, window)
     _print_json(
         {
             "totals": totals.to_mapping(),

@@ -1,4 +1,5 @@
-"""Workspace discovery and tolerant parsing of line-oriented session logs.
+"""Workspace discovery and tolerant parsing of line-oriented session logs,
+with a per-file cache of the parse results for reruns.
 
 Session and trajectory files are treated as JSONL-like: any line that parses
 as a key/value record with at least one recognized field becomes an event;
@@ -8,16 +9,22 @@ one of its lines parsed.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
 import os
 import re
+import zlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Literal, Mapping, NamedTuple
 
+from . import __version__
 from .classify import ClassificationRules, SurfaceCounts, surface_counts
 
 Role = Literal["user", "assistant", "tool_result", "tool_call", "model_completed", "other"]
@@ -95,6 +102,12 @@ class Event(NamedTuple):
     model: str | None = None
     tokens: TokenUsage | None = None
     content_prefix: str = ""
+
+
+# build a record from a tuple of all its fields, skipping the keyword-argument
+# handling of the named tuples' constructors
+_new_event = partial(tuple.__new__, Event)
+_new_usage = partial(tuple.__new__, TokenUsage)
 
 
 @dataclass(frozen=True, slots=True)
@@ -444,19 +457,21 @@ class CompiledAliases:
         if role == "model_completed" and tokens is None:
             tokens = TokenUsage()
 
-        return Event(
-            role=role,
-            source_path=source_path,
-            line_number=line_number,
-            agent_scope=agent_scope,
-            event_id=str(raw_id) if raw_id is not None else None,
-            timestamp_ms=normalize_timestamp(raw_ts),
-            event_type=raw_type if isinstance(raw_type, str) else None,
-            tool_name=raw_tool if isinstance(raw_tool, str) else None,
-            provider_route=raw_route if isinstance(raw_route, str) else None,
-            model=raw_model if isinstance(raw_model, str) else None,
-            tokens=tokens,
-            content_prefix=normalize_content_prefix(raw_content),
+        return _new_event(
+            (
+                role,
+                source_path,
+                line_number,
+                agent_scope,
+                str(raw_id) if raw_id is not None else None,
+                normalize_timestamp(raw_ts),
+                raw_type if isinstance(raw_type, str) else None,
+                raw_tool if isinstance(raw_tool, str) else None,
+                raw_route if isinstance(raw_route, str) else None,
+                raw_model if isinstance(raw_model, str) else None,
+                tokens,
+                normalize_content_prefix(raw_content),
+            )
         )
 
 
@@ -489,44 +504,207 @@ def parse_session_file(
     aliases: FieldAliases | None = None,
     agent_scope: AgentScope = "main",
     source_path: str | None = None,
+    data: bytes | None = None,
 ) -> tuple[list[Event], FileParseStats]:
     """Parse one JSONL-like file tolerantly, preserving file order.
 
     Every non-empty line counts toward ``total_lines``. A line that is not a
     JSON object (including one too deeply nested to decode) or carries no
-    recognized field is skipped. An I/O failure mid-file keeps the events
-    parsed so far and flags the stats as truncated.
+    recognized field is skipped. ``data`` is the file's bytes when the caller
+    has read them already; they are split and decoded exactly as
+    ``open(path, "r", encoding="utf-8", errors="replace")`` would. A file
+    that cannot be read gives no events and stats flagged as truncated.
     """
+    if data is None:
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except OSError:
+            return [], FileParseStats(0, 0, truncated=True)
     compiled = (aliases or FieldAliases()).compiled
     label = source_path if source_path is not None else str(path)
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="replace")
     events: list[Event] = []
     total = 0
-    try:
-        with open(path, "r", encoding="utf-8", errors="replace") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                text = line.strip()
-                if not text:
-                    continue
-                total += 1
-                # json.loads minus its whitespace skips, which a stripped line
-                # never needs; a leading BOM fails the scan as it fails loads
-                try:
-                    payload, end = _scan_once(text, 0)
-                except (StopIteration, ValueError, RecursionError):
-                    continue  # not JSON, too-long integers, too-deep nesting
-                if end != len(text) or not isinstance(payload, dict):
-                    continue
-                try:
-                    event = compiled.parse(payload, label, line_number, agent_scope)
-                except RecursionError:  # content nested too deeply to serialize
-                    continue
-                if event is not None:
-                    if "\\u" in text:
-                        event = _replace_lone_surrogates(event)
-                    events.append(event)
-    except (OSError, UnicodeError):
-        return events, FileParseStats(total, len(events), truncated=True)
+    for line_number, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        total += 1
+        # json.loads minus its whitespace skips, which a stripped line
+        # never needs; a leading BOM fails the scan as it fails loads
+        try:
+            payload, end = _scan_once(text, 0)
+        except (StopIteration, ValueError, RecursionError):
+            continue  # not JSON, too-long integers, too-deep nesting
+        if end != len(text) or not isinstance(payload, dict):
+            continue
+        try:
+            event = compiled.parse(payload, label, line_number, agent_scope)
+        except RecursionError:  # content nested too deeply to serialize
+            continue
+        if event is not None:
+            if "\\u" in text:
+                event = _replace_lone_surrogates(event)
+            events.append(event)
     return events, FileParseStats(total, len(events))
+
+
+PARSE_CACHE_FORMAT = "parem-parse-cache/1"
+
+_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+# the Event fields a cache line stores; source_path and agent_scope follow
+# from the file's path
+_CACHED_FIELDS = tuple(f for f in Event._fields if f not in ("source_path", "agent_scope"))
+_cached_columns = itemgetter(*(Event._fields.index(f) for f in _CACHED_FIELDS))
+_NO_EVENTS = ((),) * len(_CACHED_FIELDS)
+_NONE = repeat(None)
+_CHECK_WIDTH = len('"00000000",')
+
+
+class ParseCache:
+    """Per-file parse results of the previous run, and the sink for this run's.
+
+    The cache file holds a header line, then one line per parsed session
+    file, in sorted path order::
+
+        ["<path>","<sha256 of the file>","<crc32>",<lines>,[<columns>]]
+
+    ``lines`` is the file's non-empty line count and the columns are its
+    events' fields in ``_CACHED_FIELDS`` order, a column that is null
+    throughout stored as one null; the crc32 covers the text after it, up to
+    the newline. The header names the format, the parem version and the
+    field aliases; a different header discards the whole file. A line whose
+    checksum or shape does not hold is a miss, so a damaged cache costs a
+    re-parse, never a changed result. The cache is JSON, so reading one
+    cannot run code.
+
+    Lookups must come in sorted path order: the previous file is read in
+    step with them, and this run's lines stream to a temporary file that
+    replaces it on a clean exit. Neither cache is ever held in memory. With
+    no path every lookup misses and nothing is written.
+    """
+
+    def __init__(self, path: Path | None, aliases: FieldAliases) -> None:
+        self._path = path
+        self._aliases = aliases
+        self._header = _compact(
+            {"aliases": aliases.to_mapping(), "format": PARSE_CACHE_FORMAT, "parem": __version__}
+        ) + "\n"
+        self._prior = None
+        self._pending: str | None = None
+        self._sink = None
+        if path is None:
+            return
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self._sink = open(self._temporary, "wb")
+        self._sink.write(self._header.encode())
+        try:
+            self._prior = open(path, "r", encoding="utf-8", errors="replace", newline="\n")
+            if self._prior.readline() == self._header:
+                self._pending = self._prior.readline()
+        except OSError:
+            pass
+
+    @property
+    def _temporary(self) -> Path:
+        return self._path.with_name(self._path.name + ".tmp")
+
+    def __enter__(self) -> "ParseCache":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._prior is not None:
+            self._prior.close()
+        if self._sink is not None:
+            self._sink.close()
+            if exc_type is None:
+                os.replace(self._temporary, self._path)
+            else:
+                self._temporary.unlink(missing_ok=True)
+
+    def parse(
+        self, path: Path, rel: str, data: bytes, agent_scope: AgentScope
+    ) -> tuple[list[Event], FileParseStats]:
+        """The file's events and stats: from the cache when its bytes are
+        unchanged, else from ``parse_session_file``."""
+        key = _compact([rel, hashlib.sha256(data).hexdigest()])[:-1] + ","
+        line = self._take(rel)
+        if line is not None and line.startswith(key):
+            found = _decode_line(line, len(key), rel, agent_scope)
+            if found is not None:
+                self._store(line.encode())
+                return found
+        events, stats = parse_session_file(path, self._aliases, agent_scope, rel, data=data)
+        if self._sink is not None:
+            columns = [
+                None if column and column[0] is None and column.count(None) == len(column)
+                else column
+                for column in (_cached_columns(tuple(zip(*events))) if events else _NO_EVENTS)
+            ]
+            rest = _compact([stats.total_lines, columns])[1:].encode()
+            self._store(b'%s"%08x",%s\n' % (key.encode(), zlib.crc32(rest), rest))
+        return events, stats
+
+    def _take(self, rel: str) -> str | None:
+        """The previous run's line for ``rel``, skipping lines of paths before it."""
+        while self._pending:
+            line = self._pending
+            try:
+                path = _scan_once(line, 1)[0] if line.startswith('["') else None
+            except (StopIteration, ValueError):
+                path = None
+            if isinstance(path, str) and path > rel:
+                return None
+            try:
+                self._pending = self._prior.readline()
+            except OSError:
+                self._pending = None
+            if path == rel:
+                return line
+        return None
+
+    def _store(self, line: bytes) -> None:
+        if self._sink is not None:
+            self._sink.write(line)
+
+
+def _decode_line(
+    line: str, start: int, rel: str, agent_scope: AgentScope
+) -> tuple[list[Event], FileParseStats] | None:
+    """A cache line's events and stats, or None when the line is damaged."""
+    rest = line[start + _CHECK_WIDTH : -1]
+    try:
+        if not line.endswith("\n") or int(line[start + 1 : start + 9], 16) != zlib.crc32(
+            rest.encode()
+        ):
+            return None
+        total, columns = json.loads("[" + rest)
+        roles, lines, ids, stamps, types, tools, routes, models, tokens, prefixes = (
+            _NONE if column is None else column for column in columns
+        )
+        count = len(roles)
+        if any(column is not None and len(column) != count for column in columns):
+            return None
+        if tokens is not _NONE:
+            tokens = [None if usage is None else _new_usage(usage) for usage in tokens]
+    except (ValueError, TypeError):
+        return None
+    rows = zip(
+        roles,
+        repeat(rel),
+        lines,
+        repeat(agent_scope),
+        ids,
+        stamps,
+        types,
+        tools,
+        routes,
+        models,
+        tokens,
+        prefixes,
+    )
+    return list(map(_new_event, rows)), FileParseStats(total, count)
 
 
 @dataclass(frozen=True)
@@ -542,9 +720,15 @@ class WorkspaceFiles:
 
 
 def discover_workspace(
-    root: str | Path, conventions: WorkspaceConventions | None = None
+    root: str | Path,
+    conventions: WorkspaceConventions | None = None,
+    skip: str | None = None,
 ) -> WorkspaceFiles:
-    """Walk the tree once and bucket every file; deterministic for a fixed tree."""
+    """Walk the tree once and bucket every file; deterministic for a fixed tree.
+
+    ``skip`` is a directory below the root, relative to it, that the walk
+    leaves out, such as an output directory inside the workspace.
+    """
     conventions = conventions or WorkspaceConventions()
     root_path = Path(root)
     if not root_path.is_dir():
@@ -570,8 +754,11 @@ def discover_workspace(
             if (agents_root / name).is_dir()
         )
 
+    skipped = os.path.join(root_path, skip) if skip else None
     for dirpath, dirnames, filenames in os.walk(root_path):
         dirnames.sort()
+        if skipped is not None:
+            dirnames[:] = [d for d in dirnames if os.path.join(dirpath, d) != skipped]
         for filename in sorted(filenames):
             full = Path(dirpath) / filename
             rel = full.relative_to(root_path).as_posix()
@@ -605,50 +792,49 @@ def scan_and_parse(
     rules: ClassificationRules | None = None,
     conventions: WorkspaceConventions | None = None,
     aliases: FieldAliases | None = None,
+    skip: str | None = None,
+    cache_path: Path | None = None,
 ) -> tuple[WorkspaceInventory, list[Event]]:
-    """Scan a workspace and parse every session file once.
+    """Scan a workspace and read every session file once.
 
-    Events come back in canonical order (path, then line number) regardless
-    of discovery order, so downstream output is schedule-independent.
+    Files are read in sorted path order, main and agent sessions together,
+    so the events come back in canonical order (path, then line number).
+    ``skip`` is passed to ``discover_workspace``. With a ``cache_path``, a
+    file whose bytes the previous run's cache there holds is not parsed
+    again (see ``ParseCache``); the results are the same either way.
     """
     rules = rules or ClassificationRules()
     conventions = conventions or WorkspaceConventions()
     aliases = aliases or FieldAliases()
-    files = discover_workspace(root, conventions)
+    files = discover_workspace(root, conventions, skip)
     root_path = Path(root)
+    scopes: dict[str, AgentScope] = dict.fromkeys(files.main_sessions, "main")
+    scopes.update(dict.fromkeys(files.agent_sessions, "other_agent"))
 
     warnings: list[str] = []
     events: list[Event] = []
-    recoverable_main = 0
-    recoverable_agents = 0
+    recoverable: dict[AgentScope, int] = {"main": 0, "other_agent": 0}
+    with ParseCache(cache_path, aliases) as cache:
+        for rel in sorted(scopes):
+            path = root_path / rel
+            try:
+                with open(path, "rb") as handle:
+                    data = handle.read()
+            except OSError:
+                warnings.append(f"unreadable or truncated session file: {rel}")
+                continue
+            parsed, stats = cache.parse(path, rel, data, scopes[rel])
+            recoverable[scopes[rel]] += 1 if stats.recoverable else 0
+            events.extend(parsed)
 
-    for rel in files.main_sessions:
-        parsed, stats = parse_session_file(
-            root_path / rel, aliases, agent_scope="main", source_path=rel
-        )
-        if stats.truncated:
-            warnings.append(f"unreadable or truncated session file: {rel}")
-        recoverable_main += 1 if stats.recoverable else 0
-        events.extend(parsed)
-
-    for rel in files.agent_sessions:
-        parsed, stats = parse_session_file(
-            root_path / rel, aliases, agent_scope="other_agent", source_path=rel
-        )
-        if stats.truncated:
-            warnings.append(f"unreadable or truncated session file: {rel}")
-        recoverable_agents += 1 if stats.recoverable else 0
-        events.extend(parsed)
-
-    events.sort(key=lambda e: (e.source_path, e.line_number))
     inventory = WorkspaceInventory(
         memory_files=len(files.memory),
         agent_dirs=len(files.agent_dirs),
         skill_files=len(files.skills),
         session_files_main=len(files.main_sessions),
-        recoverable_main=recoverable_main,
+        recoverable_main=recoverable["main"],
         session_files_all=len(files.main_sessions) + len(files.agent_sessions),
-        recoverable_all=recoverable_main + recoverable_agents,
+        recoverable_all=recoverable["main"] + recoverable["other_agent"],
         surfaces=surface_counts(files.artifacts, rules),
         memory_paths=files.memory,
         main_session_paths=files.main_sessions,

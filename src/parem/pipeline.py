@@ -39,6 +39,7 @@ from .ingest import (
     Event,
     FieldAliases,
     WorkspaceConventions,
+    WorkspaceInventory,
     scan_and_parse,
 )
 from .metrics import ObservationWindow, compute_pare_m, utc_date, window_timestamps
@@ -61,6 +62,7 @@ DEFAULT_GAP_BIN_MINUTES = 15
 REPORT_TEXT = "reports/report.txt"
 REPORT_JSON = "reports/report.json"
 DEDUP_LEDGER_CSV = "reports/dedup-ledger.csv"
+PARSE_CACHE = "cache/parse.jsonl"
 
 
 @dataclass(frozen=True)
@@ -163,6 +165,26 @@ class RunConfig:
         return replace(self.classification, exclude_generated=self.exclude_generated)
 
 
+def read_workspace(
+    config: RunConfig, cache_path: Path | None = None
+) -> tuple[WorkspaceInventory, list[Event]]:
+    """Scan and parse the workspace as every command does: with the run's
+    classification rules, conventions and aliases, leaving out the output
+    directory when it lies inside the root, so that a run never reads the
+    outputs of the one before."""
+    root = Path(config.root).resolve()
+    out = Path(config.out_dir).resolve()
+    skip = out.relative_to(root).as_posix() if out != root and out.is_relative_to(root) else None
+    return scan_and_parse(
+        config.root,
+        config.effective_classification(),
+        config.conventions,
+        config.aliases,
+        skip=skip,
+        cache_path=cache_path,
+    )
+
+
 def derive_window(
     timed_events: list[Event], configured: ObservationWindow | None, warnings: list[str]
 ) -> ObservationWindow:
@@ -211,12 +233,12 @@ def build_bundle(config: RunConfig) -> ReportBundle:
     return bundle
 
 
-def _build(config: RunConfig) -> tuple[ReportBundle, list[Event]]:
+def _build(
+    config: RunConfig, cache_path: Path | None = None
+) -> tuple[ReportBundle, list[Event]]:
     warnings: list[str] = []
     rules = config.effective_classification()
-    inventory, all_events = scan_and_parse(
-        config.root, rules, config.conventions, config.aliases
-    )
+    inventory, all_events = read_workspace(config, cache_path)
     warnings.extend(inventory.warnings)
 
     if config.scope == "main":
@@ -358,8 +380,13 @@ def write_outputs(
 
 
 def run_analysis(config: RunConfig) -> tuple[ReportBundle, list[Path]]:
-    """Full pipeline: scan, parse, de-duplicate, analyze, report, export."""
-    bundle, deduped = _build(config)
+    """Full pipeline: scan, parse, de-duplicate, analyze, report, export.
+
+    The per-file parse results are cached in the output directory
+    (``PARSE_CACHE``), so a rerun parses only new or changed session files.
+    The cache is not among the written outputs and never changes them.
+    """
+    bundle, deduped = _build(config, Path(config.out_dir) / PARSE_CACHE)
     written = write_outputs(bundle, config, deduped)
     return bundle, written
 

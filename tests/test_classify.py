@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from parem.classify import (
     ClassificationRules,
-    basename_duplicate_groups,
     classify_file,
     surface_counts,
 )
@@ -150,13 +149,6 @@ def test_content_from_two_roots_merges():
     counts = surface_counts(["linkedin/a.md", "content/b.md"], rules)
     assert counts.counts == {"content": 2}
     assert counts.asb == 1
-
-
-def test_basename_duplicate_groups_stub():
-    groups = basename_duplicate_groups(
-        ["a/report.md", "b/report.md", "c/unique.md", "d/report.md"]
-    )
-    assert groups == {"report.md": ["a/report.md", "b/report.md", "d/report.md"]}
 
 
 def test_rules_round_trip():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from datetime import timedelta
 
 import pytest
@@ -255,6 +256,61 @@ def test_extract_counts_match_the_report(corpus, tmp_path, capsys, window):
     assert extracted["output_proxies"] == len(report["output_proxies"])
     assert extracted["governance_proxies"] == len(report["governance_proxies"])
     assert extracted["governance_by_class"] == governance_by_class
+
+
+@pytest.mark.parametrize(
+    "window", [[], ["--window-start", "2024-01-02", "--window-end", "2024-01-03"]]
+)
+def test_token_totals_match_the_report(corpus, tmp_path, capsys, window):
+    root, _ = corpus
+    assert main(["tokens", "--root", str(root), *window]) == 0
+    tokens = json.loads(capsys.readouterr().out)
+
+    out = tmp_path / "out"
+    assert main(["analyze", "--root", str(root), "--out", str(out), *window]) == 0
+    report = json.loads((out / "reports" / "report.json").read_text(encoding="utf-8"))
+    assert tokens["totals"] == report["token_totals"]
+    assert tokens["routes"] == report["route_totals"]
+
+
+def test_tokens_without_a_window_leave_out_untimed_completions(tmp_path, capsys):
+    workspace = tmp_path / "ws"
+    (workspace / "trajectories").mkdir(parents=True)
+    lines = [
+        {"role": "model_completed", "ts": "2024-01-01T10:00:00Z", "usage": {"input": 5}},
+        {"role": "model_completed", "usage": {"input": 7}},
+    ]
+    (workspace / "trajectories" / "a.jsonl").write_text(
+        "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8"
+    )
+    assert main(["tokens", "--root", str(workspace)]) == 0
+    tokens = json.loads(capsys.readouterr().out)
+    out = tmp_path / "out"
+    assert main(["analyze", "--root", str(workspace), "--out", str(out)]) == 0
+    report = json.loads((out / "reports" / "report.json").read_text(encoding="utf-8"))
+    assert report["token_totals"]["input"] == 5
+    assert tokens["totals"]["input"] == 5
+
+
+def test_out_dir_inside_the_root_is_not_scanned(corpus, tmp_path, monkeypatch, capsys):
+    root, ground_truth = corpus
+    workspace = tmp_path / "ws"
+    shutil.copytree(root, workspace)
+    monkeypatch.chdir(workspace)
+    assert main(["scan", "--root", ".", "--json"]) == 0
+    before = json.loads(capsys.readouterr().out)
+
+    reports = []
+    for _ in range(2):
+        assert main(["analyze", "--root", ".", "--out", "parem-out"]) == 0
+        reports.append((workspace / "parem-out" / "reports" / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    surfaces = json.loads(reports[1])["inventory"]["surfaces"]
+    assert surfaces == before["surfaces"]
+
+    capsys.readouterr()
+    assert main(["scan", "--root", ".", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == before
 
 
 def test_all_agent_scope_sees_more_records(corpus, capsys):
