@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import date
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Literal, Mapping, Sequence
 
@@ -29,6 +30,21 @@ GOVERNANCE_CLASSES: tuple[str, ...] = (
 # capture the date.
 DEFAULT_HEADING_PATTERN = r"^#{1,6}\s.*?(\d{4}-\d{2}-\d{2})"
 
+
+def compile_heading_pattern(pattern: str) -> re.Pattern:
+    """The dated-heading pattern, compiled; ValueError unless it compiles
+    and has the capture group that holds the date."""
+    try:
+        compiled = re.compile(pattern)
+    except re.error as exc:
+        raise ValueError(f"heading pattern {pattern!r} does not compile: {exc}") from None
+    if compiled.groups < 1:
+        raise ValueError(
+            f"heading pattern {pattern!r} has no capture group; group 1 must capture the date"
+        )
+    return compiled
+
+
 _SENTENCE_BOUNDARY = re.compile(r"(?<=[.!?])\s+")
 _WHITESPACE_RUN = re.compile(r"\s+")
 _BULLET_PREFIX = re.compile(r"^[\s>*+-]+")
@@ -45,12 +61,35 @@ REPEAT_BYPASS_TERMS: tuple[str, ...] = (
 )
 
 
+def _word_alternation(terms: Iterable[str], flags: int) -> re.Pattern:
+    """One pattern that matches where any ``\\bterm\\b`` matches.
+
+    The terms are escaped literals, and the alternation backtracks through
+    every alternative at every position, so ``\\b(?:a|b)\\b`` finds a match
+    in a text iff ``\\ba\\b`` or ``\\bb\\b`` does, overlapping and nested
+    terms included.
+    """
+    return re.compile(rf"\b(?:{'|'.join(re.escape(t) for t in terms)})\b", flags)
+
+
+_REPEAT_BYPASS = _word_alternation(REPEAT_BYPASS_TERMS, re.IGNORECASE)
+
+
+def _normalize_term(term: str) -> str:
+    return _WHITESPACE_RUN.sub(" ", term.strip())
+
+
 @dataclass(frozen=True)
 class DatedSection:
     date: date
     heading: str
     body: str
     source_path: str
+
+    @cached_property
+    def sentences(self) -> tuple[str, ...]:
+        """The body's sentences, split once and shared by every extractor."""
+        return tuple(split_sentences(self.body))
 
 
 @dataclass(frozen=True)
@@ -105,16 +144,24 @@ class KeywordRuleSet:
         for name, terms in self.families.items():
             if not terms:
                 raise ValueError(f"keyword family {name!r} is empty")
+            for term in terms:
+                if not _normalize_term(term):
+                    raise ValueError(f"keyword family {name!r} has a blank term: {term!r}")
         if self.match_mode != "word_boundary":
             raise ValueError(f"unsupported match mode: {self.match_mode!r}")
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "KeywordRuleSet":
         return cls(
-            families={str(k): tuple(v) for k, v in data["families"].items()},
+            families={
+                str(k): _string_list(v, f"keyword family {k!r}")
+                for k, v in data["families"].items()
+            },
             family_classes={str(k): str(v) for k, v in data.get("family_classes", {}).items()},
-            exclusions=tuple(data.get("exclusions", ())),
-            class_priority=tuple(data.get("class_priority", GOVERNANCE_CLASSES)),
+            exclusions=_string_list(data.get("exclusions", ()), "exclusions"),
+            class_priority=_string_list(
+                data.get("class_priority", GOVERNANCE_CLASSES), "class_priority"
+            ),
             match_mode=str(data.get("match_mode", "word_boundary")),
             case_sensitive=bool(data.get("case_sensitive", False)),
             version=str(data.get("version", "ruleset/1")),
@@ -131,23 +178,71 @@ class KeywordRuleSet:
             "version": self.version,
         }
 
-    def _flags(self) -> int:
-        return 0 if self.case_sensitive else re.IGNORECASE
+    @cached_property
+    def matcher(self) -> "KeywordMatcher":
+        """The rule set compiled once; every extraction call reuses it."""
+        flags = 0 if self.case_sensitive else re.IGNORECASE
+        normalized = {
+            name: [_normalize_term(term) for term in terms]
+            for name, terms in self.families.items()
+        }
+        families = tuple(
+            (
+                name,
+                _word_alternation(normalized[name], flags),
+                tuple(
+                    (term, re.compile(rf"\b{re.escape(n)}\b", flags))
+                    for term, n in zip(terms, normalized[name])
+                ),
+            )
+            for name, terms in self.families.items()
+        )
+        return KeywordMatcher(
+            gate=_word_alternation([n for ns in normalized.values() for n in ns], flags),
+            families=families,
+            exclusions=tuple(re.compile(pattern, flags) for pattern in self.exclusions),
+        )
 
-    def compiled_families(self) -> dict[str, tuple[tuple[str, re.Pattern], ...]]:
-        compiled = {}
-        for name, terms in self.families.items():
-            patterns = []
-            for term in terms:
-                normalized = _WHITESPACE_RUN.sub(" ", term.strip())
-                patterns.append(
-                    (term, re.compile(rf"\b{re.escape(normalized)}\b", self._flags()))
-                )
-            compiled[name] = tuple(patterns)
-        return compiled
 
-    def compiled_exclusions(self) -> tuple[re.Pattern, ...]:
-        return tuple(re.compile(pattern, self._flags()) for pattern in self.exclusions)
+def _string_list(value, what: str) -> tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(i, str) for i in value):
+        raise ValueError(f"{what} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
+@dataclass(frozen=True)
+class KeywordMatcher:
+    """A compiled rule set: one gate over all its terms, one per family, and
+    the per-term patterns and exclusions.
+
+    A sentence the rule-set gate misses cannot match, so it is skipped with
+    no exclusion search; per-term searches run only in the families whose
+    own gate hits. The exclusions stay separate patterns, so a user's
+    groups and inline flags never meet another pattern.
+    """
+
+    gate: re.Pattern
+    # (family, family gate, ((term, \bterm\b pattern), ...))
+    families: tuple[tuple[str, re.Pattern, tuple[tuple[str, re.Pattern], ...]], ...]
+    exclusions: tuple[re.Pattern, ...]
+
+    def matches(self, sentences: Sequence[str]) -> dict[str, list[tuple[int, list[str]]]]:
+        """Per family: (sentence index, matched terms) for non-excluded sentences."""
+        matches: dict[str, list[tuple[int, list[str]]]] = {
+            name: [] for name, _, _ in self.families
+        }
+        gate = self.gate.search
+        for index, sentence in enumerate(sentences):
+            if gate(sentence) is None:
+                continue
+            if any(pattern.search(sentence) for pattern in self.exclusions):
+                continue
+            for name, family_gate, patterns in self.families:
+                if family_gate.search(sentence) is not None:
+                    matches[name].append(
+                        (index, [term for term, pattern in patterns if pattern.search(sentence)])
+                    )
+        return matches
 
 
 DEFAULT_OUTPUT_RULES = KeywordRuleSet(
@@ -239,7 +334,7 @@ def parse_memory_sections(
     first dated heading is skipped. Unreadable files produce a warning and
     are skipped. Returns (sections, warnings).
     """
-    pattern = re.compile(heading_pattern)
+    pattern = compile_heading_pattern(heading_pattern)
     sections: list[DatedSection] = []
     warnings: list[str] = []
     for file_path in files:
@@ -288,23 +383,6 @@ def split_sentences(body: str) -> list[str]:
             if piece:
                 sentences.append(piece)
     return sentences
-
-
-def _sentence_matches(
-    sentences: Sequence[str],
-    compiled: Mapping[str, tuple[tuple[str, re.Pattern], ...]],
-    exclusions: Sequence[re.Pattern],
-) -> dict[str, list[tuple[int, list[str]]]]:
-    """Per family: (sentence index, matched terms) for non-excluded sentences."""
-    matches: dict[str, list[tuple[int, list[str]]]] = {name: [] for name in compiled}
-    for index, sentence in enumerate(sentences):
-        if any(pattern.search(sentence) for pattern in exclusions):
-            continue
-        for name, patterns in compiled.items():
-            terms = [term for term, pattern in patterns if pattern.search(sentence)]
-            if terms:
-                matches[name].append((index, terms))
-    return matches
 
 
 def _clusters(
@@ -360,24 +438,23 @@ def extract_output_proxies(
     approximation of the repeat exclusion and is configurable off with
     ``repeat_horizon_days=0``.
     """
-    compiled = rules.compiled_families()
-    exclusions = rules.compiled_exclusions()
-    bypass = tuple(
-        re.compile(rf"\b{re.escape(term)}\b", re.IGNORECASE) for term in REPEAT_BYPASS_TERMS
-    )
+    matcher = rules.matcher
     last_logged: dict[tuple[str, str], date] = {}
     proxies: list[ProxyEvent] = []
 
     for section in sorted(sections, key=_section_sort_key):
-        sentences = split_sentences(section.body)
-        matches = _sentence_matches(sentences, compiled, exclusions)
+        sentences = section.sentences
+        matches = matcher.matches(sentences)
         for family in rules.families:
-            for members, terms in _clusters(matches[family], granularity):
+            hits = matches[family]
+            if not hits:
+                continue
+            for members, terms in _clusters(hits, granularity):
                 tokens = _artifact_tokens(sentences, members)
                 suppressed = False
                 if tokens and repeat_horizon_days > 0:
                     cluster_text = " ".join(sentences[i] for i in members)
-                    is_new_version = any(p.search(cluster_text) for p in bypass)
+                    is_new_version = _REPEAT_BYPASS.search(cluster_text) is not None
                     recent = [
                         token
                         for token in tokens
@@ -413,19 +490,19 @@ def extract_governance_events(
     class; matches from families without a class mapping leave the class
     absent.
     """
-    compiled = rules.compiled_families()
-    exclusions = rules.compiled_exclusions()
+    matcher = rules.matcher
     proxies: list[ProxyEvent] = []
 
     for section in sorted(sections, key=_section_sort_key):
-        sentences = split_sentences(section.body)
-        matches = _sentence_matches(sentences, compiled, exclusions)
+        matches = matcher.matches(section.sentences)
         per_sentence: dict[int, tuple[list[str], list[str]]] = {}
         for family, hits in matches.items():
             for index, terms in hits:
                 families, all_terms = per_sentence.setdefault(index, ([], []))
                 families.append(family)
                 all_terms.extend(terms)
+        if not per_sentence:
+            continue
         hit_rows = [(index, per_sentence[index][1]) for index in sorted(per_sentence)]
 
         for members, terms in _clusters(hit_rows, granularity):

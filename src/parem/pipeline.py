@@ -31,6 +31,7 @@ from .extraction import (
     DatedSection,
     KeywordRuleSet,
     ProxyEvent,
+    compile_heading_pattern,
     extract_governance_events,
     extract_output_proxies,
     parse_memory_sections,
@@ -97,6 +98,7 @@ class RunConfig:
             )
         if not self.caps:
             raise ValueError("caps must not be empty")
+        compile_heading_pattern(self.heading_pattern)
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "RunConfig":

@@ -1,16 +1,24 @@
 from __future__ import annotations
 
-from datetime import date
+import dataclasses
+import re
+from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parem import extraction
 from parem.extraction import (
     DEFAULT_GOVERNANCE_RULES,
     DEFAULT_OUTPUT_RULES,
+    REPEAT_BYPASS_TERMS,
     DatedSection,
     KeywordRuleSet,
+    ProxyEvent,
+    _artifact_tokens,
+    _clusters,
+    _priority_class,
     extract_governance_events,
     extract_output_proxies,
     parse_memory_sections,
@@ -341,3 +349,282 @@ def test_output_sorted_by_date_source_heading(days):
     proxies = extract_output_proxies(sections, repeat_horizon_days=0)
     keys = [(p.date, p.section_ref[0], p.section_ref[1]) for p in proxies]
     assert keys == sorted(keys)
+
+
+def test_blank_term_rejected():
+    # "\\b\\b" would match every sentence that holds a word
+    for blank in ("", "   ", "\t\n"):
+        with pytest.raises(ValueError, match="blank term"):
+            KeywordRuleSet(families={"x": ("wrote", blank)})
+    with pytest.raises(ValueError, match="blank term"):
+        KeywordRuleSet.from_mapping({"families": {"x": ["   "]}})
+
+
+def test_from_mapping_rejects_bare_strings():
+    # a string is not split into one-letter terms or exclusions
+    with pytest.raises(ValueError, match="keyword family 'x'"):
+        KeywordRuleSet.from_mapping({"families": {"x": "wrote"}})
+    with pytest.raises(ValueError, match="exclusions"):
+        KeywordRuleSet.from_mapping({"families": {"x": ["wrote"]}, "exclusions": "draft"})
+    with pytest.raises(ValueError, match="class_priority"):
+        KeywordRuleSet.from_mapping({"families": {"x": ["wrote"]}, "class_priority": "failure"})
+    with pytest.raises(ValueError, match="keyword family 'x'"):
+        KeywordRuleSet.from_mapping({"families": {"x": ["wrote", 5]}})
+    with pytest.raises(ValueError, match="keyword family 'x'"):
+        KeywordRuleSet.from_mapping({"families": {"x": 5}})
+
+
+def test_heading_pattern_without_a_group_is_rejected(tmp_path):
+    path = tmp_path / "m.md"
+    path.write_text("## 2026-02-01\nbody\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="no capture group"):
+        parse_memory_sections([path], heading_pattern=r"^#+\s.*\d{4}-\d{2}-\d{2}")
+    with pytest.raises(ValueError, match="does not compile"):
+        parse_memory_sections([path], heading_pattern=r"^#+\s(\d{4}")
+
+
+# --- the compiled matcher against the per-term scan it replaces ---------------
+
+def normalized(term: str) -> str:
+    return re.sub(r"\s+", " ", term.strip())
+
+
+def reference_matches(
+    rules: KeywordRuleSet, sentences
+) -> dict[str, list[tuple[int, list[str]]]]:
+    """One \\bterm\\b search per term of every family, after every exclusion."""
+    flags = 0 if rules.case_sensitive else re.IGNORECASE
+    families = {
+        name: [(term, re.compile(rf"\b{re.escape(normalized(term))}\b", flags)) for term in terms]
+        for name, terms in rules.families.items()
+    }
+    exclusions = [re.compile(pattern, flags) for pattern in rules.exclusions]
+    matches: dict[str, list[tuple[int, list[str]]]] = {name: [] for name in families}
+    for index, sentence in enumerate(sentences):
+        if any(pattern.search(sentence) for pattern in exclusions):
+            continue
+        for name, patterns in families.items():
+            terms = [term for term, pattern in patterns if pattern.search(sentence)]
+            if terms:
+                matches[name].append((index, terms))
+    return matches
+
+
+def reference_output_proxies(sections, rules, granularity, repeat_horizon_days):
+    last_logged: dict[tuple[str, str], date] = {}
+    proxies = []
+    for sec in sorted(sections, key=lambda s: (s.date, s.source_path, s.heading)):
+        sentences = split_sentences(sec.body)
+        matches = reference_matches(rules, sentences)
+        for family in rules.families:
+            for members, terms in _clusters(matches[family], granularity):
+                tokens = _artifact_tokens(sentences, members)
+                suppressed = False
+                if tokens and repeat_horizon_days > 0:
+                    text = " ".join(sentences[i] for i in members)
+                    is_new_version = any(
+                        re.search(rf"\b{re.escape(t)}\b", text, re.IGNORECASE)
+                        for t in REPEAT_BYPASS_TERMS
+                    )
+                    recent = [
+                        token
+                        for token in tokens
+                        if (family, token) in last_logged
+                        and (sec.date - last_logged[(family, token)]).days <= repeat_horizon_days
+                    ]
+                    suppressed = len(recent) == len(tokens) and not is_new_version
+                    for token in tokens:
+                        last_logged[(family, token)] = sec.date
+                if not suppressed:
+                    proxies.append(
+                        ProxyEvent(
+                            sec.date, "output", terms, (sec.source_path, sec.heading), family=family
+                        )
+                    )
+    return proxies
+
+
+def reference_governance_events(sections, rules, granularity):
+    proxies = []
+    for sec in sorted(sections, key=lambda s: (s.date, s.source_path, s.heading)):
+        matches = reference_matches(rules, split_sentences(sec.body))
+        per_sentence: dict[int, tuple[list[str], list[str]]] = {}
+        for family, hits in matches.items():
+            for index, terms in hits:
+                families, all_terms = per_sentence.setdefault(index, ([], []))
+                families.append(family)
+                all_terms.extend(terms)
+        rows = [(index, per_sentence[index][1]) for index in sorted(per_sentence)]
+        for members, terms in _clusters(rows, granularity):
+            families = [f for index in members for f in per_sentence[index][0]]
+            proxies.append(
+                ProxyEvent(
+                    sec.date,
+                    "governance",
+                    terms,
+                    (sec.source_path, sec.heading),
+                    governance_class=_priority_class(families, rules),
+                )
+            )
+    return proxies
+
+
+DEFAULT_TERMS = sorted(
+    {
+        term
+        for rules in (DEFAULT_OUTPUT_RULES, DEFAULT_GOVERNANCE_RULES)
+        for terms in rules.families.values()
+        for term in terms
+    }
+)
+# terms that are prefixes, suffixes or extensions of one another, or end in
+# non-ASCII letters, where a missing or misplaced word boundary shows
+OVERLAPPING_TERMS = [
+    "fix", "fixed", "fixed wrong", "credential", "credentials", "test",
+    "smoke test", "pre", "prefix", "app", "apps", "café", "naïve", "straße",
+    "été", "v2", "c++", ".net",
+]
+EXCLUSIONS = [
+    r"auto-?generated",
+    r"\b(?:plan|plans|planned|planning) to\b",
+    r"\bno (?:new )?artifact\b",
+    r"(\w+) \1",  # a numbered group and its back-reference
+    r"(?i:DRAFTED) twice",  # a scoped inline flag
+    r"ß$",
+]
+EXCLUSION_HITS = ["auto-generated", "planned to", "no new artifact", "fix fix", "drafted twice"]
+FILLER = ["the", "team", "artifacts", "prefixed", "éfix", "fixé", "credentialsx", "`report.md`"]
+EDGES = ["", " ", "\u00a0", "  ", ".", ", ", "-", "é", "ß", "_", "1", "! ", "`", "\t", "/"]
+CASES = [str, str.upper, str.title, str.swapcase]
+
+random_terms = st.text(alphabet="abeéßXY -.+", min_size=1, max_size=6).filter(str.strip)
+vocabulary = st.one_of(st.sampled_from(DEFAULT_TERMS + OVERLAPPING_TERMS), random_terms)
+
+
+@st.composite
+def rule_sets(draw) -> KeywordRuleSet:
+    if draw(st.booleans()):
+        rules = draw(st.sampled_from([DEFAULT_OUTPUT_RULES, DEFAULT_GOVERNANCE_RULES]))
+        return dataclasses.replace(rules, case_sensitive=draw(st.booleans()))
+    names = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+    return KeywordRuleSet(
+        families={n: tuple(draw(st.lists(vocabulary, min_size=1, max_size=5))) for n in names},
+        family_classes={n: draw(st.sampled_from(extraction.GOVERNANCE_CLASSES)) for n in names[1:]},
+        exclusions=tuple(draw(st.lists(st.sampled_from(EXCLUSIONS), max_size=3, unique=True))),
+        case_sensitive=draw(st.booleans()),
+        version="test/1",
+    )
+
+
+@st.composite
+def sentences_for(draw, rules: KeywordRuleSet) -> str:
+    own_terms = [term for terms in rules.families.values() for term in terms]
+    token = st.one_of(
+        st.sampled_from(own_terms),
+        vocabulary,
+        st.sampled_from(EXCLUSION_HITS + FILLER),
+    )
+    parts = draw(
+        st.lists(st.tuples(token, st.sampled_from(CASES), st.sampled_from(EDGES)), max_size=6)
+    )
+    return "".join(case(word) + edge for word, case, edge in parts)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_matcher_equals_the_per_term_scan(data):
+    rules = data.draw(rule_sets())
+    sentences = data.draw(st.lists(sentences_for(rules), min_size=1, max_size=6))
+    assert rules.matcher.matches(sentences) == reference_matches(rules, sentences)
+
+
+class _Spy:
+    """Stands in for a compiled pattern and records each search."""
+
+    def __init__(self, pattern: re.Pattern, log: list) -> None:
+        self.pattern, self.log = pattern, log
+
+    def search(self, text: str):
+        self.log.append(text)
+        return self.pattern.search(text)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_gates_decide_which_searches_run(data):
+    rules = data.draw(rule_sets())
+    sentences = data.draw(st.lists(sentences_for(rules), min_size=1, max_size=6))
+    matcher = rules.matcher
+    exclusion_log: list[str] = []
+    term_log: list[tuple[str, str]] = []
+    spied = dataclasses.replace(
+        matcher,
+        exclusions=tuple(_Spy(p, exclusion_log) for p in matcher.exclusions),
+        families=tuple(
+            (name, gate, tuple((term, _Spy(p, term_log)) for term, p in patterns))
+            for name, gate, patterns in matcher.families
+        ),
+    )
+    kept = reference_matches(rules, sentences)
+    assert spied.matches(sentences) == kept
+    # exclusions run on exactly the sentences that hold some term
+    unexcluded = reference_matches(dataclasses.replace(rules, exclusions=()), sentences)
+    with_terms = {sentences[i] for hits in unexcluded.values() for i, _ in hits}
+    assert set(exclusion_log) == (with_terms if rules.exclusions else set())
+    # each term is searched only in a family with a hit in a kept sentence
+    assert len(term_log) == sum(len(rules.families[name]) * len(kept[name]) for name in kept)
+
+
+def test_one_matcher_per_rule_set_and_one_split_per_section(monkeypatch):
+    assert DEFAULT_OUTPUT_RULES.matcher is DEFAULT_OUTPUT_RULES.matcher
+    calls = []
+    original = extraction.split_sentences
+    monkeypatch.setattr(
+        extraction, "split_sentences", lambda body: calls.append(body) or original(body)
+    )
+    sections = [section("Drafted the plan. Checked it."), section("Fixed wrong dates.")]
+    extract_output_proxies(sections)
+    extract_governance_events(sections)
+    assert len(calls) == len(sections)
+
+
+BODY_TOKENS = DEFAULT_TERMS + OVERLAPPING_TERMS + EXCLUSION_HITS + FILLER + [
+    "`report.md`", "`slides.md`", "notes.pdf", "v2", "revised", "new version",
+]
+
+
+@st.composite
+def section_lists(draw) -> list[DatedSection]:
+    sentence = st.lists(
+        st.tuples(st.sampled_from(BODY_TOKENS), st.sampled_from(CASES)), min_size=1, max_size=5
+    ).map(lambda words: " ".join(case(w) for w, case in words))
+    body = st.lists(
+        st.tuples(sentence, st.sampled_from([". ", ".\n", "!\n- ", "\n\n", "? "])),
+        max_size=6,
+    ).map(lambda parts: "".join(text + end for text, end in parts))
+    rows = draw(
+        st.lists(
+            st.tuples(st.integers(0, 20), st.sampled_from(["m/a.md", "m/b.md"]), body),
+            max_size=8,
+        )
+    )
+    return [
+        DatedSection(date(2026, 2, 1) + timedelta(days=day), f"## h{i}", text, path)
+        for i, (day, path, text) in enumerate(rows)
+    ]
+
+
+@given(
+    section_lists(),
+    rule_sets(),
+    st.sampled_from(["section", "sentence"]),
+    st.sampled_from([0, 7]),
+)
+@settings(max_examples=200, deadline=None)
+def test_extractors_equal_the_reference(sections, rules, granularity, horizon):
+    assert extract_output_proxies(
+        sections, rules, granularity=granularity, repeat_horizon_days=horizon
+    ) == reference_output_proxies(sections, rules, granularity, horizon)
+    assert extract_governance_events(
+        sections, rules, granularity=granularity
+    ) == reference_governance_events(sections, rules, granularity)

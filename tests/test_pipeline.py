@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from datetime import date
 
 import pytest
@@ -72,6 +73,31 @@ def test_run_config_mapping_round_trip(corpus):
     )
     again = RunConfig.from_mapping(config.to_mapping())
     assert again == config
+
+
+def test_heading_pattern_must_compile_and_capture_the_date():
+    no_group = r"^#+\s.*\d{4}-\d{2}-\d{2}"
+    with pytest.raises(ValueError, match=re.escape(repr(no_group))):
+        RunConfig(root="x", heading_pattern=no_group)
+    with pytest.raises(ValueError, match="does not compile"):
+        RunConfig(root="x", heading_pattern=r"^#+\s(\d{4}")
+
+
+def test_config_file_with_a_bad_heading_pattern_or_string_family(tmp_path):
+    # the way the CLI reads a config: load_config_file, then from_mapping
+    path = tmp_path / "run.json"
+    path.write_text(
+        json.dumps({"root": "ws", "heading_pattern": r"^#+\s.*\d{4}-\d{2}-\d{2}"}),
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match="no capture group"):
+        RunConfig.from_mapping(load_config_file(path))
+    (tmp_path / "output.json").write_text(
+        json.dumps({"families": {"authorship": "wrote"}}), encoding="utf-8"
+    )
+    path.write_text(json.dumps({"root": "ws", "output_rules": "output.json"}), encoding="utf-8")
+    with pytest.raises(ValueError, match="keyword family 'authorship'"):
+        RunConfig.from_mapping(load_config_file(path))
 
 
 def test_load_config_file_rejects_non_object(tmp_path):
