@@ -24,7 +24,6 @@ from .extraction import (
     extract_governance_events,
     extract_output_proxies,
     parse_memory_sections,
-    proxy_rates,
 )
 from .ingest import (
     Event,
@@ -35,7 +34,6 @@ from .ingest import (
     WorkspaceInventory,
     normalize_timestamp,
     parse_session_file,
-    scan_workspace,
 )
 from .metrics import (
     MetricReport,

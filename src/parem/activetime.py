@@ -23,23 +23,6 @@ class ActiveTimeEstimate:
     cluster_count: int
     event_count: int
 
-    def to_mapping(self) -> dict:
-        return {
-            "cap_minutes": self.cap_minutes,
-            "hours": self.hours,
-            "cluster_count": self.cluster_count,
-            "event_count": self.event_count,
-        }
-
-    @classmethod
-    def from_mapping(cls, data: dict) -> "ActiveTimeEstimate":
-        return cls(
-            cap_minutes=int(data["cap_minutes"]),
-            hours=float(data["hours"]),
-            cluster_count=int(data["cluster_count"]),
-            event_count=int(data["event_count"]),
-        )
-
 
 @dataclass(frozen=True)
 class GapHistogram:
@@ -53,21 +36,6 @@ class GapHistogram:
     bin_edges: tuple[int, ...]
     counts: tuple[int, ...]
     clip_minutes: int = DEFAULT_CLIP_MINUTES
-
-    def to_mapping(self) -> dict:
-        return {
-            "bin_edges": list(self.bin_edges),
-            "counts": list(self.counts),
-            "clip_minutes": self.clip_minutes,
-        }
-
-    @classmethod
-    def from_mapping(cls, data: dict) -> "GapHistogram":
-        return cls(
-            bin_edges=tuple(int(x) for x in data["bin_edges"]),
-            counts=tuple(int(x) for x in data["counts"]),
-            clip_minutes=int(data["clip_minutes"]),
-        )
 
 
 def active_time(timestamps: Iterable[int], cap_minutes: int) -> ActiveTimeEstimate:

@@ -76,15 +76,6 @@ class ClassificationRules:
             version=str(data.get("version", "surface-roots/1")),
         )
 
-    def to_mapping(self) -> dict:
-        return {
-            "rules": [list(rule) for rule in self.rules],
-            "fallback": self.fallback,
-            "generated_patterns": list(self.generated_patterns),
-            "exclude_generated": self.exclude_generated,
-            "version": self.version,
-        }
-
     def surfaces(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
         for _, surface in self.rules:
@@ -119,13 +110,6 @@ class SurfaceCounts:
     @property
     def total_files(self) -> int:
         return sum(self.counts.values())
-
-    def to_mapping(self) -> dict:
-        return {"counts": dict(sorted(self.counts.items())), "fallback": self.fallback}
-
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "SurfaceCounts":
-        return cls(counts=dict(data.get("counts", {})), fallback=data.get("fallback", UNCLASSIFIED))
 
 
 def _normalize(path: str) -> str:

@@ -6,11 +6,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .dedup import deduplicate, exclude_untimed_for_time_analysis
 from .ingest import WorkspaceError
-from .jsonfmt import dumps_indented
+from .jsonfmt import dumps_indented, to_json
 from .metrics import window_timestamps
 from .pipeline import (
     RunConfig,
@@ -130,14 +131,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _print_json(data: object) -> None:
-    print(dumps_indented(data))
+    print(dumps_indented(to_json(data)))
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     inventory, _ = read_workspace(config)
     if args.json:
-        _print_json(inventory.to_mapping())
+        _print_json(inventory)
         return 0
     print(f"memory files: {inventory.memory_files}")
     print(f"agent directories: {inventory.agent_dirs}")
@@ -174,7 +175,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     else:
         spec = CorpusSpec()
     if args.seed is not None:
-        spec = CorpusSpec.from_mapping({**spec.to_mapping(), "seed": args.seed})
+        spec = replace(spec, seed=args.seed)
     ground_truth = generate_corpus(spec, args.out)
     print(f"wrote {Path(args.out) / 'workspace'}")
     print(f"wrote {Path(args.out) / 'ground_truth.json'}")
@@ -196,7 +197,7 @@ def _scoped_deduped(config: RunConfig):
 def cmd_dedup(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _, _, stats = _scoped_deduped(config)
-    _print_json(stats.to_mapping())
+    _print_json(stats)
     return 0
 
 
@@ -213,8 +214,7 @@ def cmd_activetime(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _, timed, window = _timed_in_window(config)
     timestamps = window_timestamps(timed, window)
-    estimates = cap_sensitivity(timestamps, config.caps) if timestamps else []
-    _print_json([e.to_mapping() for e in estimates])
+    _print_json(cap_sensitivity(timestamps, config.caps))
     return 0
 
 
@@ -228,12 +228,7 @@ def cmd_tokens(args: argparse.Namespace) -> int:
     ]
     totals = aggregate_tokens(strict, window)
     routes = per_route(strict, window)
-    _print_json(
-        {
-            "totals": totals.to_mapping(),
-            "routes": [r.to_mapping() for r in routes],
-        }
-    )
+    _print_json({"totals": totals, "routes": routes})
     return 0
 
 

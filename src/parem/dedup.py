@@ -41,23 +41,6 @@ class DedupStats:
     def removed_count(self) -> int:
         return self.input_count - self.retained_count
 
-    def to_mapping(self) -> dict:
-        return {
-            "input_count": self.input_count,
-            "retained_count": self.retained_count,
-            "removed_by_tier": {tier: self.removed_by_tier.get(tier, 0) for tier in KEY_TIERS},
-        }
-
-    @classmethod
-    def from_mapping(cls, data: dict) -> "DedupStats":
-        return cls(
-            input_count=int(data["input_count"]),
-            retained_count=int(data["retained_count"]),
-            removed_by_tier={
-                tier: int(n) for tier, n in data.get("removed_by_tier", {}).items() if int(n)
-            },
-        )
-
 
 def _material(event: Event) -> tuple[KeyTier, str | bytes]:
     """The key tier and the exact material its key is taken from.
@@ -116,7 +99,7 @@ def deduplicate(events: Iterable[Event]) -> tuple[list[Event], DedupStats]:
     of the input, and the output comes back in canonical order.
     """
     retained: dict[tuple[KeyTier, str | bytes], Event] = {}
-    removed_by_tier: dict[KeyTier, int] = {}
+    removed_by_tier: dict[KeyTier, int] = dict.fromkeys(KEY_TIERS, 0)
     input_count = 0
     for event in events:
         input_count += 1
@@ -125,7 +108,7 @@ def deduplicate(events: Iterable[Event]) -> tuple[list[Event], DedupStats]:
         if existing is None:
             retained[key] = event
             continue
-        removed_by_tier[key[0]] = removed_by_tier.get(key[0], 0) + 1
+        removed_by_tier[key[0]] += 1
         if (event.source_path, event.line_number) < (
             existing.source_path,
             existing.line_number,

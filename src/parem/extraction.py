@@ -101,27 +101,6 @@ class ProxyEvent:
     governance_class: str | None = None
     family: str | None = None
 
-    def to_mapping(self) -> dict:
-        return {
-            "date": self.date.isoformat(),
-            "kind": self.kind,
-            "governance_class": self.governance_class,
-            "family": self.family,
-            "matched_terms": list(self.matched_terms),
-            "section_ref": list(self.section_ref),
-        }
-
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "ProxyEvent":
-        return cls(
-            date=date.fromisoformat(data["date"]),
-            kind=data["kind"],
-            matched_terms=tuple(data["matched_terms"]),
-            section_ref=(data["section_ref"][0], data["section_ref"][1]),
-            governance_class=data.get("governance_class"),
-            family=data.get("family"),
-        )
-
 
 @dataclass(frozen=True)
 class KeywordRuleSet:
@@ -166,17 +145,6 @@ class KeywordRuleSet:
             case_sensitive=bool(data.get("case_sensitive", False)),
             version=str(data.get("version", "ruleset/1")),
         )
-
-    def to_mapping(self) -> dict:
-        return {
-            "families": {k: list(v) for k, v in self.families.items()},
-            "family_classes": dict(self.family_classes),
-            "exclusions": list(self.exclusions),
-            "class_priority": list(self.class_priority),
-            "match_mode": self.match_mode,
-            "case_sensitive": self.case_sensitive,
-            "version": self.version,
-        }
 
     @cached_property
     def matcher(self) -> "KeywordMatcher":
@@ -529,16 +497,3 @@ def _priority_class(families: Sequence[str], rules: KeywordRuleSet) -> str | Non
         if name in classes:
             return name
     return None
-
-
-def proxy_rates(
-    proxies: Sequence[ProxyEvent], active_day_count: int
-) -> tuple[float | None, float | None]:
-    """(output rate, governance rate) per active day; None when no active days."""
-    if active_day_count < 0:
-        raise ValueError("active_day_count must be non-negative")
-    if active_day_count == 0:
-        return None, None
-    outputs = sum(1 for p in proxies if p.kind == "output")
-    governance = sum(1 for p in proxies if p.kind == "governance")
-    return outputs / active_day_count, governance / active_day_count

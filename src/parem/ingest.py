@@ -22,10 +22,11 @@ from functools import cached_property, partial
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Literal, Mapping, NamedTuple
+from typing import Literal, Mapping, NamedTuple
 
 from . import __version__
 from .classify import ClassificationRules, SurfaceCounts, surface_counts
+from .jsonfmt import to_json
 
 Role = Literal["user", "assistant", "tool_result", "tool_call", "model_completed", "other"]
 AgentScope = Literal["main", "other_agent"]
@@ -168,13 +169,6 @@ class FieldAliases:
                 kwargs[name] = str(value) if name == "version" else tuple(value)
         return cls(**kwargs)
 
-    def to_mapping(self) -> dict:
-        out: dict[str, Any] = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            out[name] = value if isinstance(value, str) else list(value)
-        return out
-
 
 @dataclass(frozen=True)
 class WorkspaceConventions:
@@ -200,13 +194,6 @@ class WorkspaceConventions:
                 value = data[name]
                 kwargs[name] = str(value) if name in ("agent_root", "version") else tuple(value)
         return cls(**kwargs)
-
-    def to_mapping(self) -> dict:
-        out: dict[str, Any] = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            out[name] = value if isinstance(value, str) else list(value)
-        return out
 
     def is_trajectory(self, relpath: str) -> bool:
         parts = relpath.replace("\\", "/").split("/")
@@ -235,39 +222,6 @@ class WorkspaceInventory:
     main_session_paths: tuple[str, ...] = ()
     agent_session_paths: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
-
-    def to_mapping(self) -> dict:
-        return {
-            "memory_files": self.memory_files,
-            "agent_dirs": self.agent_dirs,
-            "skill_files": self.skill_files,
-            "session_files_main": self.session_files_main,
-            "recoverable_main": self.recoverable_main,
-            "session_files_all": self.session_files_all,
-            "recoverable_all": self.recoverable_all,
-            "surfaces": self.surfaces.to_mapping(),
-            "memory_paths": list(self.memory_paths),
-            "main_session_paths": list(self.main_session_paths),
-            "agent_session_paths": list(self.agent_session_paths),
-            "warnings": list(self.warnings),
-        }
-
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "WorkspaceInventory":
-        return cls(
-            memory_files=int(data["memory_files"]),
-            agent_dirs=int(data["agent_dirs"]),
-            skill_files=int(data["skill_files"]),
-            session_files_main=int(data["session_files_main"]),
-            recoverable_main=int(data["recoverable_main"]),
-            session_files_all=int(data["session_files_all"]),
-            recoverable_all=int(data["recoverable_all"]),
-            surfaces=SurfaceCounts.from_mapping(data["surfaces"]),
-            memory_paths=tuple(data.get("memory_paths", ())),
-            main_session_paths=tuple(data.get("main_session_paths", ())),
-            agent_session_paths=tuple(data.get("agent_session_paths", ())),
-            warnings=tuple(data.get("warnings", ())),
-        )
 
 
 def normalize_timestamp(raw: object) -> int | None:
@@ -589,7 +543,7 @@ class ParseCache:
         self._path = path
         self._aliases = aliases
         self._header = _compact(
-            {"aliases": aliases.to_mapping(), "format": PARSE_CACHE_FORMAT, "parem": __version__}
+            {"aliases": to_json(aliases), "format": PARSE_CACHE_FORMAT, "parem": __version__}
         ) + "\n"
         self._prior = None
         self._pending: str | None = None
@@ -842,14 +796,3 @@ def scan_and_parse(
         warnings=tuple(warnings),
     )
     return inventory, events
-
-
-def scan_workspace(
-    root: str | Path,
-    rules: ClassificationRules | None = None,
-    conventions: WorkspaceConventions | None = None,
-    aliases: FieldAliases | None = None,
-) -> WorkspaceInventory:
-    """Inventory a workspace: memory/agent/skill/session counts plus surfaces."""
-    inventory, _ = scan_and_parse(root, rules, conventions, aliases)
-    return inventory

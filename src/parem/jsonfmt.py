@@ -1,4 +1,9 @@
-"""Indented, key-sorted JSON text written mostly by the C encoder.
+"""Plain JSON data from parem's records, and its indented, key-sorted text.
+
+``to_json(obj)`` turns a record (a dataclass or a named tuple) into plain
+JSON data, reading its fields the way ``dataclasses.fields`` and ``_fields``
+name them; every output of parem that holds a record goes through it. The
+module imports nothing from parem, so any module can call it.
 
 ``dumps_indented(obj)`` returns exactly the text ``json.dumps`` returns
 with ``indent=2`` and ``sort_keys=True``. The standard library falls back
@@ -18,15 +23,77 @@ holds a raw newline: a newline in the C output is always a separator.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from itertools import chain
+from collections.abc import Mapping
+from datetime import date
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 INDENT = 2
 _CONTAINERS = (dict, list, tuple)
 # writes a list of scalars with a bare newline between them
 _SCALARS = json.JSONEncoder(separators=("\n", ": "))
+
+
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+# record class -> (its keys, one getter per key)
+_RECORDS: dict[type, tuple[tuple[str, ...], tuple[attrgetter, ...]]] = {}
+
+
+def _record_plan(kind: type) -> tuple[tuple[str, ...], tuple[attrgetter, ...]]:
+    """The keys a record class writes: its fields, in declaration order, then
+    the names in its ``DERIVED_KEYS`` (properties computed from the fields).
+
+    Fields are read by name, never through ``vars()``, so a cached property
+    stored in the instance dict is not written."""
+    plan = _RECORDS.get(kind)
+    if plan is None:
+        if dataclasses.is_dataclass(kind):
+            names = tuple(f.name for f in dataclasses.fields(kind))
+        elif issubclass(kind, tuple) and hasattr(kind, "_fields"):
+            names = tuple(kind._fields)
+        else:
+            raise TypeError(f"cannot write {kind.__name__} as JSON")
+        names += tuple(getattr(kind, "DERIVED_KEYS", ()))
+        _RECORDS[kind] = plan = (names, tuple(map(attrgetter, names)))
+    return plan
+
+
+def to_json(obj: object):
+    """``obj`` as plain JSON data.
+
+    A record becomes a dict of its keys (see ``_record_plan``), a ``date``
+    its ISO text, a tuple or list a list, and a mapping a dict with ``str``
+    keys, so that a sorted dump orders integer keys as text; values are
+    converted the same way, all the way down. JSON scalars stay as they are.
+    """
+    return _converted([obj])[0]
+
+
+def _converted(values: list) -> list:
+    """``to_json`` of each of ``values``. Values of one type are converted
+    together: records a field at a time, and the items of lists or mappings
+    as one flat list, so each dict is built once and no function is called
+    per scalar."""
+    kinds = set(map(type, values))
+    if kinds <= _PLAIN:
+        return values
+    if len(kinds) > 1:
+        return [_converted([value])[0] for value in values]
+    kind = kinds.pop()
+    if kind is list or kind is tuple:
+        items = iter(_converted(list(chain.from_iterable(values))))
+        return [list(islice(items, len(value))) for value in values]
+    if issubclass(kind, Mapping):
+        items = iter(_converted(list(chain.from_iterable(v.values() for v in values))))
+        return [dict(zip(map(str, value), items)) for value in values]
+    if issubclass(kind, date):
+        return list(map(kind.isoformat, values))
+    names, getters = _record_plan(kind)
+    columns = [_converted(list(map(getter, values))) for getter in getters]
+    return [dict(zip(names, row)) for row in zip(*columns)]
 
 
 def _newline(level: int) -> str:

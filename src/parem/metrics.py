@@ -69,9 +69,6 @@ class ObservationWindow:
             yield current
             current += timedelta(days=1)
 
-    def to_mapping(self) -> dict:
-        return {"start_date": self.start_date.isoformat(), "end_date": self.end_date.isoformat()}
-
     @classmethod
     def from_mapping(cls, data: Mapping) -> "ObservationWindow":
         return cls(
@@ -90,29 +87,6 @@ class MetricValue:
     value: float | None
     reason: str | None = None
 
-    def to_mapping(self) -> dict:
-        return {
-            "metric": self.metric,
-            "numerator": self.numerator,
-            "denominator": self.denominator,
-            "window": self.window.to_mapping(),
-            "rule_id": self.rule_id,
-            "value": self.value,
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "MetricValue":
-        return cls(
-            metric=data["metric"],
-            numerator=data["numerator"],
-            denominator=data["denominator"],
-            window=ObservationWindow.from_mapping(data["window"]),
-            rule_id=data["rule_id"],
-            value=data["value"],
-            reason=data.get("reason"),
-        )
-
 
 @dataclass(frozen=True)
 class RoleCounts:
@@ -127,13 +101,6 @@ class RoleCounts:
     def total(self) -> int:
         return sum(getattr(self, role) for role in ROLES)
 
-    def to_mapping(self) -> dict:
-        return {role: getattr(self, role) for role in ROLES}
-
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "RoleCounts":
-        return cls(**{role: int(data.get(role, 0)) for role in ROLES})
-
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -143,30 +110,6 @@ class MetricReport:
     role_counts: RoleCounts
     active_day_count: int
     annotations: tuple[str, ...] = ()
-
-    def to_mapping(self) -> dict:
-        return {
-            "window": self.window.to_mapping(),
-            "values": {name: self.values[name].to_mapping() for name in METRIC_NAMES},
-            "ate_sensitivity": self.ate_sensitivity.to_mapping(),
-            "role_counts": self.role_counts.to_mapping(),
-            "active_day_count": self.active_day_count,
-            "annotations": list(self.annotations),
-        }
-
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "MetricReport":
-        return cls(
-            window=ObservationWindow.from_mapping(data["window"]),
-            values={
-                name: MetricValue.from_mapping(value)
-                for name, value in data["values"].items()
-            },
-            ate_sensitivity=MetricValue.from_mapping(data["ate_sensitivity"]),
-            role_counts=RoleCounts.from_mapping(data["role_counts"]),
-            active_day_count=int(data["active_day_count"]),
-            annotations=tuple(data.get("annotations", ())),
-        )
 
 
 def utc_date(timestamp_ms: int) -> date:

@@ -45,6 +45,7 @@ from .ingest import (
 )
 from .metrics import ObservationWindow, compute_pare_m, utc_date, window_timestamps
 from .report import (
+    EVENTS_TOKENS_CSV,
     Provenance,
     ReportBundle,
     TokenEventRow,
@@ -136,30 +137,6 @@ class RunConfig:
         if "conventions" in data:
             kwargs["conventions"] = WorkspaceConventions.from_mapping(data["conventions"])
         return cls(**kwargs)
-
-    def to_mapping(self) -> dict:
-        return {
-            "root": self.root,
-            "out_dir": self.out_dir,
-            "window": self.window.to_mapping() if self.window else None,
-            "caps": list(self.caps),
-            "primary_cap": self.primary_cap,
-            "sensitivity_cap": self.sensitivity_cap,
-            "gap_bin_minutes": self.gap_bin_minutes,
-            "gap_clip_minutes": self.gap_clip_minutes,
-            "scope": self.scope,
-            "granularity": self.granularity,
-            "repeat_horizon_days": self.repeat_horizon_days,
-            "exclude_generated": self.exclude_generated,
-            "log1p": self.log1p,
-            "dedup_ledger": self.dedup_ledger,
-            "heading_pattern": self.heading_pattern,
-            "classification": self.classification.to_mapping(),
-            "output_rules": self.output_rules.to_mapping(),
-            "governance_rules": self.governance_rules.to_mapping(),
-            "aliases": self.aliases.to_mapping(),
-            "conventions": self.conventions.to_mapping(),
-        }
 
     def effective_classification(self) -> ClassificationRules:
         if self.exclude_generated == self.classification.exclude_generated:
@@ -349,7 +326,9 @@ def write_outputs(
     config: RunConfig,
     deduped_events: list[Event] | None = None,
 ) -> list[Path]:
-    """Write report text/JSON and all CSVs; remove partial files on failure."""
+    """Write report text, all CSVs and then the report JSON, which points to
+    the events CSV by the digest of its written bytes; remove partial files
+    on failure."""
     out_path = Path(config.out_dir)
     written: list[Path] = []
     try:
@@ -358,11 +337,13 @@ def write_outputs(
         text_path.write_text(render_report(bundle, "text"), encoding="utf-8")
         written.append(text_path)
 
-        json_path = out_path / REPORT_JSON
-        json_path.write_text(render_report(bundle, "structured"), encoding="utf-8")
-        written.append(json_path)
+        csvs = export_csvs(bundle, out_path)
+        written.extend(csvs)
 
-        written.extend(export_csvs(bundle, out_path))
+        json_path = out_path / REPORT_JSON
+        events_sha256 = csvs[out_path / EVENTS_TOKENS_CSV]
+        json_path.write_text(render_report(bundle, "structured", events_sha256), encoding="utf-8")
+        written.append(json_path)
 
         if config.dedup_ledger and deduped_events is not None:
             ledger_path = out_path / DEDUP_LEDGER_CSV

@@ -9,15 +9,17 @@ precisions (3 d.p. proportions, 2 d.p. rates, 0.1 h hours).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import hashlib
+import io
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .activetime import ActiveTimeEstimate, GapHistogram
 from .dedup import DedupStats
 from .extraction import ProxyEvent
 from .ingest import WorkspaceInventory
-from .jsonfmt import dumps_indented
+from .jsonfmt import dumps_indented, to_json
 from .metrics import (
     METRIC_NAMES,
     MetricReport,
@@ -26,6 +28,9 @@ from .metrics import (
     round_rate,
 )
 from .tokens import AssociationStats, DailyTokens, RouteTotals, TokenTotals
+
+# names the structured report's schema; it changes whenever the schema does
+REPORT_FORMAT = "parem-report/2"
 
 DAILY_TOKENS_CSV = "figures/figure-1-token-telemetry-daily.csv"
 EVENTS_TOKENS_CSV = "figures/figure-1-token-telemetry-events.csv"
@@ -66,7 +71,7 @@ SURFACE_COUNTS_HEADER = ["surface", "files"]
 
 
 class ReportError(Exception):
-    """Raised for incomplete bundles or failed exports."""
+    """Raised for an unknown report format or a failed export."""
 
 
 class TokenEventRow(NamedTuple):
@@ -80,21 +85,6 @@ class TokenEventRow(NamedTuple):
     cache_read: int
     cache_write: int
 
-    def to_mapping(self) -> dict:
-        return self._asdict()
-
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "TokenEventRow":
-        return cls(
-            timestamp_ms=data["timestamp_ms"],
-            provider_route=data["provider_route"],
-            model=data["model"],
-            input=int(data["input"]),
-            output=int(data["output"]),
-            cache_read=int(data["cache_read"]),
-            cache_write=int(data["cache_write"]),
-        )
-
 
 @dataclass(frozen=True)
 class Provenance:
@@ -105,114 +95,28 @@ class Provenance:
     scope: str
     flags: dict[str, object] = field(default_factory=dict)
 
-    def to_mapping(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "ruleset_versions": dict(sorted(self.ruleset_versions.items())),
-            "window_start": self.window_start,
-            "window_end": self.window_end,
-            "scope": self.scope,
-            "flags": dict(sorted(self.flags.items())),
-        }
-
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "Provenance":
-        return cls(
-            tool_version=data["tool_version"],
-            ruleset_versions=dict(data["ruleset_versions"]),
-            window_start=data["window_start"],
-            window_end=data["window_end"],
-            scope=data["scope"],
-            flags=dict(data.get("flags", {})),
-        )
-
 
 @dataclass
 class ReportBundle:
-    provenance: Provenance | None = None
-    inventory: WorkspaceInventory | None = None
-    metrics: MetricReport | None = None
-    dedup_stats: DedupStats | None = None
-    ate_sensitivity: list[ActiveTimeEstimate] | None = None
-    gap_histogram: GapHistogram | None = None
-    token_totals: TokenTotals | None = None
-    route_totals: list[RouteTotals] | None = None
-    daily_tokens: list[DailyTokens] | None = None
-    token_events: list[TokenEventRow] | None = None
-    association: AssociationStats | None = None
-    output_proxies: list[ProxyEvent] | None = None
-    governance_proxies: list[ProxyEvent] | None = None
-    dated_section_count: int | None = None
+    provenance: Provenance
+    inventory: WorkspaceInventory
+    metrics: MetricReport
+    dedup_stats: DedupStats
+    ate_sensitivity: list[ActiveTimeEstimate]
+    gap_histogram: GapHistogram
+    token_totals: TokenTotals
+    route_totals: list[RouteTotals]
+    daily_tokens: list[DailyTokens]
+    token_events: list[TokenEventRow]
+    association: AssociationStats
+    output_proxies: list[ProxyEvent]
+    governance_proxies: list[ProxyEvent]
+    dated_section_count: int
     warnings: list[str] = field(default_factory=list)
 
-    REQUIRED = (
-        "provenance",
-        "inventory",
-        "metrics",
-        "dedup_stats",
-        "ate_sensitivity",
-        "gap_histogram",
-        "token_totals",
-        "route_totals",
-        "daily_tokens",
-        "token_events",
-        "association",
-        "output_proxies",
-        "governance_proxies",
-        "dated_section_count",
-    )
 
-    def missing_sections(self) -> list[str]:
-        return [name for name in self.REQUIRED if getattr(self, name) is None]
-
-    def require_complete(self) -> None:
-        missing = self.missing_sections()
-        if missing:
-            raise ReportError(f"incomplete bundle, missing sections: {', '.join(missing)}")
-
-    def to_mapping(self) -> dict:
-        self.require_complete()
-        return {
-            "provenance": self.provenance.to_mapping(),
-            "inventory": self.inventory.to_mapping(),
-            "metrics": self.metrics.to_mapping(),
-            "dedup_stats": self.dedup_stats.to_mapping(),
-            "ate_sensitivity": [e.to_mapping() for e in self.ate_sensitivity],
-            "gap_histogram": self.gap_histogram.to_mapping(),
-            "token_totals": self.token_totals.to_mapping(),
-            "route_totals": [r.to_mapping() for r in self.route_totals],
-            "daily_tokens": [d.to_mapping() for d in self.daily_tokens],
-            "token_events": [e.to_mapping() for e in self.token_events],
-            "association": self.association.to_mapping(),
-            "output_proxies": [p.to_mapping() for p in self.output_proxies],
-            "governance_proxies": [p.to_mapping() for p in self.governance_proxies],
-            "dated_section_count": self.dated_section_count,
-            "warnings": list(self.warnings),
-        }
-
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "ReportBundle":
-        return cls(
-            provenance=Provenance.from_mapping(data["provenance"]),
-            inventory=WorkspaceInventory.from_mapping(data["inventory"]),
-            metrics=MetricReport.from_mapping(data["metrics"]),
-            dedup_stats=DedupStats.from_mapping(data["dedup_stats"]),
-            ate_sensitivity=[
-                ActiveTimeEstimate.from_mapping(e) for e in data["ate_sensitivity"]
-            ],
-            gap_histogram=GapHistogram.from_mapping(data["gap_histogram"]),
-            token_totals=TokenTotals.from_mapping(data["token_totals"]),
-            route_totals=[RouteTotals.from_mapping(r) for r in data["route_totals"]],
-            daily_tokens=[DailyTokens.from_mapping(d) for d in data["daily_tokens"]],
-            token_events=[TokenEventRow.from_mapping(e) for e in data["token_events"]],
-            association=AssociationStats.from_mapping(data["association"]),
-            output_proxies=[ProxyEvent.from_mapping(p) for p in data["output_proxies"]],
-            governance_proxies=[
-                ProxyEvent.from_mapping(p) for p in data["governance_proxies"]
-            ],
-            dated_section_count=int(data["dated_section_count"]),
-            warnings=list(data.get("warnings", [])),
-        )
+# the bundle fields the structured report writes as they are
+_STRUCTURED_FIELDS = tuple(f.name for f in fields(ReportBundle) if f.name != "token_events")
 
 
 def _format_metric(value: float | None, kind: str, reason: str | None) -> str:
@@ -245,11 +149,27 @@ _METRIC_KIND = {
 }
 
 
-def render_report(bundle: ReportBundle, format: str = "text") -> str:
-    """Render the bundle deterministically as text or structured JSON."""
-    bundle.require_complete()
+def render_report(
+    bundle: ReportBundle, format: str = "text", events_sha256: str | None = None
+) -> str:
+    """Render the bundle deterministically as text or structured JSON.
+
+    The structured report holds every bundle field but the token events,
+    which it points to in the events CSV: that file's path, its row count
+    and ``events_sha256``, the SHA-256 of its bytes as ``export_csvs``
+    wrote them.
+    """
     if format == "structured":
-        return dumps_indented(bundle.to_mapping()) + "\n"
+        if events_sha256 is None:
+            raise ReportError("a structured report needs the events CSV's SHA-256")
+        data = {name: to_json(getattr(bundle, name)) for name in _STRUCTURED_FIELDS}
+        data["token_events"] = {
+            "path": EVENTS_TOKENS_CSV,
+            "rows": len(bundle.token_events),
+            "sha256": events_sha256,
+        }
+        data["format"] = REPORT_FORMAT
+        return dumps_indented(data) + "\n"
     if format != "text":
         raise ReportError(f"unknown report format: {format!r}")
 
@@ -292,7 +212,7 @@ def render_report(bundle: ReportBundle, format: str = "text") -> str:
     lines.append(f"active days: {metrics.active_day_count}")
     lines.append(f"de-duplicated records: {bundle.dedup_stats.retained_count}")
     lines.append(f"records before de-duplication: {bundle.dedup_stats.input_count}")
-    for role, count in sorted(metrics.role_counts.to_mapping().items()):
+    for role, count in sorted(to_json(metrics.role_counts).items()):
         lines.append(f"role {role}: {count}")
     for estimate in bundle.ate_sensitivity:
         lines.append(
@@ -375,22 +295,26 @@ def render_report(bundle: ReportBundle, format: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """Write the CSV file and return the SHA-256 of the bytes written."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    data = text.getvalue().encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def export_csvs(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
-    """Write the fixed-schema CSV exports; on failure, remove partial files."""
-    bundle.require_complete()
+def export_csvs(bundle: ReportBundle, out_dir: str | Path) -> dict[Path, str]:
+    """Write the fixed-schema CSV exports and return each written path with
+    the SHA-256 of its bytes; on failure, remove partial files."""
     out_path = Path(out_dir)
-    written: list[Path] = []
+    written: dict[Path, str] = {}
     try:
         daily_path = out_path / DAILY_TOKENS_CSV
-        _write_csv(
+        written[daily_path] = _write_csv(
             daily_path,
             DAILY_TOKENS_HEADER,
             [
@@ -405,10 +329,9 @@ def export_csvs(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
                 for row in bundle.daily_tokens
             ],
         )
-        written.append(daily_path)
 
         events_path = out_path / EVENTS_TOKENS_CSV
-        _write_csv(
+        written[events_path] = _write_csv(
             events_path,
             EVENTS_TOKENS_HEADER,
             [
@@ -424,10 +347,9 @@ def export_csvs(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
                 for row in bundle.token_events
             ],
         )
-        written.append(events_path)
 
         sensitivity_path = out_path / SENSITIVITY_CSV
-        _write_csv(
+        written[sensitivity_path] = _write_csv(
             sensitivity_path,
             SENSITIVITY_HEADER,
             [
@@ -435,7 +357,6 @@ def export_csvs(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
                 for estimate in bundle.ate_sensitivity
             ],
         )
-        written.append(sensitivity_path)
 
         metrics_path = out_path / METRICS_CSV
         metric_rows = []
@@ -453,8 +374,7 @@ def export_csvs(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
                     repr(value.value) if value.value is not None else "",
                 ]
             )
-        _write_csv(metrics_path, METRICS_HEADER, metric_rows)
-        written.append(metrics_path)
+        written[metrics_path] = _write_csv(metrics_path, METRICS_HEADER, metric_rows)
 
         ledger_path = out_path / PROXY_LEDGER_CSV
         ledger_rows = []
@@ -468,11 +388,10 @@ def export_csvs(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
                     f"{proxy.section_ref[0]}#{proxy.section_ref[1]}",
                 ]
             )
-        _write_csv(ledger_path, PROXY_LEDGER_HEADER, ledger_rows)
-        written.append(ledger_path)
+        written[ledger_path] = _write_csv(ledger_path, PROXY_LEDGER_HEADER, ledger_rows)
 
         surfaces_path = out_path / SURFACE_COUNTS_CSV
-        _write_csv(
+        written[surfaces_path] = _write_csv(
             surfaces_path,
             SURFACE_COUNTS_HEADER,
             [
@@ -480,7 +399,6 @@ def export_csvs(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
                 for surface, count in sorted(bundle.inventory.surfaces.counts.items())
             ],
         )
-        written.append(surfaces_path)
     except OSError as exc:
         for path in written:
             try:

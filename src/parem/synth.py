@@ -15,7 +15,7 @@ from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import Mapping
 
-from .jsonfmt import dumps_indented
+from .jsonfmt import dumps_indented, to_json
 
 _MASK64 = (1 << 64) - 1
 
@@ -201,20 +201,6 @@ class CorpusSpec:
                 kwargs[name] = value
         return cls(**kwargs)
 
-    def to_mapping(self) -> dict:
-        out: dict = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if isinstance(value, date):
-                out[name] = value.isoformat()
-            elif isinstance(value, tuple):
-                out[name] = list(value)
-            elif isinstance(value, Mapping):
-                out[name] = dict(value)
-            else:
-                out[name] = value
-        return out
-
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -241,66 +227,13 @@ class GroundTruth:
     session_files_all: int
     recoverable_all: int
 
+    # properties written beside the fields (see ``jsonfmt.to_json``)
+    DERIVED_KEYS = ("cdr",)
+
     @property
     def cdr(self) -> float | None:
         total = sum(self.token_totals.values())
         return self.token_totals["cache_read"] / total if total else None
-
-    def to_mapping(self) -> dict:
-        return {
-            "window_start": self.window_start.isoformat(),
-            "window_end": self.window_end.isoformat(),
-            "drc": self.drc,
-            "active_days": self.active_days,
-            "dated_sections": self.dated_sections,
-            "role_counts": dict(sorted(self.role_counts.items())),
-            "ate_hours_by_cap": {str(cap): h for cap, h in sorted(self.ate_hours_by_cap.items())},
-            "token_totals": dict(sorted(self.token_totals.items())),
-            "route_totals": {
-                route: dict(sorted(sums.items()))
-                for route, sums in sorted(self.route_totals.items())
-            },
-            "completions_strict": self.completions_strict,
-            "output_proxies": self.output_proxies,
-            "governance_by_class": dict(sorted(self.governance_by_class.items())),
-            "surface_counts": dict(sorted(self.surface_counts.items())),
-            "memory_files": self.memory_files,
-            "agent_dirs": self.agent_dirs,
-            "skill_files": self.skill_files,
-            "session_files_main": self.session_files_main,
-            "recoverable_main": self.recoverable_main,
-            "session_files_all": self.session_files_all,
-            "recoverable_all": self.recoverable_all,
-            "cdr": self.cdr,
-        }
-
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "GroundTruth":
-        return cls(
-            window_start=date.fromisoformat(data["window_start"]),
-            window_end=date.fromisoformat(data["window_end"]),
-            drc=int(data["drc"]),
-            active_days=int(data["active_days"]),
-            dated_sections=int(data["dated_sections"]),
-            role_counts={k: int(v) for k, v in data["role_counts"].items()},
-            ate_hours_by_cap={int(k): float(v) for k, v in data["ate_hours_by_cap"].items()},
-            token_totals={k: int(v) for k, v in data["token_totals"].items()},
-            route_totals={
-                route: {k: int(v) for k, v in sums.items()}
-                for route, sums in data["route_totals"].items()
-            },
-            completions_strict=int(data["completions_strict"]),
-            output_proxies=int(data["output_proxies"]),
-            governance_by_class={k: int(v) for k, v in data["governance_by_class"].items()},
-            surface_counts={k: int(v) for k, v in data["surface_counts"].items()},
-            memory_files=int(data["memory_files"]),
-            agent_dirs=int(data["agent_dirs"]),
-            skill_files=int(data["skill_files"]),
-            session_files_main=int(data["session_files_main"]),
-            recoverable_main=int(data["recoverable_main"]),
-            session_files_all=int(data["session_files_all"]),
-            recoverable_all=int(data["recoverable_all"]),
-        )
 
 
 def _iso_z(ts_seconds: int) -> str:
@@ -689,7 +622,7 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> GroundTruth:
     )
 
     (out_path / "ground_truth.json").write_text(
-        dumps_indented(ground_truth.to_mapping()) + "\n",
+        dumps_indented(to_json(ground_truth)) + "\n",
         encoding="utf-8",
     )
     return ground_truth

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .ingest import Event
 from .metrics import MS_PER_DAY, ObservationWindow
@@ -31,6 +31,9 @@ class TokenTotals:
     cache_read: int = 0
     cache_write: int = 0
 
+    # properties written beside the fields (see ``jsonfmt.to_json``)
+    DERIVED_KEYS = ("total", "cdr")
+
     @property
     def total(self) -> int:
         return self.input + self.output + self.cache_read + self.cache_write
@@ -41,46 +44,12 @@ class TokenTotals:
         total = self.total
         return self.cache_read / total if total > 0 else None
 
-    def to_mapping(self) -> dict:
-        return {
-            "input": self.input,
-            "output": self.output,
-            "cache_read": self.cache_read,
-            "cache_write": self.cache_write,
-            "total": self.total,
-            "cdr": self.cdr,
-        }
-
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "TokenTotals":
-        return cls(
-            input=int(data["input"]),
-            output=int(data["output"]),
-            cache_read=int(data["cache_read"]),
-            cache_write=int(data["cache_write"]),
-        )
-
 
 @dataclass(frozen=True)
 class RouteTotals:
     provider_route: str
     totals: TokenTotals
     completions: int
-
-    def to_mapping(self) -> dict:
-        return {
-            "provider_route": self.provider_route,
-            "totals": self.totals.to_mapping(),
-            "completions": self.completions,
-        }
-
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "RouteTotals":
-        return cls(
-            provider_route=data["provider_route"],
-            totals=TokenTotals.from_mapping(data["totals"]),
-            completions=int(data["completions"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -91,27 +60,6 @@ class DailyTokens:
     cache_read: int = 0
     cache_write: int = 0
     completions: int = 0
-
-    def to_mapping(self) -> dict:
-        return {
-            "date": self.date.isoformat(),
-            "input": self.input,
-            "output": self.output,
-            "cache_read": self.cache_read,
-            "cache_write": self.cache_write,
-            "completions": self.completions,
-        }
-
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "DailyTokens":
-        return cls(
-            date=date.fromisoformat(data["date"]),
-            input=int(data["input"]),
-            output=int(data["output"]),
-            cache_read=int(data["cache_read"]),
-            cache_write=int(data["cache_write"]),
-            completions=int(data["completions"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -129,25 +77,6 @@ class AssociationStats:
                     f"{name} must be None exactly when a reason is given, "
                     f"got {getattr(self, name)!r} with reason {self.reason!r}"
                 )
-
-    def to_mapping(self) -> dict:
-        return {
-            "pearson_r_log": self.pearson_r_log,
-            "spearman_rho": self.spearman_rho,
-            "n_events": self.n_events,
-            "excluded_zero_events": self.excluded_zero_events,
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "AssociationStats":
-        return cls(
-            pearson_r_log=data["pearson_r_log"],
-            spearman_rho=data["spearman_rho"],
-            n_events=int(data["n_events"]),
-            excluded_zero_events=int(data["excluded_zero_events"]),
-            reason=data.get("reason"),
-        )
 
 
 def _completions_in_window(

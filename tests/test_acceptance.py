@@ -25,6 +25,7 @@ from parem.extraction import (
     extract_output_proxies,
 )
 from parem.ingest import Event, TokenUsage
+from parem.jsonfmt import to_json
 from parem.metrics import (
     ObservationWindow,
     calendar_days,
@@ -275,7 +276,7 @@ def test_acceptance_6_synthetic_round_trip(tmp_path):
         assert bundle.dedup_stats.retained_count == ground_truth.drc
         assert bundle.metrics.values["DRC"].value == ground_truth.drc
         assert bundle.metrics.active_day_count == ground_truth.active_days
-        assert bundle.metrics.role_counts.to_mapping() == ground_truth.role_counts
+        assert to_json(bundle.metrics.role_counts) == ground_truth.role_counts
         assert bundle.dated_section_count == ground_truth.dated_sections
 
         assert len(bundle.output_proxies) == ground_truth.output_proxies
@@ -297,7 +298,7 @@ def test_acceptance_6_synthetic_round_trip(tmp_path):
         assert totals.cache_read == ground_truth.token_totals["cache_read"]
         assert totals.cache_write == ground_truth.token_totals["cache_write"]
         route_map = {
-            r.provider_route: {**r.totals.to_mapping(), "completions": r.completions}
+            r.provider_route: {**to_json(r.totals), "completions": r.completions}
             for r in bundle.route_totals
         }
         for route, sums in ground_truth.route_totals.items():

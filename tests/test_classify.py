@@ -8,6 +8,7 @@ from parem.classify import (
     classify_file,
     surface_counts,
 )
+from parem.jsonfmt import to_json
 
 
 def test_manuscript_root():
@@ -153,5 +154,5 @@ def test_content_from_two_roots_merges():
 
 def test_rules_round_trip():
     rules = ClassificationRules(exclude_generated=True)
-    again = ClassificationRules.from_mapping(rules.to_mapping())
+    again = ClassificationRules.from_mapping(to_json(rules))
     assert again == rules

@@ -342,3 +342,27 @@ def test_activetime_honours_the_window(corpus, tmp_path, capsys):
     assert main(["analyze", "--root", str(root), "--out", str(out), *window]) == 0
     report = json.loads((out / "reports" / "report.json").read_text(encoding="utf-8"))
     assert in_window[30]["hours"] == report["metrics"]["values"]["ATE"]["value"]
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        [{"role": "user", "content": "no time"}],
+        [{"role": "user", "content": "no time"}, {"role": "user", "ts": "2024-03-01T10:00:00Z"}],
+    ],
+)
+def test_activetime_with_no_timed_record_in_the_window(tmp_path, capsys, lines):
+    workspace = tmp_path / "ws"
+    (workspace / "sessions").mkdir(parents=True)
+    (workspace / "sessions" / "a.jsonl").write_text(
+        "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8"
+    )
+    window = ["--window-start", "2024-01-01", "--window-end", "2024-01-02"]
+    estimates = activetime_by_cap(["--root", str(workspace), *window], capsys)
+    assert sorted(estimates) == [15, 30, 45, 60, 90]
+    assert all(e["hours"] == 0.0 for e in estimates.values())
+
+    out = tmp_path / "out"
+    assert main(["analyze", "--root", str(workspace), "--out", str(out), *window]) == 0
+    report = json.loads((out / "reports" / "report.json").read_text(encoding="utf-8"))
+    assert list(estimates.values()) == report["ate_sensitivity"]

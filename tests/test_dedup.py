@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_completion, make_event
 from parem.dedup import (
+    KEY_TIERS,
     dedup_key,
     deduplicate,
     exclude_untimed_for_time_analysis,
@@ -287,14 +288,14 @@ def test_ledger_rows_sorted_by_source():
 def digest_keyed_deduplicate(events):
     """Group by the SHA-256 key itself; the canonically first source wins."""
     retained = {}
-    removed_by_tier = {}
+    removed_by_tier = dict.fromkeys(KEY_TIERS, 0)
     for event in events:
         key = dedup_key(event)
         existing = retained.get(key)
         if existing is None:
             retained[key] = event
             continue
-        removed_by_tier[key.tier] = removed_by_tier.get(key.tier, 0) + 1
+        removed_by_tier[key.tier] += 1
         if (event.source_path, event.line_number) < (existing.source_path, existing.line_number):
             retained[key] = event
     output = sorted(retained.values(), key=lambda e: (e.source_path, e.line_number))

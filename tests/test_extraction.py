@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_event
 from parem import extraction
 from parem.extraction import (
     DEFAULT_GOVERNANCE_RULES,
@@ -22,9 +23,15 @@ from parem.extraction import (
     extract_governance_events,
     extract_output_proxies,
     parse_memory_sections,
-    proxy_rates,
     split_sentences,
 )
+from parem.ingest import WorkspaceInventory
+from parem.jsonfmt import to_json
+from parem.metrics import ObservationWindow, compute_pare_m, window_timestamps
+from parem.tokens import TokenTotals
+
+DAY_MS = 86_400_000
+FEB1_MS = 1_769_904_000_000  # 2026-02-01T00:00:00Z
 
 
 def section(body: str, day: str = "2026-02-03", heading: str | None = None) -> DatedSection:
@@ -248,6 +255,25 @@ class TestGovernanceEvents:
 
 
 class TestProxyRates:
+    """OPR and GER as ``compute_pare_m`` reports them: proxies per active day."""
+
+    @staticmethod
+    def rates(proxies, active_day_count):
+        window = ObservationWindow(date(2026, 2, 1), date(2026, 2, 28))
+        events = [
+            make_event(timestamp_ms=FEB1_MS + day * DAY_MS, line=day)
+            for day in range(active_day_count)
+        ]
+        report = compute_pare_m(
+            events,
+            proxies,
+            WorkspaceInventory(),
+            window,
+            TokenTotals(),
+            window_timestamps(events, window),
+        )
+        return report.values["OPR"], report.values["GER"]
+
     def test_reference_rates(self):
         outputs = [section("x")] * 0  # rates are pure arithmetic on counts
         opr, ger = 482 / 96, 889 / 96
@@ -257,19 +283,20 @@ class TestProxyRates:
     def test_rates_from_proxies(self):
         out = extract_output_proxies([section("Drafted the plan.")])
         gov = extract_governance_events([section("Checked the build.")])
-        opr, ger = proxy_rates(out + gov, 2)
-        assert opr == 0.5
-        assert ger == 0.5
+        opr, ger = self.rates(out + gov, 2)
+        assert (opr.numerator, opr.denominator, opr.value) == (1, 2, 0.5)
+        assert (ger.numerator, ger.denominator, ger.value) == (1, 2, 0.5)
 
     def test_zero_proxies(self):
-        assert proxy_rates([], 10) == (0.0, 0.0)
+        opr, ger = self.rates([], 10)
+        assert (opr.value, opr.reason) == (0.0, None)
+        assert (ger.value, ger.reason) == (0.0, None)
 
     def test_zero_days_undefined(self):
-        assert proxy_rates([], 0) == (None, None)
-
-    def test_negative_days_rejected(self):
-        with pytest.raises(ValueError):
-            proxy_rates([], -1)
+        gov = extract_governance_events([section("Checked the build.")])
+        opr, ger = self.rates(gov, 0)
+        assert (opr.value, opr.reason) == (None, "zero_denominator")
+        assert (ger.numerator, ger.value, ger.reason) == (1, None, "zero_denominator")
 
 
 def test_split_sentences():
@@ -289,7 +316,7 @@ def test_ruleset_validation():
 
 
 def test_ruleset_round_trip():
-    again = KeywordRuleSet.from_mapping(DEFAULT_GOVERNANCE_RULES.to_mapping())
+    again = KeywordRuleSet.from_mapping(to_json(DEFAULT_GOVERNANCE_RULES))
     assert again == DEFAULT_GOVERNANCE_RULES
 
 

@@ -20,7 +20,7 @@ from parem.ingest import (
     normalize_content_prefix,
     normalize_timestamp,
     parse_session_file,
-    scan_workspace,
+    scan_and_parse,
 )
 from parem.report import TokenEventRow
 
@@ -324,7 +324,7 @@ def test_raw_record_per_nonempty_line(tmp_path):
 
 class TestScanWorkspace:
     def test_empty_directory(self, tmp_path):
-        inventory = scan_workspace(tmp_path)
+        inventory = scan_and_parse(tmp_path)[0]
         assert inventory.memory_files == 0
         assert inventory.agent_dirs == 0
         assert inventory.skill_files == 0
@@ -340,7 +340,7 @@ class TestScanWorkspace:
             (tmp_path / "agents" / f"agent-{i}").mkdir(parents=True)
         for i in range(3):
             write_lines(tmp_path / "skills" / f"s{i}" / "SKILL.md", ["skill"])
-        inventory = scan_workspace(tmp_path)
+        inventory = scan_and_parse(tmp_path)[0]
         assert inventory.memory_files == 5
         assert inventory.agent_dirs == 2
         assert inventory.skill_files == 3
@@ -350,7 +350,7 @@ class TestScanWorkspace:
         write_lines(tmp_path / "memory" / "2026-01-06.md", ["note"])
         write_lines(tmp_path / "MEMORY.md", ["index"])
         write_lines(tmp_path / "skills" / "deep" / "nested" / "SKILL.md", ["skill"])
-        inventory = scan_workspace(tmp_path)
+        inventory = scan_and_parse(tmp_path)[0]
         assert inventory.memory_files == 3
         assert inventory.skill_files == 1
 
@@ -365,13 +365,13 @@ class TestScanWorkspace:
                 json.dumps({"role": "user", "content": "z"}),
             ],
         )
-        inventory = scan_workspace(tmp_path)
+        inventory = scan_and_parse(tmp_path)[0]
         assert inventory.session_files_main == 1
         assert inventory.recoverable_main == 1
 
     def test_junk_only_session_file_counted_unrecoverable(self, tmp_path):
         write_lines(tmp_path / "sessions" / "bad.log", ["junk", "more junk"])
-        inventory = scan_workspace(tmp_path)
+        inventory = scan_and_parse(tmp_path)[0]
         assert inventory.session_files_main == 1
         assert inventory.recoverable_main == 0
 
@@ -384,7 +384,7 @@ class TestScanWorkspace:
             tmp_path / "agents" / "helper" / "sessions" / "h.jsonl",
             [json.dumps({"role": "assistant", "content": "agent"})],
         )
-        inventory = scan_workspace(tmp_path)
+        inventory = scan_and_parse(tmp_path)[0]
         assert inventory.session_files_main == 1
         assert inventory.session_files_all == 2
         assert inventory.recoverable_all == 2
@@ -393,7 +393,7 @@ class TestScanWorkspace:
         write_lines(tmp_path / "manuscripts" / "draft.md", ["text"])
         write_lines(tmp_path / "scripts" / "tool.py", ["pass"])
         write_lines(tmp_path / "stray.txt", ["unmatched"])
-        inventory = scan_workspace(tmp_path)
+        inventory = scan_and_parse(tmp_path)[0]
         assert inventory.surfaces.counts["manuscripts"] == 1
         assert inventory.surfaces.counts["scripts"] == 1
         assert inventory.surfaces.counts["unclassified"] == 1
@@ -401,7 +401,7 @@ class TestScanWorkspace:
 
     def test_missing_root_is_fatal(self, tmp_path):
         with pytest.raises(WorkspaceError):
-            scan_workspace(tmp_path / "nope")
+            scan_and_parse(tmp_path / "nope")
 
     def test_deterministic(self, tmp_path):
         write_lines(
@@ -409,7 +409,7 @@ class TestScanWorkspace:
             [json.dumps({"role": "user", "content": "x"})],
         )
         write_lines(tmp_path / "memory" / "2026-01-01.md", ["note"])
-        assert scan_workspace(tmp_path) == scan_workspace(tmp_path)
+        assert scan_and_parse(tmp_path)[0] == scan_and_parse(tmp_path)[0]
 
 
 # --- alias plans against the per-field scan they replace --------------------

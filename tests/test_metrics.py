@@ -12,7 +12,6 @@ from parem.ingest import WorkspaceInventory
 from parem.classify import SurfaceCounts
 from parem.metrics import (
     METRIC_NAMES,
-    MetricReport,
     ObservationWindow,
     active_days,
     calendar_days,
@@ -227,19 +226,6 @@ class TestComputePareM:
             window_timestamps(events, REFERENCE_WINDOW),
         )
         assert any("lower bound" in a for a in report.annotations)
-
-    def test_report_round_trip(self):
-        events = [make_event(timestamp_ms=FEB2_MS, content_prefix="x")]
-        report = compute_pare_m(
-            events,
-            [],
-            empty_inventory({"s": 1}),
-            REFERENCE_WINDOW,
-            TokenTotals(1, 1, 1, 1),
-            window_timestamps(events, REFERENCE_WINDOW),
-        )
-        again = MetricReport.from_mapping(report.to_mapping())
-        assert again == report
 
 
 @st.composite

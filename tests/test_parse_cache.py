@@ -18,6 +18,7 @@ from conftest import hash_tree
 from parem import ingest
 from parem.cli import main
 from parem.ingest import FieldAliases, WorkspaceConventions, parse_session_file, scan_and_parse
+from parem.jsonfmt import to_json
 from parem.pipeline import PARSE_CACHE, RunConfig, build_bundle, run_analysis
 from parem.synth import CorpusSpec, generate_corpus
 
@@ -162,7 +163,7 @@ def test_changed_aliases_discard_the_cache(corpora, tmp_path):
     assert report.read_bytes() != before
     assert hash_tree(tmp_path / "warm") == cold_tree(config, tmp_path / "cold")
     header = (tmp_path / "warm" / PARSE_CACHE).read_text(encoding="ascii").splitlines()[0]
-    assert json.loads(header)["aliases"] == aliases.to_mapping()
+    assert json.loads(header)["aliases"] == to_json(aliases)
 
 
 def test_unreadable_files_are_not_cached(tmp_path):

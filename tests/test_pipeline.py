@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from datetime import date
 
 import pytest
 
+from parem.jsonfmt import to_json
 from parem.metrics import ObservationWindow
 from parem.pipeline import REPORT_TEXT, RunConfig, build_bundle, load_config_file, run_analysis
 from parem.report import EVENTS_TOKENS_CSV
@@ -71,7 +73,7 @@ def test_run_config_mapping_round_trip(corpus):
         caps=(10, 30),
         log1p=True,
     )
-    again = RunConfig.from_mapping(config.to_mapping())
+    again = RunConfig.from_mapping(to_json(config))
     assert again == config
 
 
@@ -147,6 +149,15 @@ def test_report_json_is_valid_json(corpus, tmp_path):
     report_path = next(p for p in written if p.name == "report.json")
     data = json.loads(report_path.read_text())
     assert data["metrics"]["values"]["DRC"]["value"] == ground_truth.drc
+    assert data["format"] == "parem-report/2"
+    # the token events are not copied into the report but pointed to
+    events = (tmp_path / "out" / EVENTS_TOKENS_CSV).read_bytes()
+    assert data["token_events"] == {
+        "path": EVENTS_TOKENS_CSV,
+        "rows": ground_truth.completions_strict,
+        "sha256": hashlib.sha256(events).hexdigest(),
+    }
+    assert events.count(b"\n") == 1 + ground_truth.completions_strict
 
 
 def write_trajectory(root, lines):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from parem.jsonfmt import to_json
 from parem.metrics import ObservationWindow
 from parem.pipeline import RunConfig, build_bundle
 from parem.report import (
@@ -40,16 +42,29 @@ def empty_bundle(tmp_path):
     return build_bundle(RunConfig(root=str(tmp_path / "ws")))
 
 
+# stands in for the digest of a written events CSV
+EVENTS_SHA256 = "e" * 64
+
+
 def test_render_deterministic(corpus_bundle):
     bundle, _ = corpus_bundle
     assert render_report(bundle, "text") == render_report(bundle, "text")
-    assert render_report(bundle, "structured") == render_report(bundle, "structured")
+    assert render_report(bundle, "structured", EVENTS_SHA256) == render_report(
+        bundle, "structured", EVENTS_SHA256
+    )
 
 
 def test_structured_is_json_dumps_indented(corpus_bundle, empty_bundle):
     for bundle in (corpus_bundle[0], empty_bundle):
-        expected = json.dumps(bundle.to_mapping(), indent=2, sort_keys=True) + "\n"
-        assert render_report(bundle, "structured") == expected
+        rendered = render_report(bundle, "structured", EVENTS_SHA256)
+        expected = to_json(bundle)
+        expected["token_events"] = {
+            "path": EVENTS_TOKENS_CSV,
+            "rows": len(bundle.token_events),
+            "sha256": EVENTS_SHA256,
+        }
+        expected["format"] = "parem-report/2"
+        assert rendered == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_render_text_reflects_ground_truth(corpus_bundle):
@@ -60,18 +75,11 @@ def test_render_text_reflects_ground_truth(corpus_bundle):
     assert f"output proxies: {ground_truth.output_proxies}" in text
 
 
-def test_structured_round_trips_losslessly(corpus_bundle):
-    bundle, _ = corpus_bundle
-    rendered = render_report(bundle, "structured")
-    rebuilt = ReportBundle.from_mapping(json.loads(rendered))
-    assert rebuilt.to_mapping() == bundle.to_mapping()
-
-
 def test_empty_workspace_report_has_reason_codes(empty_bundle):
     text = render_report(empty_bundle, "text")
     assert "undefined (zero_denominator)" in text
     assert "de-duplicated records: 0" in text
-    structured = json.loads(render_report(empty_bundle, "structured"))
+    structured = json.loads(render_report(empty_bundle, "structured", EVENTS_SHA256))
     assert structured["metrics"]["values"]["OPR"]["value"] is None
     assert structured["metrics"]["values"]["OPR"]["reason"] == "zero_denominator"
 
@@ -79,12 +87,13 @@ def test_empty_workspace_report_has_reason_codes(empty_bundle):
 def test_unknown_format_rejected(empty_bundle):
     with pytest.raises(ReportError):
         render_report(empty_bundle, "pdf")
+    with pytest.raises(ReportError):
+        render_report(empty_bundle, "structured")
 
 
 def test_incomplete_bundle_error_lists_missing():
-    bundle = ReportBundle()
-    with pytest.raises(ReportError) as excinfo:
-        render_report(bundle, "text")
+    with pytest.raises(TypeError) as excinfo:
+        ReportBundle()
     message = str(excinfo.value)
     assert "provenance" in message
     assert "token_totals" in message
@@ -128,7 +137,8 @@ class TestExportCsvs:
             tmp_path / SURFACE_COUNTS_CSV,
         }
         assert set(written) == expected
-        assert all(path.exists() for path in expected)
+        for path, digest in written.items():
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_surface_counts_csv(self, corpus_bundle, tmp_path):
         bundle, ground_truth = corpus_bundle

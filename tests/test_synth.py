@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import hash_tree
+from parem.jsonfmt import to_json
 from parem.metrics import ObservationWindow
 from parem.pipeline import RunConfig, build_bundle
 from parem.synth import CorpusSpec, GroundTruth, SplitMix64, generate_corpus
@@ -74,7 +75,7 @@ def test_cache_dominance_target(tmp_path):
 def test_ground_truth_file_round_trips(tmp_path):
     ground_truth = generate_corpus(CorpusSpec(seed=8, days=5), tmp_path)
     data = json.loads((tmp_path / "ground_truth.json").read_text())
-    assert GroundTruth.from_mapping(data) == ground_truth
+    assert data == to_json(ground_truth)
 
 
 def test_ground_truth_outside_workspace(tmp_path):
@@ -98,7 +99,7 @@ def test_invalid_specs_rejected():
 
 def test_spec_round_trip():
     spec = CorpusSpec(seed=77, days=9, junk_rate=0.2)
-    again = CorpusSpec.from_mapping(spec.to_mapping())
+    again = CorpusSpec.from_mapping(to_json(spec))
     assert again == spec
 
 
@@ -117,5 +118,5 @@ def test_decoy_completions_stay_out_of_token_sums(tmp_path):
     bundle = analyze(tmp_path / "workspace", ground_truth)
     # decoys raise the model_completed role count above the strict subset size
     assert bundle.metrics.role_counts.model_completed > ground_truth.completions_strict
-    assert bundle.token_totals.to_mapping()["input"] == ground_truth.token_totals["input"]
+    assert bundle.token_totals.input == ground_truth.token_totals["input"]
     assert sum(r.completions for r in bundle.route_totals) == ground_truth.completions_strict

@@ -352,8 +352,3 @@ def test_average_ranks_with_ties():
     assert average_ranks([10, 20, 20, 30]) == [1.0, 2.5, 2.5, 4.0]
     assert average_ranks([5, 5, 5]) == [2.0, 2.0, 2.0]
     assert oracle_ranks([10, 20, 20, 30]) == [1.0, 2.5, 2.5, 4.0]
-
-
-def test_association_round_trip_mapping():
-    stats = AssociationStats(0.5, 0.7, 10, 2)
-    assert AssociationStats.from_mapping(stats.to_mapping()) == stats
