@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 UNCLASSIFIED = "unclassified"
+
+_LEADING_DOT_SLASHES = re.compile(r"^(?:\./|/)+")
 
 # Stable workspace roots -> surface names. Order is re-derived at load time
 # (longest prefix first), so nested roots beat their parents.
@@ -113,7 +116,9 @@ class SurfaceCounts:
 
 
 def _normalize(path: str) -> str:
-    return path.replace("\\", "/").lstrip("./")
+    """Forward slashes, without leading ``./`` and ``/``; a dot-directory
+    such as ``.git/`` keeps its dot."""
+    return _LEADING_DOT_SLASHES.sub("", path.replace("\\", "/"))
 
 
 def classify_file(path: str, rules: ClassificationRules) -> str:

@@ -20,9 +20,11 @@ KeyTier = Literal["explicit_id", "content_hash", "trajectory_hash"]
 KEY_TIERS: tuple[KeyTier, ...] = ("explicit_id", "content_hash", "trajectory_hash")
 
 # Absent fields encode as a byte that cannot occur in UTF-8 text, so absence
-# never collides with any real value.
+# never collides with any real value. A NUL inside a field is escaped with a
+# sequence led by that byte, so the separator only ever separates fields.
 _ABSENT = b"\xff"
 _SEPARATOR = b"\x00"
+_ESCAPED_SEPARATOR = b"\xff\x01"
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,7 +51,8 @@ def _material(event: Event) -> tuple[KeyTier, str | bytes]:
     tool name) is a trajectory record: its material holds the trajectory
     fields, including the timestamp, so same-instant completions with
     different token counts stay distinct. Hashed tiers join their fields'
-    UTF-8 bytes with a separator, with absence as a byte no text contains.
+    UTF-8 bytes with a NUL separator, with absence as a byte no text
+    contains and a NUL inside a field escaped, so the material is injective.
     """
     if event.event_id is not None:
         return "explicit_id", event.event_id
@@ -74,7 +77,12 @@ def _material(event: Event) -> tuple[KeyTier, str | bytes]:
             event.tool_name,
         )
     return tier, _SEPARATOR.join(
-        [_ABSENT if value is None else str(value).encode("utf-8") for value in fields]
+        [
+            _ABSENT
+            if value is None
+            else str(value).encode("utf-8").replace(_SEPARATOR, _ESCAPED_SEPARATOR)
+            for value in fields
+        ]
     )
 
 

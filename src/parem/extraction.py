@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Literal, Mapping, Sequence
 
@@ -61,18 +62,15 @@ REPEAT_BYPASS_TERMS: tuple[str, ...] = (
 )
 
 
-def _word_alternation(terms: Iterable[str], flags: int) -> re.Pattern:
-    """One pattern that matches where any ``\\bterm\\b`` matches.
-
-    The terms are escaped literals, and the alternation backtracks through
-    every alternative at every position, so ``\\b(?:a|b)\\b`` finds a match
-    in a text iff ``\\ba\\b`` or ``\\bb\\b`` does, overlapping and nested
-    terms included.
-    """
-    return re.compile(rf"\b(?:{'|'.join(re.escape(t) for t in terms)})\b", flags)
-
-
-_REPEAT_BYPASS = _word_alternation(REPEAT_BYPASS_TERMS, re.IGNORECASE)
+# New-version signals. An alternation of escaped literals backtracks through
+# every alternative, so it hits a text iff some ``\bterm\b`` does.
+_REPEAT_BYPASS = re.compile(
+    rf"\b(?:{'|'.join(map(re.escape, REPEAT_BYPASS_TERMS))})\b", re.IGNORECASE
+)
+_WORD_RUN = re.compile(r"\w+")
+# The non-ASCII characters that IGNORECASE equates with an ASCII letter:
+# İ ı ſ K. lower() does not map every one of them to that letter.
+_FOLD_HAZARDS = frozenset("\u0130\u0131\u017f\u212a")
 
 
 def _normalize_term(term: str) -> str:
@@ -150,25 +148,26 @@ class KeywordRuleSet:
     def matcher(self) -> "KeywordMatcher":
         """The rule set compiled once; every extraction call reuses it."""
         flags = 0 if self.case_sensitive else re.IGNORECASE
-        normalized = {
-            name: [_normalize_term(term) for term in terms]
-            for name, terms in self.families.items()
-        }
-        families = tuple(
-            (
-                name,
-                _word_alternation(normalized[name], flags),
-                tuple(
-                    (term, re.compile(rf"\b{re.escape(n)}\b", flags))
-                    for term, n in zip(terms, normalized[name])
-                ),
-            )
-            for name, terms in self.families.items()
-        )
+        terms, words, others = [], {}, []
+        for family, family_terms in self.families.items():
+            for term in family_terms:
+                text = _normalize_term(term)
+                key = text if self.case_sensitive else text.lower()
+                exact = self.case_sensitive or text.isascii()
+                if exact and _WORD_RUN.fullmatch(text):
+                    words.setdefault(key, []).append(len(terms))
+                else:
+                    # "" occurs in every sentence: under IGNORECASE a non-ASCII
+                    # term can match text that lower() folds to something else
+                    others.append((len(terms), key if exact else ""))
+                terms.append((family, term, re.compile(rf"\b{re.escape(text)}\b", flags)))
         return KeywordMatcher(
-            gate=_word_alternation([n for ns in normalized.values() for n in ns], flags),
-            families=families,
+            families=tuple(self.families),
+            terms=tuple(terms),
+            words={key: tuple(positions) for key, positions in words.items()},
+            others=tuple(others),
             exclusions=tuple(re.compile(pattern, flags) for pattern in self.exclusions),
+            fold=not self.case_sensitive,
         )
 
 
@@ -180,36 +179,43 @@ def _string_list(value, what: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class KeywordMatcher:
-    """A compiled rule set: one gate over all its terms, one per family, and
-    the per-term patterns and exclusions.
+    """A compiled rule set: a word lookup, the per-term patterns and the exclusions.
 
-    A sentence the rule-set gate misses cannot match, so it is skipped with
-    no exclusion search; per-term searches run only in the families whose
-    own gate hits. The exclusions stay separate patterns, so a user's
-    groups and inline flags never meet another pattern.
+    A term of ``\\w`` characters matches ``\\bterm\\b`` exactly when it
+    equals a maximal ``\\w+`` run, so each sentence's word runs, folded with
+    ``lower()`` unless the set is case-sensitive, are looked up. Another
+    term's pattern runs only when its folded text occurs in the folded
+    sentence; a case-insensitive sentence holding a fold hazard searches
+    every term. Exclusions run only on sentences that hold a term, each on
+    its own, so a user's groups and inline flags never meet another pattern.
     """
 
-    gate: re.Pattern
-    # (family, family gate, ((term, \bterm\b pattern), ...))
-    families: tuple[tuple[str, re.Pattern, tuple[tuple[str, re.Pattern], ...]], ...]
+    families: tuple[str, ...]
+    # every term in family order: (family, term, \bterm\b pattern)
+    terms: tuple[tuple[str, str, re.Pattern], ...]
+    # folded single-word term -> its positions in ``terms``
+    words: Mapping[str, tuple[int, ...]]
+    # (position in ``terms``, folded text that must occur for it to run)
+    others: tuple[tuple[int, str], ...]
     exclusions: tuple[re.Pattern, ...]
+    fold: bool
 
     def matches(self, sentences: Sequence[str]) -> dict[str, list[tuple[int, list[str]]]]:
         """Per family: (sentence index, matched terms) for non-excluded sentences."""
-        matches: dict[str, list[tuple[int, list[str]]]] = {
-            name: [] for name, _, _ in self.families
-        }
-        gate = self.gate.search
+        matches: dict[str, list[tuple[int, list[str]]]] = {name: [] for name in self.families}
+        terms, words, others, fold = self.terms, self.words, self.others, self.fold
         for index, sentence in enumerate(sentences):
-            if gate(sentence) is None:
+            if fold and not sentence.isascii() and not _FOLD_HAZARDS.isdisjoint(sentence):
+                hits = [p for p, (_, _, pattern) in enumerate(terms) if pattern.search(sentence)]
+            else:
+                folded = sentence.lower() if fold else sentence
+                hits = [p for word in words.keys() & _WORD_RUN.findall(folded) for p in words[word]]
+                hits += [p for p, text in others if text in folded and terms[p][2].search(sentence)]
+                hits.sort()
+            if not hits or any(pattern.search(sentence) for pattern in self.exclusions):
                 continue
-            if any(pattern.search(sentence) for pattern in self.exclusions):
-                continue
-            for name, family_gate, patterns in self.families:
-                if family_gate.search(sentence) is not None:
-                    matches[name].append(
-                        (index, [term for term, pattern in patterns if pattern.search(sentence)])
-                    )
+            for family, group in groupby(hits, lambda p: terms[p][0]):
+                matches[family].append((index, [terms[p][1] for p in group]))
         return matches
 
 

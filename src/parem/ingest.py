@@ -709,13 +709,17 @@ def discover_workspace(
         )
 
     skipped = os.path.join(root_path, skip) if skip else None
+    # os.walk joins each directory onto the root as given, so the part of a
+    # path below the root starts at one fixed offset
+    cut = len(os.path.join(root_path, ""))
     for dirpath, dirnames, filenames in os.walk(root_path):
         dirnames.sort()
         if skipped is not None:
             dirnames[:] = [d for d in dirnames if os.path.join(dirpath, d) != skipped]
+        prefix = dirpath[cut:].replace(os.sep, "/")
+        prefix = prefix + "/" if prefix else ""
         for filename in sorted(filenames):
-            full = Path(dirpath) / filename
-            rel = full.relative_to(root_path).as_posix()
+            rel = prefix + filename
             parts = rel.split("/")
             top = parts[0]
             if top in conventions.memory_dirs or filename in conventions.memory_basenames:

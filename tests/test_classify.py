@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parem.classify import (
+    UNCLASSIFIED,
     ClassificationRules,
     classify_file,
     surface_counts,
@@ -156,3 +157,17 @@ def test_rules_round_trip():
     rules = ClassificationRules(exclude_generated=True)
     again = ClassificationRules.from_mapping(to_json(rules))
     assert again == rules
+
+
+def test_dot_directories_keep_their_dot():
+    rules = ClassificationRules(exclude_generated=True)
+    for path in (".git/config", ".next/cache/x", "./.git/config", "/.git/config", "sub/.git/config"):
+        assert rules.is_generated(path), path
+    assert not rules.is_generated("git/config")
+    assert not rules.is_generated("next/cache/x")
+    ci = ClassificationRules(rules=((".github/", "ci"), ("scripts/", "scripts")))
+    assert classify_file(".github/workflows/a.yml", ci) == "ci"
+    assert classify_file("./.github/workflows/a.yml", ci) == "ci"
+    assert classify_file("github/workflows/a.yml", ci) == UNCLASSIFIED
+    for path in ("./scripts/a.py", "/scripts/a.py", ".//scripts/a.py", "scripts\\a.py"):
+        assert classify_file(path, ci) == "scripts", path

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import make_completion, make_event
 from parem.dedup import (
     KEY_TIERS,
+    _material,
     dedup_key,
     deduplicate,
     exclude_untimed_for_time_analysis,
@@ -312,3 +313,49 @@ def test_matches_digest_keyed_reference(events, rnd):
     assert retained == expected
     assert stats.removed_by_tier == removed_by_tier
     assert stats.retained_count == len(expected)
+
+
+def test_a_nul_inside_a_field_is_not_a_separator():
+    # {"type": "a\u0000b", "content": "c"} and {"type": "a", "content": "b\u0000c"}
+    first = make_event(timestamp_ms=5, event_type="a\x00b", content_prefix="c")
+    second = make_event(timestamp_ms=5, event_type="a", content_prefix="b\x00c", line=2)
+    assert dedup_key(first) != dedup_key(second)
+    assert len(deduplicate([first, second])[0]) == 2
+
+
+HASHED_FIELDS = {
+    "content_hash": ("event_type", "content_prefix", "tool_name"),
+    "trajectory_hash": ("provider_route", "model"),
+}
+
+
+@st.composite
+def resplit_pairs(draw):
+    """Two events of one hashed tier whose text fields, joined with NUL, are
+    one string, split into fields at two draws of its NULs."""
+    tier = draw(st.sampled_from(sorted(HASHED_FIELDS)))
+    names = HASHED_FIELDS[tier]
+    pieces = draw(
+        st.lists(st.text(alphabet="a\xff", max_size=2), min_size=len(names), max_size=len(names) + 2)
+    )
+    nuls = range(len(pieces) - 1)
+    events = []
+    for line in (1, 2):
+        cuts = sorted(draw(st.permutations(nuls))[: len(names) - 1])
+        bounds = [0, *(cut + 1 for cut in cuts), len(pieces)]
+        fields = ["\x00".join(pieces[a:b]) for a, b in zip(bounds, bounds[1:])]
+        if tier == "content_hash":
+            event = make_event(timestamp_ms=7, line=line, **dict(zip(names, fields)))
+        else:
+            event = make_completion(7, *fields, line=line)
+        events.append(event)
+    return events
+
+
+@given(resplit_pairs())
+@settings(max_examples=200)
+def test_distinct_fields_give_distinct_material(pair):
+    first, second = pair
+    assert _material(first)[0] == _material(second)[0] != "explicit_id"
+    same_fields = oracle_identity(first) == oracle_identity(second)
+    assert (_material(first) == _material(second)) == same_fields

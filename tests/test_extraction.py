@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import sys
 from datetime import date, timedelta
 
 import pytest
@@ -521,10 +522,19 @@ EXCLUSIONS = [
 ]
 EXCLUSION_HITS = ["auto-generated", "planned to", "no new artifact", "fix fix", "drafted twice"]
 FILLER = ["the", "team", "artifacts", "prefixed", "éfix", "fixé", "credentialsx", "`report.md`"]
-EDGES = ["", " ", "\u00a0", "  ", ".", ", ", "-", "é", "ß", "_", "1", "! ", "`", "\t", "/"]
-CASES = [str, str.upper, str.title, str.swapcase]
+# the non-ASCII characters IGNORECASE equates with an ASCII letter
+FOLD_HAZARDS = "\u0130\u0131\u017f\u212a"  # İ ı ſ K
+EDGES = [
+    "", " ", "\u00a0", "  ", ".", ", ", "-", "é", "ß", "_", "1", "! ", "`", "\t", "/", "\u2014",
+    *FOLD_HAZARDS,
+]
+# spell a word with İ, ı, ſ and K in place of the ASCII letters they equal
+TO_HAZARDS = str.maketrans({"I": "\u0130", "i": "\u0131", "s": "\u017f", "k": "\u212a"})
+CASES = [str, str.upper, str.title, str.swapcase, lambda word: word.translate(TO_HAZARDS)]
 
-random_terms = st.text(alphabet="abeéßXY -.+", min_size=1, max_size=6).filter(str.strip)
+random_terms = st.text(
+    alphabet="abeéßXY -.+\u2014\u00a0" + FOLD_HAZARDS, min_size=1, max_size=6
+).filter(str.strip)
 vocabulary = st.one_of(st.sampled_from(DEFAULT_TERMS + OVERLAPPING_TERMS), random_terms)
 
 
@@ -565,41 +575,86 @@ def test_matcher_equals_the_per_term_scan(data):
     assert rules.matcher.matches(sentences) == reference_matches(rules, sentences)
 
 
+def test_fold_hazards_are_every_character_ignorecase_adds():
+    # recomputed over every code point: the non-ASCII characters that
+    # IGNORECASE equates with an ASCII letter ...
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    ascii_letter = re.compile("[a-z]", re.IGNORECASE)
+    hazards = {c for c in ascii_letter.findall(chars) if not c.isascii()}
+    assert hazards == set(FOLD_HAZARDS) == extraction._FOLD_HAZARDS
+    # ... and outside them, lower() maps each character to one character that
+    # is a word character exactly when the original is
+    rest = chars.translate(dict.fromkeys(map(ord, FOLD_HAZARDS)))
+    folded = rest.lower()
+    assert len(folded) == len(rest)
+
+    def word_mask(text: str) -> str:
+        return re.sub(r"\W", "0", re.sub(r"\w", "1", text))
+
+    assert word_mask(folded) == word_mask(rest)
+
+
 class _Spy:
     """Stands in for a compiled pattern and records each search."""
 
-    def __init__(self, pattern: re.Pattern, log: list) -> None:
-        self.pattern, self.log = pattern, log
+    def __init__(self, pattern: re.Pattern, log: list, tag=None) -> None:
+        self.pattern, self.log, self.tag = pattern, log, tag
 
     def search(self, text: str):
-        self.log.append(text)
+        self.log.append((self.tag, text))
         return self.pattern.search(text)
+
+
+def expected_term_searches(rules: KeywordRuleSet, sentences) -> list[tuple[int, str]]:
+    """(term position, sentence) for each \\bterm\\b search the matcher runs.
+
+    A single-word ASCII term (any single-word term when case-sensitive) is
+    looked up, never searched; another term is searched when its folded text
+    occurs in the folded sentence, a non-ASCII one always under IGNORECASE.
+    A case-insensitive sentence holding a fold hazard searches every term.
+    """
+    fold = not rules.case_sensitive
+    texts = [normalized(term) for terms in rules.families.values() for term in terms]
+    searches = []
+    for sentence in sentences:
+        hazard = fold and any(c in FOLD_HAZARDS for c in sentence)
+        folded = sentence.lower() if fold else sentence
+        for position, text in enumerate(texts):
+            exact = not fold or text.isascii()
+            if hazard or not exact:
+                searched = True
+            elif re.fullmatch(r"\w+", text):
+                searched = False
+            else:
+                searched = (text.lower() if fold else text) in folded
+            if searched:
+                searches.append((position, sentence))
+    return searches
 
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
-def test_the_gates_decide_which_searches_run(data):
+def test_the_word_lookup_decides_which_searches_run(data):
     rules = data.draw(rule_sets())
     sentences = data.draw(st.lists(sentences_for(rules), min_size=1, max_size=6))
     matcher = rules.matcher
-    exclusion_log: list[str] = []
-    term_log: list[tuple[str, str]] = []
+    exclusion_log: list = []
+    term_log: list = []
     spied = dataclasses.replace(
         matcher,
         exclusions=tuple(_Spy(p, exclusion_log) for p in matcher.exclusions),
-        families=tuple(
-            (name, gate, tuple((term, _Spy(p, term_log)) for term, p in patterns))
-            for name, gate, patterns in matcher.families
+        terms=tuple(
+            (family, term, _Spy(p, term_log, position))
+            for position, (family, term, p) in enumerate(matcher.terms)
         ),
     )
-    kept = reference_matches(rules, sentences)
-    assert spied.matches(sentences) == kept
+    assert spied.matches(sentences) == reference_matches(rules, sentences)
     # exclusions run on exactly the sentences that hold some term
     unexcluded = reference_matches(dataclasses.replace(rules, exclusions=()), sentences)
     with_terms = {sentences[i] for hits in unexcluded.values() for i, _ in hits}
-    assert set(exclusion_log) == (with_terms if rules.exclusions else set())
-    # each term is searched only in a family with a hit in a kept sentence
-    assert len(term_log) == sum(len(rules.families[name]) * len(kept[name]) for name in kept)
+    assert {text for _, text in exclusion_log} == (with_terms if rules.exclusions else set())
+    # a term pattern runs only where the word lookup cannot decide
+    assert term_log == expected_term_searches(rules, sentences)
 
 
 def test_one_matcher_per_rule_set_and_one_split_per_section(monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from datetime import datetime, timezone
@@ -17,6 +18,8 @@ from parem.ingest import (
     FieldAliases,
     TokenUsage,
     WorkspaceError,
+    WorkspaceFiles,
+    discover_workspace,
     normalize_content_prefix,
     normalize_timestamp,
     parse_session_file,
@@ -410,6 +413,57 @@ class TestScanWorkspace:
         )
         write_lines(tmp_path / "memory" / "2026-01-01.md", ["note"])
         assert scan_and_parse(tmp_path)[0] == scan_and_parse(tmp_path)[0]
+
+
+def small_workspace(root: Path) -> WorkspaceFiles:
+    """Write one file of each kind under ``root``; the discovery it expects."""
+    for rel in (
+        "MEMORY.md",
+        "memory/2026-01-01.md",
+        "skills/s/SKILL.md",
+        "sessions/a.jsonl",
+        "agents/h/sessions/b.jsonl",
+        "agents/h/state.json",
+        "manuscripts/draft.md",
+        "out/report.json",
+        "stray.txt",
+    ):
+        write_lines(root / rel, ["x"])
+    return WorkspaceFiles(
+        memory=("MEMORY.md", "memory/2026-01-01.md"),
+        skills=("skills/s/SKILL.md",),
+        agent_dirs=("agents/h",),
+        main_sessions=("sessions/a.jsonl",),
+        agent_sessions=("agents/h/sessions/b.jsonl",),
+        artifacts=("manuscripts/draft.md", "out/report.json", "stray.txt"),
+    )
+
+
+class TestDiscoverWorkspace:
+    def test_paths_are_relative_to_the_root(self, tmp_path):
+        expected = small_workspace(tmp_path)
+        assert discover_workspace(tmp_path) == expected
+
+    def test_root_given_as_dot(self, tmp_path, monkeypatch):
+        expected = small_workspace(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert discover_workspace(".") == expected
+        assert discover_workspace("./") == expected
+
+    def test_root_with_a_trailing_slash(self, tmp_path):
+        expected = small_workspace(tmp_path / "ws")
+        assert discover_workspace(f"{tmp_path / 'ws'}/") == expected
+        assert discover_workspace(f"{tmp_path / 'ws'}//") == expected
+
+    def test_skip_leaves_out_one_directory(self, tmp_path, monkeypatch):
+        expected = small_workspace(tmp_path)
+        write_lines(tmp_path / "manuscripts" / "out" / "kept.md", ["x"])
+        expected = dataclasses.replace(
+            expected, artifacts=("manuscripts/draft.md", "manuscripts/out/kept.md", "stray.txt")
+        )
+        assert discover_workspace(tmp_path, skip="out") == expected
+        monkeypatch.chdir(tmp_path)
+        assert discover_workspace(".", skip="out") == expected
 
 
 # --- alias plans against the per-field scan they replace --------------------
