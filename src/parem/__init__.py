@@ -10,13 +10,7 @@ from .activetime import (
     gap_histogram,
 )
 from .classify import ClassificationRules, SurfaceCounts, classify_file, surface_counts
-from .dedup import (
-    DedupKey,
-    DedupStats,
-    dedup_key,
-    deduplicate,
-    exclude_untimed_for_time_analysis,
-)
+from .dedup import DedupKey, DedupStats, dedup_key, deduplicate
 from .extraction import (
     DatedSection,
     KeywordRuleSet,
@@ -40,12 +34,10 @@ from .metrics import (
     MetricValue,
     ObservationWindow,
     RoleCounts,
-    active_days,
-    calendar_days,
     compute_pare_m,
     role_counts,
 )
-from .pipeline import RunConfig, build_bundle, run_analysis
+from .pipeline import Analysis, RunConfig, build_bundle, run_analysis
 from .report import ReportBundle, export_csvs, render_report
 from .synth import CorpusSpec, GroundTruth, generate_corpus
 from .tokens import (

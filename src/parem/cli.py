@@ -1,4 +1,10 @@
-"""Subcommand front end: scan, analyze, synth, plus per-stage debug commands."""
+"""Subcommand front end: scan, analyze, synth, plus per-stage debug commands.
+
+Each debug command prints one stage of the graph ``analyze`` runs
+(``pipeline.Analysis``: read -> deduped -> window -> {active_time,
+strict -> tokens, extraction} -> metrics -> bundle) and runs the graph only
+as far as that stage, so its figures are the report's figures.
+"""
 
 from __future__ import annotations
 
@@ -9,21 +15,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .dedup import deduplicate, exclude_untimed_for_time_analysis
 from .ingest import WorkspaceError
 from .jsonfmt import dumps_indented, to_json
-from .metrics import window_timestamps
-from .pipeline import (
-    RunConfig,
-    derive_window,
-    extract_in_window,
-    load_config_file,
-    read_workspace,
-    run_analysis,
-)
+from .pipeline import Analysis, RunConfig, load_config_file, run_analysis
 from .report import ReportError
 from .synth import CorpusSpec, generate_corpus
-from .tokens import aggregate_tokens, per_route
 
 CONFIG_ENV_VAR = "PAREM_CONFIG"
 
@@ -136,7 +132,7 @@ def _print_json(data: object) -> None:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    inventory, _ = read_workspace(config)
+    inventory = Analysis(config).read[0]
     if args.json:
         _print_json(inventory)
         return 0
@@ -186,58 +182,24 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scoped_deduped(config: RunConfig):
-    inventory, events = read_workspace(config)
-    if config.scope == "main":
-        events = [e for e in events if e.agent_scope == "main"]
-    deduped, stats = deduplicate(events)
-    return inventory, deduped, stats
-
-
 def cmd_dedup(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    _, _, stats = _scoped_deduped(config)
-    _print_json(stats)
+    _print_json(Analysis(_config_from_args(args)).deduped[1])
     return 0
 
 
-def _timed_in_window(config: RunConfig):
-    """The inventory, the timed de-duplicated events and the window, as analyze derives them."""
-    inventory, deduped, _ = _scoped_deduped(config)
-    timed, _ = exclude_untimed_for_time_analysis(deduped)
-    return inventory, timed, derive_window(timed, config.window, [])
-
-
 def cmd_activetime(args: argparse.Namespace) -> int:
-    from .activetime import cap_sensitivity
-
-    config = _config_from_args(args)
-    _, timed, window = _timed_in_window(config)
-    timestamps = window_timestamps(timed, window)
-    _print_json(cap_sensitivity(timestamps, config.caps))
+    _print_json(Analysis(_config_from_args(args)).active_time[1])
     return 0
 
 
 def cmd_tokens(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    _, timed, window = _timed_in_window(config)
-    strict = [
-        e
-        for e in timed
-        if e.role == "model_completed" and config.conventions.is_trajectory(e.source_path)
-    ]
-    totals = aggregate_tokens(strict, window)
-    routes = per_route(strict, window)
+    totals, routes, *_ = Analysis(_config_from_args(args)).tokens
     _print_json({"totals": totals, "routes": routes})
     return 0
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    inventory, _, window = _timed_in_window(config)
-    sections, outputs, governance, warnings = extract_in_window(
-        config, inventory.memory_paths, window
-    )
+    sections, outputs, governance, warnings = Analysis(_config_from_args(args)).extraction
     by_class: dict[str, int] = {}
     for proxy in governance:
         key = proxy.governance_class or "unclassified"

@@ -126,21 +126,6 @@ def deduplicate(events: Iterable[Event]) -> tuple[list[Event], DedupStats]:
     return output, DedupStats(input_count, len(output), removed_by_tier)
 
 
-def exclude_untimed_for_time_analysis(
-    events: Iterable[Event],
-) -> tuple[list[Event], list[Event]]:
-    """Split de-duplicated events into (timed, untimed).
-
-    Untimed records stay out of active-time analysis but remain available for
-    record and inventory counts.
-    """
-    timed: list[Event] = []
-    untimed: list[Event] = []
-    for event in events:
-        (timed if event.timestamp_ms is not None else untimed).append(event)
-    return timed, untimed
-
-
 def ledger_rows(events: Iterable[Event]) -> list[tuple[str, str, str, int]]:
     """Audit rows (tier, key value, source path, line) in canonical order."""
     rows = []

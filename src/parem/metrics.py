@@ -116,23 +116,12 @@ def utc_date(timestamp_ms: int) -> date:
     return datetime.fromtimestamp(timestamp_ms / 1000, tz=timezone.utc).date()
 
 
-def calendar_days(window: ObservationWindow) -> int:
-    """Inclusive day count of the observation window."""
-    return window.calendar_days
-
-
 def window_timestamps(events: Iterable[Event], window: ObservationWindow) -> list[int]:
     """Sorted unique timestamps of the timed events whose UTC date is in the window."""
     lo, hi = window.ms_bounds
     return sorted(
         {ts for event in events if (ts := event.timestamp_ms) is not None and lo <= ts < hi}
     )
-
-
-def active_days(events: Iterable[Event], window: ObservationWindow) -> set[date]:
-    """UTC dates with at least one timed event, intersected with the window."""
-    days = {ts // MS_PER_DAY for ts in window_timestamps(events, window)}
-    return {EPOCH_DATE + timedelta(days=day) for day in days}
 
 
 def role_counts(events: Iterable[Event]) -> RoleCounts:

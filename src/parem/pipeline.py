@@ -1,5 +1,9 @@
 """End-to-end analysis pipeline and its serializable run configuration.
 
+``Analysis`` is one graph of named stages, read -> deduped -> window ->
+{active_time, strict -> tokens, extraction} -> metrics -> bundle: ``analyze``
+writes its bundle, and each per-stage debug command prints one of its stages.
+
 A run is reproducible from the RunConfig plus the workspace bytes: no wall
 clock, host name, or scheduling detail reaches the outputs, so re-running
 the same configuration yields byte-identical files.
@@ -10,8 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from datetime import date
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import __version__
 from .activetime import (
@@ -19,11 +24,13 @@ from .activetime import (
     DEFAULT_CAPS,
     DEFAULT_CLIP_MINUTES,
     SENSITIVITY_CAP_MINUTES,
+    ActiveTimeEstimate,
+    GapHistogram,
     cap_sensitivity,
     gap_histogram,
 )
 from .classify import ClassificationRules
-from .dedup import deduplicate, exclude_untimed_for_time_analysis, ledger_rows
+from .dedup import DedupStats, deduplicate, ledger_rows
 from .extraction import (
     DEFAULT_GOVERNANCE_RULES,
     DEFAULT_HEADING_PATTERN,
@@ -43,7 +50,7 @@ from .ingest import (
     WorkspaceInventory,
     scan_and_parse,
 )
-from .metrics import ObservationWindow, compute_pare_m, utc_date, window_timestamps
+from .metrics import MetricReport, ObservationWindow, compute_pare_m, utc_date, window_timestamps
 from .report import (
     EVENTS_TOKENS_CSV,
     Provenance,
@@ -53,6 +60,10 @@ from .report import (
     render_report,
 )
 from .tokens import (
+    AssociationStats,
+    DailyTokens,
+    RouteTotals,
+    TokenTotals,
     aggregate_tokens,
     cache_output_association,
     daily_composition,
@@ -99,6 +110,15 @@ class RunConfig:
             )
         if not self.caps:
             raise ValueError("caps must not be empty")
+        if any(not isinstance(cap, int) or cap <= 0 for cap in self.caps):
+            raise ValueError(f"caps must all be positive integers, got {list(self.caps)}")
+        for name in ("primary_cap", "sensitivity_cap", "gap_bin_minutes", "gap_clip_minutes"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value <= 0:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        horizon = self.repeat_horizon_days
+        if not isinstance(horizon, int) or horizon < 0:
+            raise ValueError(f"repeat_horizon_days must be an integer >= 0, got {horizon!r}")
         compile_heading_pattern(self.heading_pattern)
 
     @classmethod
@@ -144,181 +164,209 @@ class RunConfig:
         return replace(self.classification, exclude_generated=self.exclude_generated)
 
 
-def read_workspace(
-    config: RunConfig, cache_path: Path | None = None
-) -> tuple[WorkspaceInventory, list[Event]]:
-    """Scan and parse the workspace as every command does: with the run's
-    classification rules, conventions and aliases, leaving out the output
-    directory when it lies inside the root, so that a run never reads the
-    outputs of the one before."""
-    root = Path(config.root).resolve()
-    out = Path(config.out_dir).resolve()
-    skip = out.relative_to(root).as_posix() if out != root and out.is_relative_to(root) else None
-    return scan_and_parse(
-        config.root,
-        config.effective_classification(),
-        config.conventions,
-        config.aliases,
-        skip=skip,
-        cache_path=cache_path,
-    )
+class Analysis:
+    """The stages of one run, each computed when first asked for and kept.
 
+    The stages form one graph: ``read`` (scan and parse) -> ``deduped``
+    (scope filter and de-duplication) -> ``window`` -> ``active_time``,
+    ``strict`` -> ``tokens``, and ``extraction`` -> ``metrics`` -> ``bundle``.
+    A stage reads only the stages before it, so asking for one runs the graph
+    as far as that stage and no further, and no stage runs twice. A stage
+    with warnings returns its own, and ``bundle`` joins them in graph order,
+    whichever stage was asked for first.
+    """
 
-def derive_window(
-    timed_events: list[Event], configured: ObservationWindow | None, warnings: list[str]
-) -> ObservationWindow:
-    """The configured window, else the UTC date span of the timed events."""
-    if configured is not None:
-        return configured
-    if timed_events:
-        stamps = [e.timestamp_ms for e in timed_events]
+    def __init__(self, config: RunConfig, cache_path: Path | None = None) -> None:
+        self.config = config
+        self.cache_path = cache_path
+
+    @cached_property
+    def read(self) -> tuple[WorkspaceInventory, list[Event]]:
+        """The inventory and every parsed record, leaving out the output
+        directory when it lies inside the root, so that a run never reads
+        the outputs of the one before."""
+        config = self.config
+        root = Path(config.root).resolve()
+        out = Path(config.out_dir).resolve()
+        skip = out.relative_to(root).as_posix() if out != root and out.is_relative_to(root) else None
+        return scan_and_parse(
+            config.root,
+            config.effective_classification(),
+            config.conventions,
+            config.aliases,
+            skip=skip,
+            cache_path=self.cache_path,
+        )
+
+    @cached_property
+    def deduped(self) -> tuple[list[Event], DedupStats]:
+        """The records of the run's scope, de-duplicated, and the counts."""
+        events = self.read[1]
+        if self.config.scope == "main":
+            events = [e for e in events if e.agent_scope == "main"]
+        return deduplicate(events)
+
+    @cached_property
+    def window(self) -> tuple[ObservationWindow, list[str]]:
+        """The configured window, else the UTC date span of the timed
+        records, and the warning a derived window carries."""
+        if self.config.window is not None:
+            return self.config.window, []
+        stamps = [ts for e in self.deduped[0] if (ts := e.timestamp_ms) is not None]
+        if not stamps:
+            return ObservationWindow(date(1970, 1, 1), date(1970, 1, 1)), [
+                "no timed events and no configured window; using a degenerate epoch window"
+            ]
         window = ObservationWindow(utc_date(min(stamps)), utc_date(max(stamps)))
-        warnings.append(
+        return window, [
             "observation window defaulted to the event date span "
             f"{window.start_date.isoformat()}..{window.end_date.isoformat()}; "
             "configure a fixed window for comparable reports"
+        ]
+
+    @cached_property
+    def active_time(self) -> tuple[list[int], list[ActiveTimeEstimate], GapHistogram]:
+        """The window's unique timestamps, the capped-gap estimate at each
+        cap, and the gap histogram."""
+        config = self.config
+        timestamps = window_timestamps(self.deduped[0], self.window[0])
+        sensitivity = cap_sensitivity(timestamps, config.caps)
+        histogram = gap_histogram(timestamps, config.gap_bin_minutes, config.gap_clip_minutes)
+        return timestamps, sensitivity, histogram
+
+    @cached_property
+    def strict(self) -> list[Event]:
+        """The strict subset: trajectory-file completions timed inside the window."""
+        is_trajectory = self.config.conventions.is_trajectory
+        lo, hi = self.window[0].ms_bounds
+        return [
+            e
+            for e in self.deduped[0]
+            if e.role == "model_completed"
+            and (ts := e.timestamp_ms) is not None
+            and lo <= ts < hi
+            and is_trajectory(e.source_path)
+        ]
+
+    @cached_property
+    def tokens(
+        self,
+    ) -> tuple[
+        TokenTotals, list[RouteTotals], list[DailyTokens], AssociationStats, list[TokenEventRow]
+    ]:
+        """Totals, routes, daily rows, association and event rows of the strict subset."""
+        strict = self.strict
+        return (
+            aggregate_tokens(strict),
+            per_route(strict),
+            daily_composition(strict, self.window[0]),
+            cache_output_association(strict, log1p=self.config.log1p),
+            [
+                TokenEventRow(
+                    timestamp_ms=e.timestamp_ms,
+                    provider_route=e.provider_route or "unknown",
+                    model=e.model or "unknown",
+                    input=e.tokens.input if e.tokens else 0,
+                    output=e.tokens.output if e.tokens else 0,
+                    cache_read=e.tokens.cache_read if e.tokens else 0,
+                    cache_write=e.tokens.cache_write if e.tokens else 0,
+                )
+                for e in sorted(
+                    strict, key=lambda e: (e.timestamp_ms, e.source_path, e.line_number)
+                )
+            ],
         )
-        return window
-    warnings.append(
-        "no timed events and no configured window; using a degenerate epoch window"
-    )
-    return ObservationWindow(date(1970, 1, 1), date(1970, 1, 1))
 
+    @cached_property
+    def extraction(
+        self,
+    ) -> tuple[list[DatedSection], list[ProxyEvent], list[ProxyEvent], list[str]]:
+        """The window's dated memory sections, the output and governance
+        proxies found in them, and the warnings from reading the memory files."""
+        config = self.config
+        window = self.window[0]
+        sections, warnings = parse_memory_sections(
+            self.read[0].memory_paths, config.heading_pattern, root=config.root
+        )
+        in_window = [s for s in sections if window.contains(s.date)]
+        output_proxies = extract_output_proxies(
+            in_window,
+            config.output_rules,
+            granularity=config.granularity,
+            repeat_horizon_days=config.repeat_horizon_days,
+        )
+        governance_proxies = extract_governance_events(
+            in_window, config.governance_rules, granularity=config.granularity
+        )
+        return in_window, output_proxies, governance_proxies, warnings
 
-def extract_in_window(
-    config: RunConfig, memory_paths: Sequence[str], window: ObservationWindow
-) -> tuple[list[DatedSection], list[ProxyEvent], list[ProxyEvent], list[str]]:
-    """The window's dated memory sections, the output and governance proxies
-    found in them, and the warnings from reading the memory files."""
-    sections, warnings = parse_memory_sections(
-        memory_paths, config.heading_pattern, root=config.root
-    )
-    in_window = [s for s in sections if window.contains(s.date)]
-    output_proxies = extract_output_proxies(
-        in_window,
-        config.output_rules,
-        granularity=config.granularity,
-        repeat_horizon_days=config.repeat_horizon_days,
-    )
-    governance_proxies = extract_governance_events(
-        in_window, config.governance_rules, granularity=config.granularity
-    )
-    return in_window, output_proxies, governance_proxies, warnings
+    @cached_property
+    def metrics(self) -> MetricReport:
+        _, output_proxies, governance_proxies, _ = self.extraction
+        return compute_pare_m(
+            self.deduped[0],
+            output_proxies + governance_proxies,
+            self.read[0],
+            self.window[0],
+            self.tokens[0],
+            self.active_time[0],
+            primary_cap=self.config.primary_cap,
+            sensitivity_cap=self.config.sensitivity_cap,
+        )
+
+    @cached_property
+    def bundle(self) -> ReportBundle:
+        config = self.config
+        inventory = self.read[0]
+        window, window_warnings = self.window
+        _, sensitivity, histogram = self.active_time
+        sections, output_proxies, governance_proxies, memory_warnings = self.extraction
+        totals, routes, daily, association, token_events = self.tokens
+        provenance = Provenance(
+            tool_version=__version__,
+            ruleset_versions={
+                "classification": config.effective_classification().version,
+                "output_rules": config.output_rules.version,
+                "governance_rules": config.governance_rules.version,
+                "aliases": config.aliases.version,
+                "conventions": config.conventions.version,
+            },
+            window_start=window.start_date.isoformat(),
+            window_end=window.end_date.isoformat(),
+            scope=config.scope,
+            flags={
+                "caps": list(config.caps),
+                "primary_cap": config.primary_cap,
+                "sensitivity_cap": config.sensitivity_cap,
+                "granularity": config.granularity,
+                "repeat_horizon_days": config.repeat_horizon_days,
+                "exclude_generated": config.exclude_generated,
+                "log1p": config.log1p,
+                "scope": config.scope,
+            },
+        )
+        return ReportBundle(
+            provenance=provenance,
+            inventory=inventory,
+            metrics=self.metrics,
+            dedup_stats=self.deduped[1],
+            ate_sensitivity=sensitivity,
+            gap_histogram=histogram,
+            token_totals=totals,
+            route_totals=routes,
+            daily_tokens=daily,
+            token_events=token_events,
+            association=association,
+            output_proxies=output_proxies,
+            governance_proxies=governance_proxies,
+            dated_section_count=len(sections),
+            warnings=[*inventory.warnings, *window_warnings, *memory_warnings],
+        )
 
 
 def build_bundle(config: RunConfig) -> ReportBundle:
     """Run the full pipeline in memory and return the completed bundle."""
-    bundle, _ = _build(config)
-    return bundle
-
-
-def _build(
-    config: RunConfig, cache_path: Path | None = None
-) -> tuple[ReportBundle, list[Event]]:
-    warnings: list[str] = []
-    rules = config.effective_classification()
-    inventory, all_events = read_workspace(config, cache_path)
-    warnings.extend(inventory.warnings)
-
-    if config.scope == "main":
-        scoped = [e for e in all_events if e.agent_scope == "main"]
-    else:
-        scoped = list(all_events)
-
-    deduped, dedup_stats = deduplicate(scoped)
-    timed, _untimed = exclude_untimed_for_time_analysis(deduped)
-    window = derive_window(timed, config.window, warnings)
-
-    timestamps = window_timestamps(timed, window)
-    sensitivity = cap_sensitivity(timestamps, config.caps)
-    histogram = gap_histogram(timestamps, config.gap_bin_minutes, config.gap_clip_minutes)
-
-    sections_in_window, output_proxies, governance_proxies, memory_warnings = (
-        extract_in_window(config, inventory.memory_paths, window)
-    )
-    warnings.extend(memory_warnings)
-
-    strict = [
-        e
-        for e in deduped
-        if e.role == "model_completed" and config.conventions.is_trajectory(e.source_path)
-    ]
-    totals = aggregate_tokens(strict, window)
-    routes = per_route(strict, window)
-    daily = daily_composition(strict, window)
-    lo, hi = window.ms_bounds
-    strict_in_window = [
-        e for e in strict if e.timestamp_ms is not None and lo <= e.timestamp_ms < hi
-    ]
-    association = cache_output_association(strict_in_window, log1p=config.log1p)
-    token_events = [
-        TokenEventRow(
-            timestamp_ms=e.timestamp_ms,
-            provider_route=e.provider_route or "unknown",
-            model=e.model or "unknown",
-            input=e.tokens.input if e.tokens else 0,
-            output=e.tokens.output if e.tokens else 0,
-            cache_read=e.tokens.cache_read if e.tokens else 0,
-            cache_write=e.tokens.cache_write if e.tokens else 0,
-        )
-        for e in sorted(
-            strict_in_window, key=lambda e: (e.timestamp_ms, e.source_path, e.line_number)
-        )
-    ]
-
-    metrics = compute_pare_m(
-        deduped,
-        list(output_proxies) + list(governance_proxies),
-        inventory,
-        window,
-        totals,
-        timestamps,
-        primary_cap=config.primary_cap,
-        sensitivity_cap=config.sensitivity_cap,
-    )
-
-    provenance = Provenance(
-        tool_version=__version__,
-        ruleset_versions={
-            "classification": rules.version,
-            "output_rules": config.output_rules.version,
-            "governance_rules": config.governance_rules.version,
-            "aliases": config.aliases.version,
-            "conventions": config.conventions.version,
-        },
-        window_start=window.start_date.isoformat(),
-        window_end=window.end_date.isoformat(),
-        scope=config.scope,
-        flags={
-            "caps": list(config.caps),
-            "primary_cap": config.primary_cap,
-            "sensitivity_cap": config.sensitivity_cap,
-            "granularity": config.granularity,
-            "repeat_horizon_days": config.repeat_horizon_days,
-            "exclude_generated": config.exclude_generated,
-            "log1p": config.log1p,
-            "scope": config.scope,
-        },
-    )
-
-    bundle = ReportBundle(
-        provenance=provenance,
-        inventory=inventory,
-        metrics=metrics,
-        dedup_stats=dedup_stats,
-        ate_sensitivity=sensitivity,
-        gap_histogram=histogram,
-        token_totals=totals,
-        route_totals=routes,
-        daily_tokens=daily,
-        token_events=token_events,
-        association=association,
-        output_proxies=output_proxies,
-        governance_proxies=governance_proxies,
-        dated_section_count=len(sections_in_window),
-        warnings=warnings,
-    )
-    return bundle, deduped
+    return Analysis(config).bundle
 
 
 def write_outputs(
@@ -369,9 +417,11 @@ def run_analysis(config: RunConfig) -> tuple[ReportBundle, list[Path]]:
     (``PARSE_CACHE``), so a rerun parses only new or changed session files.
     The cache is not among the written outputs and never changes them.
     """
-    bundle, deduped = _build(config, Path(config.out_dir) / PARSE_CACHE)
-    written = write_outputs(bundle, config, deduped)
-    return bundle, written
+    analysis = Analysis(config, Path(config.out_dir) / PARSE_CACHE)
+    bundle = analysis.bundle
+    deduped = analysis.deduped[0] if config.dedup_ledger else None
+    del analysis  # free the records and stage results before writing: lower peak memory
+    return bundle, write_outputs(bundle, config, deduped)
 
 
 # config sections that may hold either an inline mapping or a path to a

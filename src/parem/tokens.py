@@ -79,33 +79,12 @@ class AssociationStats:
                 )
 
 
-def _completions_in_window(
-    events: Iterable[Event], window: ObservationWindow | None
-) -> list[Event]:
-    if window is None:
-        return [event for event in events if event.role == "model_completed"]
-    lo, hi = window.ms_bounds
-    return [
-        event
-        for event in events
-        if event.role == "model_completed"
-        and (ts := event.timestamp_ms) is not None
-        and lo <= ts < hi
-    ]
-
-
-def aggregate_tokens(
-    events: Iterable[Event], window: ObservationWindow | None = None
-) -> TokenTotals:
-    """Exact integer token sums over model-completed events.
-
-    With a window, only events whose UTC date falls inside it contribute;
-    untimed events cannot be placed in a window and are left out.
-    """
+def aggregate_tokens(events: Iterable[Event]) -> TokenTotals:
+    """Exact integer token sums over model-completed events."""
     input_sum = output_sum = cache_read_sum = cache_write_sum = 0
-    for event in _completions_in_window(events, window):
+    for event in events:
         usage = event.tokens
-        if usage is None:
+        if event.role != "model_completed" or usage is None:
             continue
         input_sum += usage.input
         output_sum += usage.output
@@ -114,12 +93,12 @@ def aggregate_tokens(
     return TokenTotals(input_sum, output_sum, cache_read_sum, cache_write_sum)
 
 
-def per_route(
-    events: Iterable[Event], window: ObservationWindow | None = None
-) -> list[RouteTotals]:
+def per_route(events: Iterable[Event]) -> list[RouteTotals]:
     """Token totals grouped by provider route; routeless events fall under "unknown"."""
     sums: dict[str, list[int]] = {}
-    for event in _completions_in_window(events, window):
+    for event in events:
+        if event.role != "model_completed":
+            continue
         route = event.provider_route or UNKNOWN_ROUTE
         bucket = sums.setdefault(route, [0, 0, 0, 0, 0])
         usage = event.tokens
@@ -138,12 +117,19 @@ def per_route(
 def daily_composition(
     events: Iterable[Event], window: ObservationWindow
 ) -> list[DailyTokens]:
-    """One row per UTC date in the window, zero-filled where nothing happened."""
+    """One row per UTC date in the window, zero-filled where nothing happened.
+
+    Every model-completed event must be timed inside the window.
+    """
     first_day = window.ms_bounds[0] // MS_PER_DAY
     rows = [[0, 0, 0, 0, 0] for _ in range(window.calendar_days)]
-    for event in _completions_in_window(events, window):
-        assert event.timestamp_ms is not None
-        bucket = rows[event.timestamp_ms // MS_PER_DAY - first_day]
+    for event in events:
+        if event.role != "model_completed":
+            continue
+        day = event.timestamp_ms // MS_PER_DAY - first_day
+        if not 0 <= day < len(rows):
+            raise ValueError(f"completion at {event.timestamp_ms} ms lies outside {window}")
+        bucket = rows[day]
         usage = event.tokens
         if usage is not None:
             bucket[0] += usage.input

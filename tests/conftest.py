@@ -4,6 +4,8 @@ import hashlib
 from pathlib import Path
 
 from parem.ingest import Event, TokenUsage
+from parem.metrics import ObservationWindow
+from parem.pipeline import Analysis, RunConfig
 
 
 def make_event(
@@ -32,6 +34,13 @@ def make_completion(
         model=model,
         tokens=TokenUsage(*tokens),
     )
+
+
+def strict_stage(events: list[Event], window: ObservationWindow) -> list[Event]:
+    """The strict stage of a run over ``window`` whose de-duplicated records are ``events``."""
+    analysis = Analysis(RunConfig(root=".", window=window))
+    analysis.deduped = list(events), None
+    return analysis.strict
 
 
 def hash_tree(root: Path) -> str:

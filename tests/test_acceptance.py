@@ -14,7 +14,7 @@ from datetime import date
 
 import pytest
 
-from conftest import hash_tree, make_completion
+from conftest import hash_tree, make_completion, strict_stage
 from parem.activetime import active_time
 from parem.dedup import dedup_key, deduplicate
 from parem.extraction import (
@@ -28,7 +28,6 @@ from parem.ingest import Event, TokenUsage
 from parem.jsonfmt import to_json
 from parem.metrics import (
     ObservationWindow,
-    calendar_days,
     ratio_metric,
     round_proportion,
     round_rate,
@@ -49,7 +48,7 @@ MAY1_MS = 1_777_593_600_000
 
 def test_acceptance_1_reference_arithmetic_reproduction():
     window = ObservationWindow(date(2026, 1, 31), date(2026, 5, 25))
-    assert calendar_days(window) == 115
+    assert window.calendar_days == 115
 
     adf = ratio_metric("ADF", 96, 115, window)
     assert f"{round_proportion(adf.value):.3f}" == "0.835"
@@ -92,8 +91,9 @@ def test_acceptance_2_token_identity():
                     ),
                 )
             )
-        grand = aggregate_tokens(events, MAY_WINDOW)
-        routes = per_route(events, MAY_WINDOW)
+        strict = strict_stage(events, MAY_WINDOW)
+        grand = aggregate_tokens(strict)
+        routes = per_route(strict)
         assert sum(r.totals.input for r in routes) == grand.input
         assert sum(r.totals.output for r in routes) == grand.output
         assert sum(r.totals.cache_read for r in routes) == grand.cache_read

@@ -89,6 +89,15 @@ def test_analyze_missing_root_nonzero(tmp_path, capsys):
     assert main(["analyze", "--root", str(tmp_path / "gone"), "--out", str(tmp_path / "o")]) != 0
 
 
+@pytest.mark.parametrize("caps", ["0,30", "30,-15"])
+def test_analyze_rejects_a_non_positive_cap_before_writing(corpus, tmp_path, capsys, caps):
+    root, ground_truth = corpus
+    out = tmp_path / "out"
+    assert main(analyze_args(root, out, ground_truth) + ["--caps", caps]) == 2
+    assert "caps must all be positive integers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_dedup_ledger_flag(corpus, tmp_path):
     root, ground_truth = corpus
     out = tmp_path / "out"
@@ -237,40 +246,59 @@ def test_stage_extract_counts(corpus, capsys):
     assert data["governance_by_class"] == ground_truth.governance_by_class
 
 
-@pytest.mark.parametrize(
-    "window", [[], ["--window-start", "2024-01-02", "--window-end", "2024-01-03"]]
-)
-def test_extract_counts_match_the_report(corpus, tmp_path, capsys, window):
-    root, _ = corpus
-    assert main(["extract", "--root", str(root), *window]) == 0
-    extracted = json.loads(capsys.readouterr().out)
+WINDOWS = {
+    "no-window": [],
+    "2024-01-02..03": ["--window-start", "2024-01-02", "--window-end", "2024-01-03"],
+}
 
-    out = tmp_path / "out"
-    assert main(["analyze", "--root", str(root), "--out", str(out), *window]) == 0
-    report = json.loads((out / "reports" / "report.json").read_text(encoding="utf-8"))
+
+@pytest.fixture(scope="module")
+def report_of(corpus, tmp_path_factory):
+    """The report.json that analyze writes for a window and a scope, run once each."""
+    root, _ = corpus
+    reports: dict[tuple[str, str], dict] = {}
+
+    def report(window: str, scope: str) -> dict:
+        if (window, scope) not in reports:
+            out = tmp_path_factory.mktemp("report")
+            args = ["analyze", "--root", str(root), "--out", str(out), "--scope", scope]
+            assert main([*args, *WINDOWS[window]]) == 0
+            path = out / "reports" / "report.json"
+            reports[window, scope] = json.loads(path.read_text(encoding="utf-8"))
+        return reports[window, scope]
+
+    return report
+
+
+def stage_view_of(command: str, report: dict) -> object:
+    """What a stage command prints, as read from the report."""
+    if command == "dedup":
+        return report["dedup_stats"]
+    if command == "activetime":
+        return report["ate_sensitivity"]
+    if command == "tokens":
+        return {"totals": report["token_totals"], "routes": report["route_totals"]}
     governance_by_class: dict[str, int] = {}
     for proxy in report["governance_proxies"]:
         key = proxy["governance_class"] or "unclassified"
         governance_by_class[key] = governance_by_class.get(key, 0) + 1
-    assert extracted["dated_sections"] == report["dated_section_count"]
-    assert extracted["output_proxies"] == len(report["output_proxies"])
-    assert extracted["governance_proxies"] == len(report["governance_proxies"])
-    assert extracted["governance_by_class"] == governance_by_class
+    return {
+        "dated_sections": report["dated_section_count"],
+        "output_proxies": len(report["output_proxies"]),
+        "governance_proxies": len(report["governance_proxies"]),
+        "governance_by_class": governance_by_class,
+        "warnings": [w for w in report["warnings"] if w.startswith("unreadable memory file")],
+    }
 
 
-@pytest.mark.parametrize(
-    "window", [[], ["--window-start", "2024-01-02", "--window-end", "2024-01-03"]]
-)
-def test_token_totals_match_the_report(corpus, tmp_path, capsys, window):
+@pytest.mark.parametrize("scope", ["main", "all-agent"])
+@pytest.mark.parametrize("window", list(WINDOWS))
+@pytest.mark.parametrize("command", ["dedup", "activetime", "tokens", "extract"])
+def test_stage_command_matches_the_report(corpus, report_of, capsys, command, window, scope):
     root, _ = corpus
-    assert main(["tokens", "--root", str(root), *window]) == 0
-    tokens = json.loads(capsys.readouterr().out)
-
-    out = tmp_path / "out"
-    assert main(["analyze", "--root", str(root), "--out", str(out), *window]) == 0
-    report = json.loads((out / "reports" / "report.json").read_text(encoding="utf-8"))
-    assert tokens["totals"] == report["token_totals"]
-    assert tokens["routes"] == report["route_totals"]
+    assert main([command, "--root", str(root), "--scope", scope, *WINDOWS[window]]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == stage_view_of(command, report_of(window, scope))
 
 
 def test_tokens_without_a_window_leave_out_untimed_completions(tmp_path, capsys):

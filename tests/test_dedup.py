@@ -11,7 +11,6 @@ from parem.dedup import (
     _material,
     dedup_key,
     deduplicate,
-    exclude_untimed_for_time_analysis,
     ledger_rows,
 )
 from parem.ingest import Event, TokenUsage
@@ -258,22 +257,6 @@ def test_oracle_key_equivalence_classes_match(events):
     keys = {dedup_key(e) for e in events}
     oracle = {oracle_identity(e) for e in events}
     assert len(keys) == len(oracle)
-
-
-def test_exclude_untimed_partitions():
-    timed = [make_event(timestamp_ms=i, content_prefix=f"t{i}") for i in range(7)]
-    untimed = [make_event(content_prefix=f"u{i}") for i in range(3)]
-    got_timed, got_untimed = exclude_untimed_for_time_analysis(timed + untimed)
-    assert len(got_timed) == 7
-    assert len(got_untimed) == 3
-
-    all_timed, none_untimed = exclude_untimed_for_time_analysis(timed)
-    assert none_untimed == []
-    assert len(all_timed) == 7
-
-    none_timed, all_untimed = exclude_untimed_for_time_analysis(untimed)
-    assert none_timed == []
-    assert len(all_untimed) == 3
 
 
 def test_ledger_rows_sorted_by_source():

@@ -13,8 +13,6 @@ from parem.classify import SurfaceCounts
 from parem.metrics import (
     METRIC_NAMES,
     ObservationWindow,
-    active_days,
-    calendar_days,
     compute_pare_m,
     ratio_metric,
     role_counts,
@@ -43,25 +41,31 @@ def date_oracle_days(start: date, end: date) -> int:
 class TestCalendarDays:
     def test_published_window_is_115_days(self):
         assert date_oracle_days(date(2026, 1, 31), date(2026, 5, 25)) == 115
-        assert calendar_days(REFERENCE_WINDOW) == 115
+        assert REFERENCE_WINDOW.calendar_days == 115
 
     def test_single_day(self):
         window = ObservationWindow(date(2026, 3, 3), date(2026, 3, 3))
-        assert calendar_days(window) == 1
+        assert window.calendar_days == 1
 
     def test_leap_february(self):
         window = ObservationWindow(date(2024, 2, 1), date(2024, 3, 1))
         assert date_oracle_days(window.start_date, window.end_date) == 30
-        assert calendar_days(window) == 30
+        assert window.calendar_days == 30
 
     def test_inverted_window_rejected(self):
         with pytest.raises(ValueError):
             ObservationWindow(date(2026, 2, 2), date(2026, 2, 1))
 
 
+def pare_m(events, window):
+    return compute_pare_m(
+        events, [], empty_inventory(), window, TokenTotals(), window_timestamps(events, window)
+    )
+
+
 class TestActiveDays:
     def test_empty(self):
-        assert active_days([], REFERENCE_WINDOW) == set()
+        assert pare_m([], REFERENCE_WINDOW).active_day_count == 0
 
     def test_every_day_of_ten_day_window(self):
         window = ObservationWindow(date(2026, 2, 2), date(2026, 2, 11))
@@ -69,10 +73,9 @@ class TestActiveDays:
             make_event(timestamp_ms=FEB2_MS + i * DAY_MS, content_prefix=f"d{i}")
             for i in range(10)
         ]
-        days = active_days(events, window)
-        assert len(days) == 10
-        adf = ratio_metric("ADF", len(days), window.calendar_days, window)
-        assert adf.value == 1.0
+        report = pare_m(events, window)
+        assert report.active_day_count == 10
+        assert report.values["ADF"].value == 1.0
 
     def test_outside_window_excluded(self):
         window = ObservationWindow(date(2026, 2, 2), date(2026, 2, 3))
@@ -80,10 +83,10 @@ class TestActiveDays:
             make_event(timestamp_ms=FEB2_MS),
             make_event(timestamp_ms=FEB2_MS + 40 * DAY_MS),
         ]
-        assert len(active_days(events, window)) == 1
+        assert pare_m(events, window).active_day_count == 1
 
     def test_untimed_ignored(self):
-        assert active_days([make_event()], REFERENCE_WINDOW) == set()
+        assert pare_m([make_event()], REFERENCE_WINDOW).active_day_count == 0
 
     def test_utc_day_boundary(self):
         last_ms_of_feb2 = FEB2_MS + DAY_MS - 1
@@ -252,4 +255,4 @@ def test_ms_bounds_filter_matches_utc_date_containment(case):
     events.append(make_event(line=len(stamps)))  # untimed
     inside = [ts for ts in stamps if window.contains(utc_date(ts))]
     assert window_timestamps(events, window) == sorted(set(inside))
-    assert active_days(events, window) == {utc_date(ts) for ts in inside}
+    assert pare_m(events, window).active_day_count == len({utc_date(ts) for ts in inside})

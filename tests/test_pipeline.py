@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from datetime import date
 
@@ -9,7 +10,14 @@ import pytest
 
 from parem.jsonfmt import to_json
 from parem.metrics import ObservationWindow
-from parem.pipeline import REPORT_TEXT, RunConfig, build_bundle, load_config_file, run_analysis
+from parem.pipeline import (
+    REPORT_TEXT,
+    Analysis,
+    RunConfig,
+    build_bundle,
+    load_config_file,
+    run_analysis,
+)
 from parem.report import EVENTS_TOKENS_CSV
 from parem.synth import CorpusSpec, generate_corpus
 
@@ -63,6 +71,31 @@ def test_run_config_validation():
         RunConfig(root="x", granularity="paragraph")
     with pytest.raises(ValueError):
         RunConfig(root="x", caps=())
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("caps", (0, 30)),
+        ("caps", (30, -15)),
+        ("primary_cap", 0),
+        ("primary_cap", "30"),
+        ("sensitivity_cap", -60),
+        ("gap_bin_minutes", 0),
+        ("gap_clip_minutes", -1),
+        ("repeat_horizon_days", -1),
+        ("repeat_horizon_days", 1.5),
+    ],
+)
+def test_run_config_rejects_out_of_range_numbers(name, value):
+    with pytest.raises(ValueError, match=name):
+        RunConfig(root="x", **{name: value})
+    with pytest.raises(ValueError, match=name):
+        RunConfig.from_mapping({"root": "x", name: value})
+
+
+def test_a_zero_repeat_horizon_is_accepted():
+    assert RunConfig(root="x", repeat_horizon_days=0).repeat_horizon_days == 0
 
 
 def test_run_config_mapping_round_trip(corpus):
@@ -204,3 +237,46 @@ def test_degenerate_association_renders(tmp_path):
     assert bundle.association.reason == "zero_variance"
     text = (out / REPORT_TEXT).read_text(encoding="utf-8")
     assert "cache/output association: undefined (zero_variance)" in text
+
+
+def test_untimed_records_count_in_drc_but_never_reach_active_time(tmp_path):
+    root = tmp_path / "workspace"
+    write_trajectory(
+        root,
+        [
+            '{"role": "user", "ts": "2026-05-01T10:00:00Z", "content": "a"}',
+            '{"role": "assistant", "ts": "2026-05-01T10:20:00Z", "content": "b"}',
+            '{"role": "user", "content": "untimed c"}',
+            '{"role": "assistant", "content": "untimed d"}',
+        ],
+    )
+    analysis = Analysis(RunConfig(root=str(root)))
+    assert analysis.deduped[1].retained_count == 4
+    assert analysis.metrics.values["DRC"].value == 4
+    assert analysis.metrics.role_counts.assistant == 2
+    may1 = ObservationWindow(date(2026, 5, 1), date(2026, 5, 1))
+    assert analysis.window[0] == may1
+    timestamps, sensitivity, _ = analysis.active_time
+    assert timestamps == [1_777_629_600_000, 1_777_630_800_000]
+    assert {estimate.event_count for estimate in sensitivity} == {2}
+
+
+def test_warnings_keep_their_order_whichever_stage_runs_first(tmp_path):
+    root = tmp_path / "workspace"
+    write_trajectory(root, ['{"role": "user", "ts": "2026-05-01T10:00:00Z"}'])
+    (root / "memory").mkdir()
+    os.symlink(tmp_path / "missing", root / "trajectories" / "gone.jsonl")
+    os.symlink(tmp_path / "missing", root / "memory" / "gone.md")
+    config = RunConfig(root=str(root))
+    warnings = Analysis(config).bundle.warnings
+    assert [w.split(":")[0] for w in warnings] == [
+        "unreadable or truncated session file",
+        "observation window defaulted to the event date span 2026-05-01..2026-05-01; "
+        "configure a fixed window for comparable reports",
+        "unreadable memory file",
+    ]
+    # each stage returns its own warnings, asked for here out of graph order
+    analysis = Analysis(config)
+    assert analysis.extraction[3] == warnings[2:]
+    assert analysis.window[1] == warnings[1:2]
+    assert analysis.bundle.warnings == warnings

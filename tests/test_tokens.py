@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_completion
+from conftest import make_completion, strict_stage
 from parem.metrics import ObservationWindow
 from parem.tokens import (
     AssociationStats,
@@ -79,7 +79,7 @@ def test_generator_known_sums():
         make_completion(ts=MAY1_MS + i * DAY_MS, tokens=(10 * i, i, 100 * i, i))
         for i in range(1, 6)
     ]
-    totals = aggregate_tokens(events, WINDOW)
+    totals = aggregate_tokens(strict_stage(events, WINDOW))
     assert totals.input == 10 * 15
     assert totals.output == 15
     assert totals.cache_read == 100 * 15
@@ -90,7 +90,8 @@ def test_window_excludes_out_of_range_and_untimed():
     inside = make_completion(ts=MAY1_MS, tokens=(1, 1, 1, 1))
     outside = make_completion(ts=MAY1_MS + 30 * DAY_MS, tokens=(100, 100, 100, 100))
     untimed = make_completion(ts=None, tokens=(7, 7, 7, 7))
-    totals = aggregate_tokens([inside, outside, untimed], WINDOW)
+    session = make_completion(ts=MAY1_MS, tokens=(9, 9, 9, 9), source="sessions/a.jsonl")
+    totals = aggregate_tokens(strict_stage([inside, outside, untimed, session], WINDOW))
     assert totals.total == 4
 
 
@@ -109,9 +110,10 @@ def test_single_route_equals_grand_total():
     events = [
         make_completion(ts=MAY1_MS + i, tokens=(10, 5, 50, 1)) for i in range(4)
     ]
-    routes = per_route(events, WINDOW)
+    strict = strict_stage(events, WINDOW)
+    routes = per_route(strict)
     assert len(routes) == 1
-    assert routes[0].totals == aggregate_tokens(events, WINDOW)
+    assert routes[0].totals == aggregate_tokens(strict)
     assert routes[0].completions == 4
 
 
@@ -121,8 +123,9 @@ def test_three_routes_reconcile():
         events.append(
             make_completion(ts=MAY1_MS + i, route=route, tokens=(i, 2 * i, 3 * i, i))
         )
-    routes = per_route(events, WINDOW)
-    grand = aggregate_tokens(events, WINDOW)
+    strict = strict_stage(events, WINDOW)
+    routes = per_route(strict)
+    grand = aggregate_tokens(strict)
     assert sum(r.totals.input for r in routes) == grand.input
     assert sum(r.totals.output for r in routes) == grand.output
     assert sum(r.totals.cache_read for r in routes) == grand.cache_read
@@ -132,7 +135,7 @@ def test_three_routes_reconcile():
 
 def test_missing_route_grouped_unknown():
     events = [make_completion(ts=MAY1_MS, route=None)]
-    routes = per_route(events, WINDOW)
+    routes = per_route(strict_stage(events, WINDOW))
     assert routes[0].provider_route == "unknown"
 
 
@@ -145,7 +148,8 @@ def test_cache_write_heavy_route_has_lower_cdr():
         make_completion(ts=MAY1_MS + 100 + i, route="writer", tokens=(10, 10, 50, 400))
         for i in range(5)
     ]
-    routes = {r.provider_route: r for r in per_route(balanced + write_heavy, WINDOW)}
+    strict = strict_stage(balanced + write_heavy, WINDOW)
+    routes = {r.provider_route: r for r in per_route(strict)}
     assert routes["writer"].totals.cdr < routes["steady"].totals.cdr
 
 
@@ -167,8 +171,9 @@ def test_partition_identity_property(rows):
         make_completion(ts=MAY1_MS + i, route=route, tokens=(a, b, c, d))
         for i, (route, a, b, c, d) in enumerate(rows)
     ]
-    routes = per_route(events, WINDOW)
-    grand = aggregate_tokens(events, WINDOW)
+    strict = strict_stage(events, WINDOW)
+    routes = per_route(strict)
+    grand = aggregate_tokens(strict)
     assert sum(r.totals.input for r in routes) == grand.input
     assert sum(r.totals.output for r in routes) == grand.output
     assert sum(r.totals.cache_read for r in routes) == grand.cache_read
@@ -181,7 +186,7 @@ def test_partition_identity_property(rows):
 def test_single_day_row():
     window = ObservationWindow(date(2026, 5, 1), date(2026, 5, 3))
     events = [make_completion(ts=MAY1_MS + 1000, tokens=(5, 6, 7, 8))]
-    rows = daily_composition(events, window)
+    rows = daily_composition(strict_stage(events, window), window)
     assert len(rows) == 3
     assert rows[0].input == 5 and rows[0].completions == 1
     assert rows[1].completions == 0 and rows[2].completions == 0
@@ -192,8 +197,9 @@ def test_daily_rows_sum_to_totals():
         make_completion(ts=MAY1_MS + i * DAY_MS // 2, tokens=(i, i, i, i))
         for i in range(10)
     ]
-    rows = daily_composition(events, WINDOW)
-    grand = aggregate_tokens(events, WINDOW)
+    strict = strict_stage(events, WINDOW)
+    rows = daily_composition(strict, WINDOW)
+    grand = aggregate_tokens(strict)
     assert sum(r.input for r in rows) == grand.input
     assert sum(r.output for r in rows) == grand.output
     assert sum(r.cache_read for r in rows) == grand.cache_read
@@ -208,7 +214,7 @@ def test_generator_known_daily_schedule():
         make_completion(ts=MAY1_MS + 60_000, tokens=(2, 0, 0, 0)),
         make_completion(ts=MAY1_MS + DAY_MS, tokens=(4, 0, 0, 0)),
     ]
-    rows = daily_composition(events, window)
+    rows = daily_composition(strict_stage(events, window), window)
     assert [r.input for r in rows] == [3, 4]
     assert [r.completions for r in rows] == [2, 1]
 
@@ -352,3 +358,10 @@ def test_average_ranks_with_ties():
     assert average_ranks([10, 20, 20, 30]) == [1.0, 2.5, 2.5, 4.0]
     assert average_ranks([5, 5, 5]) == [2.0, 2.0, 2.0]
     assert oracle_ranks([10, 20, 20, 30]) == [1.0, 2.5, 2.5, 4.0]
+
+
+@pytest.mark.parametrize("offset_ms", [-1, 3 * DAY_MS])
+def test_daily_rows_reject_a_completion_outside_the_window(offset_ms):
+    window = ObservationWindow(date(2026, 5, 1), date(2026, 5, 3))
+    with pytest.raises(ValueError, match="outside"):
+        daily_composition([make_completion(ts=MAY1_MS + offset_ms)], window)
