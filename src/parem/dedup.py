@@ -5,12 +5,17 @@ one; otherwise a digest over the timestamp/role/type/content-prefix/tool
 material; and for model-completed records that carry neither an identifier
 nor message material, a digest over the trajectory fields (timestamp,
 provider route, model, token counts).
+
+``deduplicate`` groups records by their key fields and hashes nothing; the
+SHA-256 is computed only for the ledger (``dedup_key``, ``ledger_rows``).
+The hashed encoding is injective, so the groups are the same as by digest.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Literal
 
 from .ingest import Event
@@ -44,38 +49,43 @@ class DedupStats:
         return self.input_count - self.retained_count
 
 
-def _material(event: Event) -> tuple[KeyTier, str | bytes]:
-    """The key tier and the exact material its key is taken from.
+def _key_fields(event: Event) -> tuple:
+    """The key tier followed by the fields its key is taken from.
 
     A model-completed record without message material (no content prefix, no
-    tool name) is a trajectory record: its material holds the trajectory
-    fields, including the timestamp, so same-instant completions with
-    different token counts stay distinct. Hashed tiers join their fields'
-    UTF-8 bytes with a NUL separator, with absence as a byte no text
-    contains and a NUL inside a field escaped, so the material is injective.
+    tool name) is a trajectory record: its key holds the trajectory fields,
+    including the timestamp, so same-instant completions with different
+    token counts stay distinct.
     """
     if event.event_id is not None:
         return "explicit_id", event.event_id
     if event.role == "model_completed" and not event.content_prefix and event.tool_name is None:
-        tokens = event.tokens
-        tier: KeyTier = "trajectory_hash"
-        fields: tuple = (
-            event.timestamp_ms,
-            event.provider_route,
-            event.model,
-            f"{tokens.input},{tokens.output},{tokens.cache_read},{tokens.cache_write}"
-            if tokens is not None
-            else None,
+        return (
+            "trajectory_hash", event.timestamp_ms, event.provider_route, event.model, event.tokens
         )
-    else:
-        tier = "content_hash"
-        fields = (
-            event.timestamp_ms,
-            event.role,
-            event.event_type,
-            event.content_prefix or None,
-            event.tool_name,
-        )
+    return (
+        "content_hash",
+        event.timestamp_ms,
+        event.role,
+        event.event_type,
+        event.content_prefix or None,
+        event.tool_name,
+    )
+
+
+def _material(event: Event) -> tuple[KeyTier, str | bytes]:
+    """The key tier and the exact material its key is taken from.
+
+    Hashed tiers join their fields' UTF-8 bytes with a NUL separator, with
+    absence as a byte no text contains and a NUL inside a field escaped, so
+    the material is injective: two events share it exactly when they share
+    their key fields. Token counts encode as ``input,output,read,write``.
+    """
+    tier, *fields = _key_fields(event)
+    if tier == "explicit_id":
+        return tier, fields[0]
+    if tier == "trajectory_hash" and fields[3] is not None:
+        fields[3] = ",".join(map(str, fields[3]))
     return tier, _SEPARATOR.join(
         [
             _ABSENT
@@ -101,17 +111,16 @@ def dedup_key(event: Event) -> DedupKey:
 def deduplicate(events: Iterable[Event]) -> tuple[list[Event], DedupStats]:
     """Retain one event per key; the canonically first source (path, line) wins.
 
-    Events are grouped by their unhashed key material, which holds exactly
-    the bytes ``dedup_key`` hashes, so the groups are the same as by key.
-    The retained set and representatives are identical under any permutation
-    of the input, and the output comes back in canonical order.
+    Events are grouped by their key fields, which give the same groups as
+    their keys. The retained set and representatives are identical under any
+    permutation of the input, and the output comes back in canonical order.
     """
-    retained: dict[tuple[KeyTier, str | bytes], Event] = {}
+    retained: dict[tuple, Event] = {}
     removed_by_tier: dict[KeyTier, int] = dict.fromkeys(KEY_TIERS, 0)
     input_count = 0
     for event in events:
         input_count += 1
-        key = _material(event)
+        key = _key_fields(event)
         existing = retained.get(key)
         if existing is None:
             retained[key] = event
@@ -122,7 +131,7 @@ def deduplicate(events: Iterable[Event]) -> tuple[list[Event], DedupStats]:
             existing.line_number,
         ):
             retained[key] = event
-    output = sorted(retained.values(), key=lambda e: (e.source_path, e.line_number))
+    output = sorted(retained.values(), key=itemgetter(1, 2))  # (source_path, line_number)
     return output, DedupStats(input_count, len(output), removed_by_tier)
 
 
@@ -132,5 +141,5 @@ def ledger_rows(events: Iterable[Event]) -> list[tuple[str, str, str, int]]:
     for event in events:
         key = dedup_key(event)
         rows.append((key.tier, key.value, event.source_path, event.line_number))
-    rows.sort(key=lambda row: (row[2], row[3]))
+    rows.sort(key=itemgetter(2, 3))
     return rows

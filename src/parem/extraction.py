@@ -47,7 +47,6 @@ def compile_heading_pattern(pattern: str) -> re.Pattern:
 
 
 _SENTENCE_BOUNDARY = re.compile(r"(?<=[.!?])\s+")
-_WHITESPACE_RUN = re.compile(r"\s+")
 _BULLET_PREFIX = re.compile(r"^[\s>*+-]+")
 _ARTIFACT_TOKEN = re.compile(r"`([^`]+)`|\b([\w./-]+\.(?:md|py|ts|js|pdf|csv|html|tex|ipynb|docx|pptx|svg))\b")
 
@@ -74,7 +73,7 @@ _FOLD_HAZARDS = frozenset("\u0130\u0131\u017f\u212a")
 
 
 def _normalize_term(term: str) -> str:
-    return _WHITESPACE_RUN.sub(" ", term.strip())
+    return " ".join(term.split())
 
 
 @dataclass(frozen=True)
@@ -353,7 +352,7 @@ def split_sentences(body: str) -> list[str]:
         if not line:
             continue
         for piece in _SENTENCE_BOUNDARY.split(line):
-            piece = _WHITESPACE_RUN.sub(" ", piece).strip()
+            piece = " ".join(piece.split())
             if piece:
                 sentences.append(piece)
     return sentences

@@ -26,7 +26,7 @@ from typing import Literal, Mapping, NamedTuple
 
 from . import __version__
 from .classify import ClassificationRules, SurfaceCounts, surface_counts
-from .jsonfmt import to_json
+from .jsonfmt import reject_unknown_keys, to_json
 
 Role = Literal["user", "assistant", "tool_result", "tool_call", "model_completed", "other"]
 AgentScope = Literal["main", "other_agent"]
@@ -66,7 +66,6 @@ _ROLE_SYNONYMS: dict[str, Role] = {
     "model-completed": "model_completed",
 }
 
-_WHITESPACE_RUN = re.compile(r"\s+")
 _scan_once = json.JSONDecoder().scan_once
 
 
@@ -162,12 +161,8 @@ class FieldAliases:
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "FieldAliases":
-        kwargs = {}
-        for name in cls.__dataclass_fields__:
-            if name in data:
-                value = data[name]
-                kwargs[name] = str(value) if name == "version" else tuple(value)
-        return cls(**kwargs)
+        reject_unknown_keys(cls, data)
+        return cls(**{k: str(v) if k == "version" else tuple(v) for k, v in data.items()})
 
 
 @dataclass(frozen=True)
@@ -188,12 +183,9 @@ class WorkspaceConventions:
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "WorkspaceConventions":
-        kwargs = {}
-        for name in cls.__dataclass_fields__:
-            if name in data:
-                value = data[name]
-                kwargs[name] = str(value) if name in ("agent_root", "version") else tuple(value)
-        return cls(**kwargs)
+        reject_unknown_keys(cls, data)
+        text = ("agent_root", "version")
+        return cls(**{k: str(v) if k in text else tuple(v) for k, v in data.items()})
 
     def is_trajectory(self, relpath: str) -> bool:
         parts = relpath.replace("\\", "/").split("/")
@@ -230,6 +222,8 @@ def normalize_timestamp(raw: object) -> int | None:
     Zoneless timestamps are read as UTC. Values outside 1970-2100 and
     anything unparseable come back as None, never as an error.
     """
+    if type(raw) is int:
+        return _epoch_to_ms(raw)
     if raw is None or isinstance(raw, bool):
         return None
     if isinstance(raw, (int, float)):
@@ -239,10 +233,13 @@ def normalize_timestamp(raw: object) -> int | None:
     text = raw.strip()
     if not text:
         return None
-    try:
-        return _epoch_to_ms(float(text))
-    except ValueError:
-        pass
+    # a "-" right after a digit is never float syntax, so a text starting
+    # "YYYY-" skips the float attempt and its caught ValueError
+    if not (text[4:5] == "-" and text[:4].isdigit()):
+        try:
+            return _epoch_to_ms(float(text))
+        except ValueError:
+            pass
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     try:
@@ -264,15 +261,15 @@ def _epoch_to_ms(value: float) -> int | None:
 
 def normalize_content_prefix(value: object, limit: int = CONTENT_PREFIX_CHARS) -> str:
     """Whitespace-collapsed text prefix, capped at ``limit`` characters."""
-    if value is None:
-        return ""
     if isinstance(value, str):
         text = value
+    elif value is None:
+        return ""
     elif isinstance(value, (dict, list)):
         text = json.dumps(value, sort_keys=True, separators=(",", ":"))
     else:
         text = str(value)
-    return _WHITESPACE_RUN.sub(" ", text).strip()[:limit]
+    return " ".join(text.split())[:limit]  # split() splits where re's \s matches
 
 
 # Alias plans are cached per key shape. A cache holding this many shapes
@@ -361,7 +358,8 @@ class CompiledAliases:
     def resolve(self, payload: dict) -> list:
         """The raw value of each of the nine fields, None where absent."""
         keys, envelopes = self._plan(payload)
-        values = [payload[key] if key is not None else None for key in keys]
+        # a None key reads None: JSON object keys are strings
+        values = list(map(payload.get, keys))
         if None not in keys:
             return values
         for name in envelopes:
@@ -405,9 +403,11 @@ class CompiledAliases:
         kind = raw_role if isinstance(raw_role, str) else None
         if kind is None and isinstance(raw_type, str):
             kind = raw_type
-        role: Role = _ROLE_SYNONYMS.get(kind.strip().lower(), "other") if kind else "other"
+        role: Role = "other"
+        if kind:  # the table's keys are stripped and lowercase: try them as they are first
+            role = _ROLE_SYNONYMS.get(kind) or _ROLE_SYNONYMS.get(kind.strip().lower(), "other")
 
-        tokens = self.usage(raw_usage)
+        tokens = self.usage(raw_usage) if raw_usage is not None else None
         if role == "model_completed" and tokens is None:
             tokens = TokenUsage()
 

@@ -3,7 +3,8 @@
 ``to_json(obj)`` turns a record (a dataclass or a named tuple) into plain
 JSON data, reading its fields the way ``dataclasses.fields`` and ``_fields``
 name them; every output of parem that holds a record goes through it. The
-module imports nothing from parem, so any module can call it.
+module imports nothing from parem, so any module can call it. Config
+loaders check their input with ``reject_unknown_keys`` against the same fields.
 
 ``dumps_indented(obj)`` returns exactly the text ``json.dumps`` returns
 with ``indent=2`` and ``sort_keys=True``. The standard library falls back
@@ -70,6 +71,14 @@ def to_json(obj: object):
     converted the same way, all the way down. JSON scalars stay as they are.
     """
     return _converted([obj])[0]
+
+
+def reject_unknown_keys(kind: type, data: Mapping) -> None:
+    """Raise ``ValueError`` naming each key of ``data`` that is not a field of
+    the dataclass ``kind``, so a misspelt config key cannot pass unnoticed."""
+    unknown = sorted(map(str, data.keys() - kind.__dataclass_fields__.keys()))
+    if unknown:
+        raise ValueError(f"unknown {kind.__name__} key(s): {', '.join(unknown)}")
 
 
 def _converted(values: list) -> list:

@@ -50,6 +50,7 @@ from .ingest import (
     WorkspaceInventory,
     scan_and_parse,
 )
+from .jsonfmt import reject_unknown_keys
 from .metrics import MetricReport, ObservationWindow, compute_pare_m, utc_date, window_timestamps
 from .report import (
     EVENTS_TOKENS_CSV,
@@ -123,6 +124,7 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "RunConfig":
+        reject_unknown_keys(cls, data)
         kwargs: dict = {}
         scalars = (
             "root",

@@ -154,6 +154,18 @@ def test_config_file_equivalent_to_flags(corpus, tmp_path):
     ).read_bytes()
 
 
+def test_analyze_rejects_a_misspelt_config_key_before_writing(corpus, tmp_path, capsys):
+    root, _ = corpus
+    out = tmp_path / "out"
+    config_path = tmp_path / "run.json"
+    config_path.write_text(
+        json.dumps({"root": str(root), "out_dir": str(out), "primry_cap": 0}), encoding="utf-8"
+    )
+    assert main(["analyze", "--config", str(config_path)]) == 2
+    assert "unknown RunConfig key(s): primry_cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flag_overrides_config(corpus, tmp_path):
     root, ground_truth = corpus
     config_path = tmp_path / "run.json"

@@ -182,6 +182,10 @@ def test_representative_is_canonically_first_regardless_of_order():
         assert retained == [early]
 
 
+# Small value sets, so keys collide often. They hold a NUL inside a field,
+# one text split two ways across event_type/content_prefix ("a\0b" + "c" and
+# "a" + "b\0c"), route and model values that are also role and type values,
+# and tokens that are None or all zero on trajectory records.
 event_strategy = st.builds(
     Event,
     role=st.sampled_from(
@@ -190,22 +194,23 @@ event_strategy = st.builds(
     source_path=st.sampled_from(["sessions/a.jsonl", "sessions/b.jsonl"]),
     line_number=st.integers(min_value=1, max_value=50),
     event_id=st.one_of(st.none(), st.sampled_from(["i1", "i2", "i3"])),
-    timestamp_ms=st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
-    event_type=st.one_of(st.none(), st.sampled_from(["t1", "t2"])),
-    tool_name=st.one_of(st.none(), st.sampled_from(["shell", "editor"])),
-    provider_route=st.one_of(st.none(), st.sampled_from(["r1", "r2"])),
-    model=st.one_of(st.none(), st.sampled_from(["m1"])),
+    timestamp_ms=st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+    event_type=st.one_of(st.none(), st.sampled_from(["t1", "a", "a\x00b", "user"])),
+    tool_name=st.one_of(st.none(), st.sampled_from(["shell", "editor", "sh\x00ell"])),
+    provider_route=st.one_of(st.none(), st.sampled_from(["r1", "user", "r\x00"])),
+    model=st.one_of(st.none(), st.sampled_from(["m1", "t1"])),
     tokens=st.one_of(
         st.none(),
+        st.just(TokenUsage(0, 0, 0, 0)),
         st.builds(
             TokenUsage,
-            input=st.integers(min_value=0, max_value=3),
-            output=st.integers(min_value=0, max_value=3),
-            cache_read=st.integers(min_value=0, max_value=3),
-            cache_write=st.integers(min_value=0, max_value=3),
+            input=st.integers(min_value=0, max_value=2),
+            output=st.integers(min_value=0, max_value=2),
+            cache_read=st.integers(min_value=0, max_value=2),
+            cache_write=st.integers(min_value=0, max_value=2),
         ),
     ),
-    content_prefix=st.sampled_from(["", "alpha", "beta"]),
+    content_prefix=st.sampled_from(["", "alpha", "c", "b\x00c"]),
 )
 
 # one record per file line, as the parser guarantees
@@ -269,17 +274,33 @@ def test_ledger_rows_sorted_by_source():
     assert all(row[0] == "content_hash" for row in rows)
 
 
+def reference_key(event):
+    """The (tier, value) of an event's key, from the oracle identity and the
+    frozen encoding: fields NUL-joined, absence as 0xff, a NUL inside a field
+    as 0xff 0x01, token counts as "input,output,read,write"."""
+    kind, *fields = oracle_identity(event)
+    if kind == "id":
+        return "explicit_id", fields[0]
+    if kind == "trajectory" and fields[3] is not None:
+        fields[3] = ",".join(map(str, fields[3]))
+    material = b"\x00".join(
+        b"\xff" if value is None else str(value).encode().replace(b"\x00", b"\xff\x01")
+        for value in fields
+    )
+    return f"{kind}_hash", hashlib.sha256(material).hexdigest()
+
+
 def digest_keyed_deduplicate(events):
-    """Group by the SHA-256 key itself; the canonically first source wins."""
+    """Group by the reference SHA-256 key itself; the canonically first source wins."""
     retained = {}
     removed_by_tier = dict.fromkeys(KEY_TIERS, 0)
     for event in events:
-        key = dedup_key(event)
+        key = reference_key(event)
         existing = retained.get(key)
         if existing is None:
             retained[key] = event
             continue
-        removed_by_tier[key.tier] += 1
+        removed_by_tier[key[0]] += 1
         if (event.source_path, event.line_number) < (existing.source_path, existing.line_number):
             retained[key] = event
     output = sorted(retained.values(), key=lambda e: (e.source_path, e.line_number))
@@ -296,6 +317,8 @@ def test_matches_digest_keyed_reference(events, rnd):
     assert retained == expected
     assert stats.removed_by_tier == removed_by_tier
     assert stats.retained_count == len(expected)
+    # the ledger hashes the same key fields the groups are made of
+    assert [row[:2] for row in ledger_rows(retained)] == list(map(reference_key, expected))
 
 
 def test_a_nul_inside_a_field_is_not_a_separator():

@@ -3,7 +3,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from datetime import datetime, timezone
+import re
+import sys
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 
 from parem.dedup import dedup_key
 from parem.ingest import (
+    _ROLE_SYNONYMS,
+    CONTENT_PREFIX_CHARS,
     PLAN_CACHE_LIMIT,
     CompiledAliases,
     Event,
@@ -513,6 +517,13 @@ def reference_count(value):
     return 0
 
 
+def reference_usage(value, aliases):
+    if not isinstance(value, dict):
+        return None
+    counts = [reference_lookup(value, None, getattr(aliases, name)) for name in USAGE_NAMES]
+    return TokenUsage(*map(reference_count, counts))
+
+
 # a small pool, so custom alias sets overlap each other and the envelopes
 ALIAS_POOL = ("id", "ts", "role", "type", "text", "message", "payload", "usage", "key", "output")
 KEY_NAMES = sorted(
@@ -555,17 +566,7 @@ def test_plan_resolver_matches_per_field_scan(aliases, records):
         for variant in (payload, dict.fromkeys(payload), {k: {} for k in payload}):
             assert compiled.resolve(variant) == reference_resolve(variant, aliases)
         for value in payload.values():
-            expected = (
-                TokenUsage(
-                    *[
-                        reference_count(reference_lookup(value, None, getattr(aliases, name)))
-                        for name in USAGE_NAMES
-                    ]
-                )
-                if isinstance(value, dict)
-                else None
-            )
-            assert compiled.usage(value) == expected
+            assert compiled.usage(value) == reference_usage(value, aliases)
 
 
 def test_plan_cache_is_bounded():
@@ -575,6 +576,248 @@ def test_plan_cache_is_bounded():
     # a full cache keeps the shapes it holds and stores no new ones
     assert len(compiled._plans) == PLAN_CACHE_LIMIT
     assert ("k0", "role") in compiled._plans
+
+
+# --- the parse fast paths against the plain rules they replace ---------------
+
+# every character str.split() splits on; the same set re's \s matches
+WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+
+def reference_timestamp(raw):
+    """normalize_timestamp without its fast paths: every text tries float()."""
+    if raw is None or isinstance(raw, bool):
+        return None
+    if isinstance(raw, (int, float)):
+        return reference_epoch_ms(raw)
+    if not isinstance(raw, str):
+        return None
+    text = raw.strip()
+    if not text:
+        return None
+    try:
+        return reference_epoch_ms(float(text))
+    except ValueError:
+        pass
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    try:
+        parsed = datetime.fromisoformat(text)
+    except ValueError:
+        return None
+    if parsed.tzinfo is None:
+        parsed = parsed.replace(tzinfo=timezone.utc)
+    ms = round(parsed.timestamp() * 1000)
+    return ms if 0 <= ms < 4_102_444_800_000 else None
+
+
+def reference_epoch_ms(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    ms = round(value) if abs(value) >= 10**11 else round(value * 1000)
+    return ms if 0 <= ms < 4_102_444_800_000 else None
+
+
+def reference_prefix(value, limit=CONTENT_PREFIX_CHARS):
+    """normalize_content_prefix with one regex substitution per value."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        text = value
+    elif isinstance(value, (dict, list)):
+        text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    else:
+        text = str(value)
+    return re.sub(r"\s+", " ", text).strip()[:limit]
+
+
+def reference_parse(payload, aliases, source_path, line_number, agent_scope):
+    """CompiledAliases.parse as a per-field scan and a normalized role lookup."""
+    values = reference_resolve(payload, aliases)
+    if all(value is None for value in values):
+        return None
+    raw_id, raw_ts, raw_role, raw_type, raw_tool, raw_route, raw_model, raw_usage, raw_content = (
+        values
+    )
+    kind = raw_role if isinstance(raw_role, str) else None
+    if kind is None and isinstance(raw_type, str):
+        kind = raw_type
+    role = _ROLE_SYNONYMS.get(kind.strip().lower(), "other") if kind else "other"
+    tokens = reference_usage(raw_usage, aliases)
+    if role == "model_completed" and tokens is None:
+        tokens = TokenUsage()
+    text = [value if isinstance(value, str) else None for value in values]
+    return Event(
+        role,
+        source_path,
+        line_number,
+        agent_scope,
+        str(raw_id) if raw_id is not None else None,
+        reference_timestamp(raw_ts),
+        text[3],
+        text[4],
+        text[5],
+        text[6],
+        tokens,
+        reference_prefix(raw_content),
+    )
+
+
+def test_split_and_backslash_s_agree_on_every_character():
+    assert len(WHITESPACE) == 29
+    matched = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if re.match(r"\s", c))
+    assert matched == WHITESPACE
+
+
+DIGIT_SETS = ("0123456789", "٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+padding = st.text(alphabet=WHITESPACE, max_size=2)
+
+
+@st.composite
+def respelt(draw, texts):
+    """A drawn text, its ASCII digits maybe in another script, maybe padded."""
+    text = draw(texts)
+    digits = draw(st.sampled_from(DIGIT_SETS[:1] * 3 + DIGIT_SETS[1:]))
+    return draw(padding) + text.translate(str.maketrans("0123456789", digits)) + draw(padding)
+
+
+@st.composite
+def iso_texts(draw):
+    zone = st.integers(min_value=-1439, max_value=1439).map(
+        lambda minutes: timezone(timedelta(minutes=minutes))
+    )
+    moment = draw(
+        st.datetimes(datetime(1, 1, 2), datetime(9999, 12, 30), timezones=st.none() | zone)
+    )
+    year, week, weekday = moment.isocalendar()
+    text = draw(
+        st.sampled_from(
+            [
+                moment.isoformat(),
+                moment.isoformat(sep=" ", timespec="milliseconds"),
+                moment.isoformat(timespec="minutes"),
+                moment.date().isoformat(),
+                f"{moment.year:04d}{moment.month:02d}{moment.day:02d}",
+                f"{year:04d}-W{week:02d}-{weekday}",
+                f"{year:04d}W{week:02d}{weekday}",
+            ]
+        )
+    )
+    if text.endswith("+00:00"):
+        text = text[:-6] + draw(st.sampled_from(["Z", "z", "+00:00"]))
+    return text
+
+
+epoch_numbers = st.one_of(
+    st.integers(min_value=-(10**13), max_value=10**13),
+    st.integers(min_value=10**8, max_value=5 * 10**12),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=0, max_value=5e12),
+)
+numeric_texts = st.one_of(
+    epoch_numbers.map(str),
+    st.integers(min_value=0, max_value=5 * 10**12).map(lambda n: f"{n:_}"),
+    st.floats(min_value=0, max_value=5e12).map(lambda x: f"{x:e}"),
+    st.sampled_from(["1_000", "1e5", "1E11", "nan", "-inf", "inf", "Infinity", "+1700000000"]),
+)
+timestamp_values = st.one_of(
+    epoch_numbers,
+    respelt(numeric_texts),
+    respelt(iso_texts()),
+    st.none(),
+    st.booleans(),
+    st.text(alphabet="0123456789-+:.TWZz eE_", max_size=12),
+    st.lists(st.integers(), max_size=1),
+)
+
+
+@given(timestamp_values)
+@settings(max_examples=600)
+def test_timestamp_fast_paths_equal_the_plain_rule(raw):
+    assert normalize_timestamp(raw) == reference_timestamp(raw)
+
+
+prefix_texts = st.one_of(
+    st.text(alphabet=st.sampled_from(WHITESPACE + "ab\x00é"), max_size=150), st.text(max_size=80)
+)
+prefix_values = st.one_of(
+    prefix_texts,
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(prefix_texts, max_size=3),
+    st.dictionaries(prefix_texts, prefix_texts, max_size=3),
+)
+
+
+@given(prefix_values, st.integers(min_value=0, max_value=80))
+@settings(max_examples=400)
+def test_prefix_split_join_equals_the_regex_rule(value, limit):
+    assert normalize_content_prefix(value, limit) == reference_prefix(value, limit)
+    assert normalize_content_prefix(value) == reference_prefix(value)
+
+
+@st.composite
+def role_texts(draw):
+    text = draw(st.sampled_from([*_ROLE_SYNONYMS, "Other", "bot", ""]))
+    case = draw(st.sampled_from(["lower", "upper", "title", "swapcase", "capitalize"]))
+    return draw(padding) + getattr(text, case)() + draw(padding)
+
+
+kinds = st.one_of(
+    role_texts(), st.none(), st.integers(), st.booleans(), st.lists(st.text(), max_size=1)
+)
+usage_values = st.one_of(
+    st.none(),
+    st.integers(min_value=-2, max_value=2),
+    st.text(max_size=2),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(
+        st.sampled_from(["input", "output_tokens", "cache_read", "cache_write_tokens", "x"]),
+        st.one_of(
+            st.integers(min_value=-3, max_value=10**6),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.booleans(),
+            st.none(),
+            st.text(max_size=2),
+        ),
+        max_size=5,
+    ),
+)
+words = st.one_of(st.none(), st.integers(), st.text(max_size=3))
+record_fields = {
+    "id": words,
+    "ts": timestamp_values,
+    "role": kinds,
+    "type": kinds,
+    "tool": words,
+    "provider": words,
+    "model": words,
+    "usage": usage_values,
+    "tokens": usage_values,
+    "content": prefix_values,
+}
+envelope_records = st.fixed_dictionaries({}, optional=record_fields)
+parse_payloads = st.fixed_dictionaries(
+    {},
+    optional={
+        **record_fields,
+        "message": st.one_of(envelope_records, words),
+        "payload": envelope_records,
+    },
+)
+
+
+@given(parse_payloads)
+@settings(max_examples=500)
+def test_parse_fast_paths_equal_the_plain_rules(payload):
+    aliases = FieldAliases()
+    expected = reference_parse(payload, aliases, "sessions/s.jsonl", 7, "other_agent")
+    compiled = CompiledAliases(aliases)
+    for _ in range(2):  # a new plan, then the cached one
+        assert compiled.parse(payload, "sessions/s.jsonl", 7, "other_agent") == expected
 
 
 # --- no line can abort a parse ------------------------------------------------

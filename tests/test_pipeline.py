@@ -135,6 +135,26 @@ def test_config_file_with_a_bad_heading_pattern_or_string_family(tmp_path):
         RunConfig.from_mapping(load_config_file(path))
 
 
+@pytest.mark.parametrize(
+    "data, unknown",
+    [
+        ({"root": "ws", "primry_cap": 0}, "unknown RunConfig key(s): primry_cap"),
+        ({"root": "ws", "windw": {}, "caps": [30]}, "unknown RunConfig key(s): windw"),
+        ({"root": "ws", "aliases": {"rol": ["kind"]}}, "unknown FieldAliases key(s): rol"),
+        (
+            {"root": "ws", "conventions": {"memory_dir": ["notes"], "agents": "a"}},
+            "unknown WorkspaceConventions key(s): agents, memory_dir",
+        ),
+    ],
+    ids=["run-config", "two-keys", "aliases", "conventions"],
+)
+def test_config_file_with_a_misspelt_key_is_rejected(tmp_path, data, unknown):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(unknown)):
+        RunConfig.from_mapping(load_config_file(path))
+
+
 def test_load_config_file_rejects_non_object(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[1, 2, 3]", encoding="utf-8")
