@@ -28,7 +28,7 @@ DEFAULT_SURFACE_RULES: tuple[tuple[str, str], ...] = (
 )
 
 # Build noise that can be dropped before counting. Off by default so raw
-# counts stay raw; enable explicitly for generated-artifact exclusion.
+# counts stay raw; ``RunConfig.exclude_generated`` turns the exclusion on.
 DEFAULT_GENERATED_PATTERNS: tuple[str, ...] = (
     "node_modules/",
     "dist/",
@@ -56,7 +56,6 @@ class ClassificationRules:
     rules: tuple[tuple[str, str], ...] = DEFAULT_SURFACE_RULES
     fallback: str = UNCLASSIFIED
     generated_patterns: tuple[str, ...] = DEFAULT_GENERATED_PATTERNS
-    exclude_generated: bool = False
     version: str = "surface-roots/1"
 
     def __post_init__(self) -> None:
@@ -68,16 +67,6 @@ class ClassificationRules:
             normalized.append((prefix, surface))
         normalized.sort(key=lambda item: (-len(item[0]), item[0]))
         object.__setattr__(self, "rules", tuple(normalized))
-
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "ClassificationRules":
-        return cls(
-            rules=tuple((str(p), str(s)) for p, s in data.get("rules", DEFAULT_SURFACE_RULES)),
-            fallback=str(data.get("fallback", UNCLASSIFIED)),
-            generated_patterns=tuple(data.get("generated_patterns", DEFAULT_GENERATED_PATTERNS)),
-            exclude_generated=bool(data.get("exclude_generated", False)),
-            version=str(data.get("version", "surface-roots/1")),
-        )
 
     def surfaces(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
@@ -134,7 +123,5 @@ def surface_counts(paths: Iterable[str], rules: ClassificationRules) -> SurfaceC
     """Count files per surface; order of ``paths`` never affects the result."""
     counter: Counter[str] = Counter()
     for path in paths:
-        if rules.exclude_generated and rules.is_generated(path):
-            continue
         counter[classify_file(path, rules)] += 1
     return SurfaceCounts(counts=dict(counter), fallback=rules.fallback)

@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .ingest import WorkspaceError
-from .jsonfmt import dumps_indented, to_json
+from .jsonfmt import dumps_indented, from_json, to_json
 from .pipeline import Analysis, RunConfig, load_config_file, run_analysis
 from .report import ReportError
 from .synth import CorpusSpec, generate_corpus
@@ -106,14 +106,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         data["out_dir"] = args.out
     if args.scope is not None:
         data["scope"] = args.scope
-    if args.window_start or args.window_end:
-        window = dict(data.get("window") or {})
+    window = data.get("window") or {}
+    # a window that is not an object is left for from_json to reject
+    if (args.window_start or args.window_end) and isinstance(window, dict):
+        window = dict(window)
         if args.window_start:
             window["start_date"] = args.window_start
         if args.window_end:
             window["end_date"] = args.window_end
-        if "start_date" not in window or "end_date" not in window:
-            raise ValueError("both --window-start and --window-end are required")
         data["window"] = window
     if getattr(args, "caps", None):
         data["caps"] = [int(c) for c in args.caps.split(",")]
@@ -123,7 +123,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, flag, None)
         if value is not None:
             data[flag] = value
-    return RunConfig.from_mapping(data)
+    return from_json(RunConfig, data)
 
 
 def _print_json(data: object) -> None:
@@ -166,8 +166,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as handle:
-            spec_data = json.load(handle)
-        spec = CorpusSpec.from_mapping(spec_data)
+            spec = from_json(CorpusSpec, json.load(handle))
     else:
         spec = CorpusSpec()
     if args.seed is not None:

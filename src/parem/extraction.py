@@ -126,23 +126,6 @@ class KeywordRuleSet:
         if self.match_mode != "word_boundary":
             raise ValueError(f"unsupported match mode: {self.match_mode!r}")
 
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "KeywordRuleSet":
-        return cls(
-            families={
-                str(k): _string_list(v, f"keyword family {k!r}")
-                for k, v in data["families"].items()
-            },
-            family_classes={str(k): str(v) for k, v in data.get("family_classes", {}).items()},
-            exclusions=_string_list(data.get("exclusions", ()), "exclusions"),
-            class_priority=_string_list(
-                data.get("class_priority", GOVERNANCE_CLASSES), "class_priority"
-            ),
-            match_mode=str(data.get("match_mode", "word_boundary")),
-            case_sensitive=bool(data.get("case_sensitive", False)),
-            version=str(data.get("version", "ruleset/1")),
-        )
-
     @cached_property
     def matcher(self) -> "KeywordMatcher":
         """The rule set compiled once; every extraction call reuses it."""
@@ -168,12 +151,6 @@ class KeywordRuleSet:
             exclusions=tuple(re.compile(pattern, flags) for pattern in self.exclusions),
             fold=not self.case_sensitive,
         )
-
-
-def _string_list(value, what: str) -> tuple[str, ...]:
-    if not isinstance(value, (list, tuple)) or not all(isinstance(i, str) for i in value):
-        raise ValueError(f"{what} must be a list of strings, got {value!r}")
-    return tuple(value)
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,11 @@ from functools import cached_property, partial
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Literal, Mapping, NamedTuple
+from typing import Literal, NamedTuple
 
 from . import __version__
 from .classify import ClassificationRules, SurfaceCounts, surface_counts
-from .jsonfmt import reject_unknown_keys, to_json
+from .jsonfmt import to_json
 
 Role = Literal["user", "assistant", "tool_result", "tool_call", "model_completed", "other"]
 AgentScope = Literal["main", "other_agent"]
@@ -159,11 +159,6 @@ class FieldAliases:
         """These aliases as per-key-shape lookup plans, compiled once per instance."""
         return CompiledAliases(self)
 
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "FieldAliases":
-        reject_unknown_keys(cls, data)
-        return cls(**{k: str(v) if k == "version" else tuple(v) for k, v in data.items()})
-
 
 @dataclass(frozen=True)
 class WorkspaceConventions:
@@ -180,12 +175,6 @@ class WorkspaceConventions:
     session_dirs: tuple[str, ...] = ("sessions", "trajectories")
     trajectory_dirs: tuple[str, ...] = ("trajectories",)
     version: str = "workspace-layout/1"
-
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "WorkspaceConventions":
-        reject_unknown_keys(cls, data)
-        text = ("agent_root", "version")
-        return cls(**{k: str(v) if k in text else tuple(v) for k, v in data.items()})
 
     def is_trajectory(self, relpath: str) -> bool:
         parts = relpath.replace("\\", "/").split("/")
@@ -752,12 +741,15 @@ def scan_and_parse(
     aliases: FieldAliases | None = None,
     skip: str | None = None,
     cache_path: Path | None = None,
+    exclude_generated: bool = False,
 ) -> tuple[WorkspaceInventory, list[Event]]:
     """Scan a workspace and read every session file once.
 
     Files are read in sorted path order, main and agent sessions together,
     so the events come back in canonical order (path, then line number).
-    ``skip`` is passed to ``discover_workspace``. With a ``cache_path``, a
+    ``skip`` is passed to ``discover_workspace``. With ``exclude_generated``,
+    artifacts that ``rules.is_generated`` names (build outputs, lock files)
+    are dropped before surface counting. With a ``cache_path``, a
     file whose bytes the previous run's cache there holds is not parsed
     again (see ``ParseCache``); the results are the same either way.
     """
@@ -785,6 +777,9 @@ def scan_and_parse(
             recoverable[scopes[rel]] += 1 if stats.recoverable else 0
             events.extend(parsed)
 
+    artifacts = files.artifacts
+    if exclude_generated:
+        artifacts = [path for path in artifacts if not rules.is_generated(path)]
     inventory = WorkspaceInventory(
         memory_files=len(files.memory),
         agent_dirs=len(files.agent_dirs),
@@ -793,7 +788,7 @@ def scan_and_parse(
         recoverable_main=recoverable["main"],
         session_files_all=len(files.main_sessions) + len(files.agent_sessions),
         recoverable_all=recoverable["main"] + recoverable["other_agent"],
-        surfaces=surface_counts(files.artifacts, rules),
+        surfaces=surface_counts(artifacts, rules),
         memory_paths=files.memory,
         main_session_paths=files.main_sessions,
         agent_session_paths=files.agent_sessions,

@@ -1,10 +1,11 @@
-"""Plain JSON data from parem's records, and its indented, key-sorted text.
+"""Plain JSON data to and from parem's records, and its indented, key-sorted text.
 
 ``to_json(obj)`` turns a record (a dataclass or a named tuple) into plain
 JSON data, reading its fields the way ``dataclasses.fields`` and ``_fields``
-name them; every output of parem that holds a record goes through it. The
-module imports nothing from parem, so any module can call it. Config
-loaders check their input with ``reject_unknown_keys`` against the same fields.
+name them; every output of parem that holds a record goes through it.
+``from_json(kind, data)`` is the other direction: every config file is read
+through it, and each value is checked against its field's annotation.
+The module imports nothing from parem, so any module can call it.
 
 ``dumps_indented(obj)`` returns exactly the text ``json.dumps`` returns
 with ``indent=2`` and ``sort_keys=True``. The standard library falls back
@@ -31,6 +32,8 @@ from datetime import date
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 INDENT = 2
 _CONTAINERS = (dict, list, tuple)
@@ -73,12 +76,69 @@ def to_json(obj: object):
     return _converted([obj])[0]
 
 
-def reject_unknown_keys(kind: type, data: Mapping) -> None:
-    """Raise ``ValueError`` naming each key of ``data`` that is not a field of
-    the dataclass ``kind``, so a misspelt config key cannot pass unnoticed."""
-    unknown = sorted(map(str, data.keys() - kind.__dataclass_fields__.keys()))
+def from_json(kind: type, data: object):
+    """The ``kind`` that plain JSON ``data`` describes: the inverse of ``to_json``.
+
+    Nothing is coerced: a dataclass is read from an object with no unknown key
+    and every required one, ``X | None`` from null or an ``X``, a tuple from a
+    list (of its length, unless ``tuple[X, ...]``), ``Mapping[str, X]`` from an
+    object, ``date`` from ISO text, ``bool``, ``int`` and ``str`` from exactly
+    that JSON type, and ``float`` from any number but a bool. Anything else
+    raises ``ValueError`` naming its path, such as ``RunConfig.caps[0]``.
+    """
+    return _read(kind, data, kind.__name__)
+
+
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _read(kind, value, path: str):
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is UnionType and args[1:] == (NoneType,):
+        return None if value is None else _read(args[0], value, path)
+    if dataclasses.is_dataclass(kind):
+        return _read_record(kind, _expect(value, dict, "an object", path), path)
+    if origin is tuple:
+        items = _expect(value, list, "a list", path)
+        if args[1:] == (Ellipsis,):
+            args = args[:1] * len(items)
+        elif len(items) != len(args):
+            raise ValueError(f"{path} must be a list of {len(args)} items, got {value!r}")
+        paths = (f"{path}[{i}]" for i in range(len(items)))
+        return tuple(map(_read, args, items, paths))
+    if origin is Mapping and args[0] is str:
+        items = _expect(value, dict, "an object", path)
+        return {key: _read(args[1], item, f"{path}[{key!r}]") for key, item in items.items()}
+    if kind is date:
+        try:
+            return date.fromisoformat(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path} must be an ISO date, got {value!r}") from None
+    if kind is float and type(value) is int:
+        return float(value)
+    if kind in _EXPECTED:
+        return _expect(value, kind, _EXPECTED[kind], path)
+    raise TypeError(f"{path}: cannot read {kind!r} from JSON")
+
+
+def _expect(value, kind: type, expected: str, path: str):
+    # the exact type: a bool is not read as an int, nor an int as a bool
+    if type(value) is not kind:
+        raise ValueError(f"{path} must be {expected}, got {value!r}")
+    return value
+
+
+def _read_record(kind: type, data: dict, path: str):
+    fields = dataclasses.fields(kind)
+    unknown = sorted(map(str, data.keys() - {f.name for f in fields}))
     if unknown:
-        raise ValueError(f"unknown {kind.__name__} key(s): {', '.join(unknown)}")
+        raise ValueError(f"{path}: unknown {kind.__name__} key(s): {', '.join(unknown)}")
+    hints = get_type_hints(kind)
+    values = {name: _read(hints[name], value, f"{path}.{name}") for name, value in data.items()}
+    try:
+        return kind(**values)
+    except (TypeError, ValueError) as exc:  # a missing key, or a check of the record's own
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _converted(values: list) -> list:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .activetime import DEFAULT_CAP_MINUTES, SENSITIVITY_CAP_MINUTES, active_time
 from .ingest import Event, ROLES, WorkspaceInventory
@@ -68,13 +68,6 @@ class ObservationWindow:
         while current <= self.end_date:
             yield current
             current += timedelta(days=1)
-
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "ObservationWindow":
-        return cls(
-            start_date=date.fromisoformat(data["start_date"]),
-            end_date=date.fromisoformat(data["end_date"]),
-        )
 
 
 @dataclass(frozen=True)

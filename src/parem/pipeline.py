@@ -12,11 +12,10 @@ the same configuration yields byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping
 
 from . import __version__
 from .activetime import (
@@ -50,7 +49,6 @@ from .ingest import (
     WorkspaceInventory,
     scan_and_parse,
 )
-from .jsonfmt import reject_unknown_keys
 from .metrics import MetricReport, ObservationWindow, compute_pare_m, utc_date, window_timestamps
 from .report import (
     EVENTS_TOKENS_CSV,
@@ -111,59 +109,17 @@ class RunConfig:
             )
         if not self.caps:
             raise ValueError("caps must not be empty")
-        if any(not isinstance(cap, int) or cap <= 0 for cap in self.caps):
+        # type(...) is int: a bool is an int to isinstance, but not a minute count
+        if any(type(cap) is not int or cap <= 0 for cap in self.caps):
             raise ValueError(f"caps must all be positive integers, got {list(self.caps)}")
         for name in ("primary_cap", "sensitivity_cap", "gap_bin_minutes", "gap_clip_minutes"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
+            if type(value) is not int or value <= 0:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         horizon = self.repeat_horizon_days
-        if not isinstance(horizon, int) or horizon < 0:
+        if type(horizon) is not int or horizon < 0:
             raise ValueError(f"repeat_horizon_days must be an integer >= 0, got {horizon!r}")
         compile_heading_pattern(self.heading_pattern)
-
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "RunConfig":
-        reject_unknown_keys(cls, data)
-        kwargs: dict = {}
-        scalars = (
-            "root",
-            "out_dir",
-            "primary_cap",
-            "sensitivity_cap",
-            "gap_bin_minutes",
-            "gap_clip_minutes",
-            "scope",
-            "granularity",
-            "repeat_horizon_days",
-            "exclude_generated",
-            "log1p",
-            "dedup_ledger",
-            "heading_pattern",
-        )
-        for name in scalars:
-            if name in data:
-                kwargs[name] = data[name]
-        if "caps" in data:
-            kwargs["caps"] = tuple(int(c) for c in data["caps"])
-        if data.get("window"):
-            kwargs["window"] = ObservationWindow.from_mapping(data["window"])
-        if "classification" in data:
-            kwargs["classification"] = ClassificationRules.from_mapping(data["classification"])
-        if "output_rules" in data:
-            kwargs["output_rules"] = KeywordRuleSet.from_mapping(data["output_rules"])
-        if "governance_rules" in data:
-            kwargs["governance_rules"] = KeywordRuleSet.from_mapping(data["governance_rules"])
-        if "aliases" in data:
-            kwargs["aliases"] = FieldAliases.from_mapping(data["aliases"])
-        if "conventions" in data:
-            kwargs["conventions"] = WorkspaceConventions.from_mapping(data["conventions"])
-        return cls(**kwargs)
-
-    def effective_classification(self) -> ClassificationRules:
-        if self.exclude_generated == self.classification.exclude_generated:
-            return self.classification
-        return replace(self.classification, exclude_generated=self.exclude_generated)
 
 
 class Analysis:
@@ -193,10 +149,11 @@ class Analysis:
         skip = out.relative_to(root).as_posix() if out != root and out.is_relative_to(root) else None
         return scan_and_parse(
             config.root,
-            config.effective_classification(),
+            config.classification,
             config.conventions,
             config.aliases,
             skip=skip,
+            exclude_generated=config.exclude_generated,
             cache_path=self.cache_path,
         )
 
@@ -327,7 +284,7 @@ class Analysis:
         provenance = Provenance(
             tool_version=__version__,
             ruleset_versions={
-                "classification": config.effective_classification().version,
+                "classification": config.classification.version,
                 "output_rules": config.output_rules.version,
                 "governance_rules": config.governance_rules.version,
                 "aliases": config.aliases.version,

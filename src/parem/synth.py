@@ -182,25 +182,6 @@ class CorpusSpec:
         if unknown:
             raise ValueError(f"unknown governance classes: {sorted(unknown)}")
 
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "CorpusSpec":
-        kwargs: dict = {}
-        for name, spec_field in cls.__dataclass_fields__.items():
-            if name not in data:
-                continue
-            value = data[name]
-            if name == "start_date":
-                kwargs[name] = date.fromisoformat(value)
-            elif name in ("events_per_day", "completions_per_day", "caps"):
-                kwargs[name] = tuple(int(x) for x in value)
-            elif name in ("planted_governance", "surface_tree"):
-                kwargs[name] = {str(k): int(v) for k, v in value.items()}
-            elif spec_field.type in ("int", "float"):
-                kwargs[name] = type(spec_field.default)(value)
-            else:
-                kwargs[name] = value
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class GroundTruth:

@@ -9,7 +9,7 @@ from parem.classify import (
     classify_file,
     surface_counts,
 )
-from parem.jsonfmt import to_json
+from parem.ingest import scan_and_parse
 
 
 def test_manuscript_root():
@@ -134,16 +134,18 @@ def test_generated_exclusion_off_by_default():
     assert surface_counts(paths, rules).counts["scripts"] == 2
 
 
-def test_generated_exclusion_enabled():
-    rules = ClassificationRules(exclude_generated=True)
+def test_generated_exclusion_enabled(tmp_path):
     paths = [
         "scripts/node_modules/lib.js",
         "scripts/real.py",
         "manuscripts/package-lock.json",
         "dist/bundle.js",
     ]
-    counts = surface_counts(paths, rules)
-    assert counts.counts == {"scripts": 1}
+    for path in paths:
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_text("x\n", encoding="utf-8")
+    inventory, _ = scan_and_parse(tmp_path, ClassificationRules(), exclude_generated=True)
+    assert inventory.surfaces.counts == {"scripts": 1}
 
 
 def test_content_from_two_roots_merges():
@@ -153,14 +155,8 @@ def test_content_from_two_roots_merges():
     assert counts.asb == 1
 
 
-def test_rules_round_trip():
-    rules = ClassificationRules(exclude_generated=True)
-    again = ClassificationRules.from_mapping(to_json(rules))
-    assert again == rules
-
-
 def test_dot_directories_keep_their_dot():
-    rules = ClassificationRules(exclude_generated=True)
+    rules = ClassificationRules()
     for path in (".git/config", ".next/cache/x", "./.git/config", "/.git/config", "sub/.git/config"):
         assert rules.is_generated(path), path
     assert not rules.is_generated("git/config")

@@ -166,6 +166,38 @@ def test_analyze_rejects_a_misspelt_config_key_before_writing(corpus, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, data, path",
+    [
+        ("analyze", {"output_rules": {"exclusions": ["draft"]}}, "RunConfig.output_rules"),
+        ("analyze", {"classification": ["x"]}, "RunConfig.classification"),
+        ("analyze", {"window": ["2024-01-01"]}, "RunConfig.window"),
+        ("synth", {"start_date": 5}, "CorpusSpec.start_date"),
+    ],
+    ids=[
+        "ruleset-without-families",
+        "list-for-an-object",
+        "list-for-the-window",
+        "spec-date-as-a-number",
+    ],
+)
+def test_a_bad_config_is_reported_before_writing(corpus, tmp_path, capsys, command, data, path):
+    root, _ = corpus
+    out = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    if command == "analyze":
+        data = {"root": str(root), "out_dir": str(out), **data}
+        window = ["--window-start", "2024-01-02", "--window-end", "2024-01-03"]
+        argv = ["analyze", "--config", str(config_path), *window]
+    else:
+        argv = ["synth", "--spec", str(config_path), "--out", str(out)]
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(argv) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {path}")
+    assert not out.exists()
+
+
 def test_flag_overrides_config(corpus, tmp_path):
     root, ground_truth = corpus
     config_path = tmp_path / "run.json"

@@ -4,11 +4,17 @@ import hashlib
 import json
 import os
 import re
+from dataclasses import fields
 from datetime import date
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from parem.jsonfmt import to_json
+from parem.classify import ClassificationRules
+from parem.extraction import DEFAULT_GOVERNANCE_RULES, DEFAULT_HEADING_PATTERN, KeywordRuleSet
+from parem.ingest import FieldAliases, WorkspaceConventions
+from parem.jsonfmt import from_json, to_json
 from parem.metrics import ObservationWindow
 from parem.pipeline import (
     REPORT_TEXT,
@@ -85,29 +91,19 @@ def test_run_config_validation():
         ("gap_clip_minutes", -1),
         ("repeat_horizon_days", -1),
         ("repeat_horizon_days", 1.5),
+        ("primary_cap", True),
+        ("caps", (True, 30)),
     ],
 )
 def test_run_config_rejects_out_of_range_numbers(name, value):
     with pytest.raises(ValueError, match=name):
         RunConfig(root="x", **{name: value})
     with pytest.raises(ValueError, match=name):
-        RunConfig.from_mapping({"root": "x", name: value})
+        from_json(RunConfig, {"root": "x", name: to_json(value)})
 
 
 def test_a_zero_repeat_horizon_is_accepted():
     assert RunConfig(root="x", repeat_horizon_days=0).repeat_horizon_days == 0
-
-
-def test_run_config_mapping_round_trip(corpus):
-    root, ground_truth = corpus
-    config = RunConfig(
-        root=str(root),
-        window=ObservationWindow(ground_truth.window_start, ground_truth.window_end),
-        caps=(10, 30),
-        log1p=True,
-    )
-    again = RunConfig.from_mapping(to_json(config))
-    assert again == config
 
 
 def test_heading_pattern_must_compile_and_capture_the_date():
@@ -119,20 +115,21 @@ def test_heading_pattern_must_compile_and_capture_the_date():
 
 
 def test_config_file_with_a_bad_heading_pattern_or_string_family(tmp_path):
-    # the way the CLI reads a config: load_config_file, then from_mapping
+    # the way the CLI reads a config: load_config_file, then from_json
     path = tmp_path / "run.json"
     path.write_text(
         json.dumps({"root": "ws", "heading_pattern": r"^#+\s.*\d{4}-\d{2}-\d{2}"}),
         encoding="utf-8",
     )
     with pytest.raises(ValueError, match="no capture group"):
-        RunConfig.from_mapping(load_config_file(path))
+        from_json(RunConfig, load_config_file(path))
     (tmp_path / "output.json").write_text(
         json.dumps({"families": {"authorship": "wrote"}}), encoding="utf-8"
     )
     path.write_text(json.dumps({"root": "ws", "output_rules": "output.json"}), encoding="utf-8")
-    with pytest.raises(ValueError, match="keyword family 'authorship'"):
-        RunConfig.from_mapping(load_config_file(path))
+    bad_family = "RunConfig.output_rules.families['authorship']"
+    with pytest.raises(ValueError, match=re.escape(bad_family)):
+        from_json(RunConfig, load_config_file(path))
 
 
 @pytest.mark.parametrize(
@@ -152,7 +149,184 @@ def test_config_file_with_a_misspelt_key_is_rejected(tmp_path, data, unknown):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(unknown)):
-        RunConfig.from_mapping(load_config_file(path))
+        from_json(RunConfig, load_config_file(path))
+
+
+# Text from a fixed alphabet: a first draw from all of Unicode builds
+# Hypothesis's character table, too slow for its health check when this
+# module runs alone in a checkout with no .hypothesis/ directory.
+_TEXT = st.text(alphabet="ab/._- é☃", max_size=8)
+_KEYS = st.text(alphabet="abxyz_", min_size=1, max_size=6)
+_TEXTS = st.lists(_TEXT, max_size=3).map(tuple)
+_POSITIVE = st.integers(1, 10_000)
+_WINDOWS = st.lists(st.dates(), min_size=2, max_size=2).map(
+    lambda days: ObservationWindow(min(days), max(days))
+)
+_CLASSIFICATION = st.builds(
+    ClassificationRules,
+    rules=st.lists(st.tuples(_TEXT, _TEXT), max_size=3).map(tuple),
+    fallback=_TEXT,
+    generated_patterns=_TEXTS,
+    version=_TEXT,
+)
+_RULESETS = st.builds(
+    KeywordRuleSet,
+    families=st.dictionaries(
+        _KEYS, st.lists(st.text(alphabet="abc", min_size=1), min_size=1, max_size=3).map(tuple)
+    ),
+    family_classes=st.dictionaries(_KEYS, _TEXT, max_size=2),
+    exclusions=st.lists(_KEYS, max_size=2).map(tuple),
+    class_priority=_TEXTS,
+    case_sensitive=st.booleans(),
+    version=_TEXT,
+)
+_ALIASES = st.builds(
+    FieldAliases,
+    **{f.name: _TEXT if f.type == "str" else _TEXTS for f in fields(FieldAliases)},
+)
+_CONVENTIONS = st.builds(
+    WorkspaceConventions,
+    **{f.name: _TEXT if f.type == "str" else _TEXTS for f in fields(WorkspaceConventions)},
+)
+_SPECS = st.builds(
+    CorpusSpec,
+    start_date=st.dates(),
+    events_per_day=st.tuples(st.integers(), st.integers()),
+    completions_per_day=st.tuples(st.integers(), st.integers()),
+    planted_governance=st.dictionaries(_KEYS, st.integers(), max_size=3),
+    surface_tree=st.dictionaries(_TEXT, st.integers(), max_size=3),
+    caps=st.lists(st.integers(), max_size=4).map(tuple),
+    **{
+        f.name: st.integers() if f.type == "int" else st.floats(allow_nan=False)
+        for f in fields(CorpusSpec)
+        if f.type in ("int", "float")
+    },
+)
+_CONFIGS = st.builds(
+    RunConfig,
+    root=_TEXT,
+    out_dir=_TEXT,
+    window=st.none() | _WINDOWS,
+    caps=st.lists(_POSITIVE, min_size=1, max_size=4).map(tuple),
+    primary_cap=_POSITIVE,
+    sensitivity_cap=_POSITIVE,
+    gap_bin_minutes=_POSITIVE,
+    gap_clip_minutes=_POSITIVE,
+    scope=st.sampled_from(["main", "all-agent"]),
+    granularity=st.sampled_from(["section", "sentence"]),
+    repeat_horizon_days=st.integers(0, 60),
+    exclude_generated=st.booleans(),
+    log1p=st.booleans(),
+    dedup_ledger=st.booleans(),
+    heading_pattern=st.sampled_from([DEFAULT_HEADING_PATTERN, r"^## (\d{4}-\d{2}-\d{2})"]),
+    classification=_CLASSIFICATION,
+    output_rules=_RULESETS,
+    governance_rules=_RULESETS,
+    aliases=_ALIASES,
+    conventions=_CONVENTIONS,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(_CONFIGS, _WINDOWS, _CLASSIFICATION, _RULESETS, _ALIASES, _CONVENTIONS, _SPECS)
+)
+@example(
+    RunConfig(
+        root="ws",
+        window=ObservationWindow(date(2024, 1, 1), date(2024, 1, 20)),
+        caps=(10, 30),
+        log1p=True,
+    )
+)
+@example(DEFAULT_GOVERNANCE_RULES)
+@example(ClassificationRules())
+@example(CorpusSpec(seed=77, days=9, junk_rate=0.2))
+def test_from_json_reads_back_what_to_json_writes(record):
+    # through JSON text, as a config file holds it
+    assert from_json(type(record), json.loads(json.dumps(to_json(record)))) == record
+
+
+@pytest.mark.parametrize(
+    "kind, data, message",
+    [
+        (RunConfig, {"root": "ws", "aliases": {"role": "kind"}}, "RunConfig.aliases.role must be"),
+        (
+            RunConfig,
+            {"root": "ws", "conventions": {"memory_dirs": "notes"}},
+            "RunConfig.conventions.memory_dirs must be",
+        ),
+        (
+            RunConfig,
+            {"root": "ws", "classification": {"generated_patterns": "dist/"}},
+            "RunConfig.classification.generated_patterns must be",
+        ),
+        (RunConfig, {"root": "ws", "log1p": "false"}, "RunConfig.log1p must be"),
+        (
+            RunConfig,
+            {"root": "ws", "output_rules": {"families": {"x": ["w"]}, "case_sensitive": "false"}},
+            "RunConfig.output_rules.case_sensitive must be",
+        ),
+        (RunConfig, {"root": "ws", "primary_cap": True}, "RunConfig.primary_cap must be"),
+        (RunConfig, {"root": "ws", "caps": [30.7]}, "RunConfig.caps[0] must be"),
+        (RunConfig, {"root": "ws", "caps": [15, "30"]}, "RunConfig.caps[1] must be"),
+        (CorpusSpec, {"days": 3.9}, "CorpusSpec.days must be"),
+        (
+            RunConfig,
+            {"root": "ws", "window": {}},
+            "RunConfig.window: ObservationWindow.__init__() missing 2 required positional"
+            " arguments: 'start_date' and 'end_date'",
+        ),
+        (
+            RunConfig,
+            {"root": "ws", "governance_rules": {"exclusions": ["draft"]}},
+            "RunConfig.governance_rules: KeywordRuleSet.__init__() missing 1 required positional"
+            " argument: 'families'",
+        ),
+        (
+            RunConfig,
+            {"root": "ws", "classification": [["scripts/", "scripts"]]},
+            "RunConfig.classification must be an object",
+        ),
+        (
+            RunConfig,
+            {"root": "ws", "classification": {"exclude_generatd": True}},
+            "RunConfig.classification: unknown ClassificationRules key(s): exclude_generatd",
+        ),
+        (
+            RunConfig,
+            {"root": "ws", "output_rules": {"families": {"x": ["wrote"]}, "exclusion": ["draft"]}},
+            "RunConfig.output_rules: unknown KeywordRuleSet key(s): exclusion",
+        ),
+        (
+            RunConfig,
+            {"root": "ws", "window": {"start_date": "2024-01-01", "end_date": "2024-01-31", "to": 1}},
+            "RunConfig.window: unknown ObservationWindow key(s): to",
+        ),
+        (CorpusSpec, {"seed": 1, "seeds": 2}, "CorpusSpec: unknown CorpusSpec key(s): seeds"),
+    ],
+    ids=[
+        "string-for-aliases",
+        "string-for-conventions",
+        "string-for-generated-patterns",
+        "string-for-a-bool",
+        "string-for-a-ruleset-bool",
+        "bool-for-an-int",
+        "float-cap",
+        "string-cap",
+        "float-spec-days",
+        "empty-window",
+        "ruleset-without-families",
+        "list-for-an-object",
+        "misspelt-classification-key",
+        "misspelt-ruleset-key",
+        "misspelt-window-key",
+        "misspelt-spec-key",
+    ],
+)
+def test_from_json_rejects_a_wrong_value_by_its_path(kind, data, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        from_json(kind, data)
 
 
 def test_load_config_file_rejects_non_object(tmp_path):

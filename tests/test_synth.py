@@ -97,12 +97,6 @@ def test_invalid_specs_rejected():
         CorpusSpec(planted_governance={"mystery": 1}).validate()
 
 
-def test_spec_round_trip():
-    spec = CorpusSpec(seed=77, days=9, junk_rate=0.2)
-    again = CorpusSpec.from_mapping(to_json(spec))
-    assert again == spec
-
-
 def test_untimed_events_excluded_from_active_time_but_counted(tmp_path):
     spec = CorpusSpec(seed=11, days=6, untimed_rate=0.5, duplication_rate=0.0)
     ground_truth = generate_corpus(spec, tmp_path)
