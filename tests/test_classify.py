@@ -10,6 +10,7 @@ from parem.classify import (
     surface_counts,
 )
 from parem.ingest import scan_and_parse
+from parem.jsonfmt import from_json, to_json
 
 
 def test_manuscript_root():
@@ -153,6 +154,12 @@ def test_content_from_two_roots_merges():
     counts = surface_counts(["linkedin/a.md", "content/b.md"], rules)
     assert counts.counts == {"content": 2}
     assert counts.asb == 1
+
+
+def test_rules_round_trip():
+    rules = ClassificationRules(rules=((".github/", "ci"),), generated_patterns=("build/",))
+    again = from_json(ClassificationRules, to_json(rules))
+    assert again == rules
 
 
 def test_dot_directories_keep_their_dot():

@@ -27,7 +27,7 @@ from parem.extraction import (
     split_sentences,
 )
 from parem.ingest import WorkspaceInventory
-from parem.jsonfmt import from_json
+from parem.jsonfmt import from_json, to_json
 from parem.metrics import ObservationWindow, compute_pare_m, window_timestamps
 from parem.tokens import TokenTotals
 
@@ -314,6 +314,11 @@ def test_ruleset_validation():
         KeywordRuleSet(families={"empty": ()})
     with pytest.raises(ValueError):
         KeywordRuleSet(families={"a": ("x",)}, match_mode="substring")
+
+
+def test_ruleset_round_trip():
+    again = from_json(KeywordRuleSet, to_json(DEFAULT_GOVERNANCE_RULES))
+    assert again == DEFAULT_GOVERNANCE_RULES
 
 
 def test_case_insensitive_by_default():

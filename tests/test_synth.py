@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import hash_tree
-from parem.jsonfmt import to_json
+from parem.jsonfmt import from_json, to_json
 from parem.metrics import ObservationWindow
 from parem.pipeline import RunConfig, build_bundle
 from parem.synth import CorpusSpec, GroundTruth, SplitMix64, generate_corpus
@@ -95,6 +95,12 @@ def test_invalid_specs_rejected():
         CorpusSpec(events_per_day=(5, 2)).validate()
     with pytest.raises(ValueError):
         CorpusSpec(planted_governance={"mystery": 1}).validate()
+
+
+def test_spec_round_trip():
+    spec = CorpusSpec(seed=77, days=9, junk_rate=0.2)
+    again = from_json(CorpusSpec, json.loads(json.dumps(to_json(spec))))
+    assert again == spec
 
 
 def test_untimed_events_excluded_from_active_time_but_counted(tmp_path):
