@@ -37,7 +37,7 @@ from .metrics import (
     compute_pare_m,
     role_counts,
 )
-from .pipeline import Analysis, RunConfig, build_bundle, run_analysis
+from .pipeline import Analysis, RunConfig, run_analysis
 from .report import ReportBundle, export_csvs, render_report
 from .synth import CorpusSpec, GroundTruth, generate_corpus
 from .tokens import (

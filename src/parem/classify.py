@@ -68,12 +68,6 @@ class ClassificationRules:
         normalized.sort(key=lambda item: (-len(item[0]), item[0]))
         object.__setattr__(self, "rules", tuple(normalized))
 
-    def surfaces(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for _, surface in self.rules:
-            seen.setdefault(surface, None)
-        return tuple(seen)
-
     def is_generated(self, path: str) -> bool:
         path = _normalize(path)
         name = path.rsplit("/", 1)[-1]
@@ -98,10 +92,6 @@ class SurfaceCounts:
         return sum(
             1 for surface, n in self.counts.items() if n > 0 and surface != self.fallback
         )
-
-    @property
-    def total_files(self) -> int:
-        return sum(self.counts.values())
 
 
 def _normalize(path: str) -> str:

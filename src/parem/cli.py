@@ -18,7 +18,7 @@ from pathlib import Path
 from .ingest import WorkspaceError
 from .jsonfmt import dumps_indented, from_json, to_json
 from .pipeline import Analysis, RunConfig, load_config_file, run_analysis
-from .report import ReportError
+from .report import ReportError, governance_by_class, inventory_lines
 from .synth import CorpusSpec, generate_corpus
 
 CONFIG_ENV_VAR = "PAREM_CONFIG"
@@ -136,19 +136,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.json:
         _print_json(inventory)
         return 0
-    print(f"memory files: {inventory.memory_files}")
-    print(f"agent directories: {inventory.agent_dirs}")
-    print(f"skill files: {inventory.skill_files}")
-    print(
-        f"session files (main): {inventory.session_files_main} "
-        f"({inventory.recoverable_main} recoverable)"
-    )
-    print(
-        f"session files (all agents): {inventory.session_files_all} "
-        f"({inventory.recoverable_all} recoverable)"
-    )
-    for surface, count in sorted(inventory.surfaces.counts.items()):
-        print(f"surface {surface}: {count}")
+    for line in inventory_lines(inventory):
+        print(line)
     print(f"artifact-surface breadth: {inventory.surfaces.asb}")
     for warning in inventory.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -199,16 +188,12 @@ def cmd_tokens(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     sections, outputs, governance, warnings = Analysis(_config_from_args(args)).extraction
-    by_class: dict[str, int] = {}
-    for proxy in governance:
-        key = proxy.governance_class or "unclassified"
-        by_class[key] = by_class.get(key, 0) + 1
     _print_json(
         {
             "dated_sections": len(sections),
             "output_proxies": len(outputs),
             "governance_proxies": len(governance),
-            "governance_by_class": by_class,
+            "governance_by_class": governance_by_class(governance),
             "warnings": warnings,
         }
     )

@@ -44,10 +44,6 @@ class DedupStats:
     retained_count: int
     removed_by_tier: dict[KeyTier, int] = field(default_factory=dict)
 
-    @property
-    def removed_count(self) -> int:
-        return self.input_count - self.retained_count
-
 
 def _key_fields(event: Event) -> tuple:
     """The key tier followed by the fields its key is taken from.

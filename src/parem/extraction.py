@@ -112,7 +112,6 @@ class KeywordRuleSet:
     family_classes: Mapping[str, str] = field(default_factory=dict)
     exclusions: tuple[str, ...] = ()
     class_priority: tuple[str, ...] = GOVERNANCE_CLASSES
-    match_mode: str = "word_boundary"
     case_sensitive: bool = False
     version: str = "ruleset/1"
 
@@ -123,8 +122,6 @@ class KeywordRuleSet:
             for term in terms:
                 if not _normalize_term(term):
                     raise ValueError(f"keyword family {name!r} has a blank term: {term!r}")
-        if self.match_mode != "word_boundary":
-            raise ValueError(f"unsupported match mode: {self.match_mode!r}")
 
     @cached_property
     def matcher(self) -> "KeywordMatcher":

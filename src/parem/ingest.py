@@ -114,7 +114,6 @@ _new_usage = partial(tuple.__new__, TokenUsage)
 class FileParseStats:
     total_lines: int
     parsed_lines: int
-    truncated: bool = False
 
     @property
     def recoverable(self) -> bool:
@@ -443,29 +442,20 @@ def _replace_lone_surrogates(event: Event) -> Event:
 
 
 def parse_session_file(
-    path: str | Path,
+    data: bytes,
+    source_path: str,
     aliases: FieldAliases | None = None,
     agent_scope: AgentScope = "main",
-    source_path: str | None = None,
-    data: bytes | None = None,
 ) -> tuple[list[Event], FileParseStats]:
-    """Parse one JSONL-like file tolerantly, preserving file order.
+    """Parse one JSONL-like file's bytes tolerantly, preserving file order.
 
     Every non-empty line counts toward ``total_lines``. A line that is not a
     JSON object (including one too deeply nested to decode) or carries no
-    recognized field is skipped. ``data`` is the file's bytes when the caller
-    has read them already; they are split and decoded exactly as
-    ``open(path, "r", encoding="utf-8", errors="replace")`` would. A file
-    that cannot be read gives no events and stats flagged as truncated.
+    recognized field is skipped. The bytes are split into lines and decoded
+    exactly as ``open(path, "r", encoding="utf-8", errors="replace")`` reads
+    the file; each event's ``source_path`` is ``source_path``.
     """
-    if data is None:
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except OSError:
-            return [], FileParseStats(0, 0, truncated=True)
     compiled = (aliases or FieldAliases()).compiled
-    label = source_path if source_path is not None else str(path)
     lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="replace")
     events: list[Event] = []
     total = 0
@@ -483,7 +473,7 @@ def parse_session_file(
         if end != len(text) or not isinstance(payload, dict):
             continue
         try:
-            event = compiled.parse(payload, label, line_number, agent_scope)
+            event = compiled.parse(payload, source_path, line_number, agent_scope)
         except RecursionError:  # content nested too deeply to serialize
             continue
         if event is not None:
@@ -567,7 +557,7 @@ class ParseCache:
                 self._temporary.unlink(missing_ok=True)
 
     def parse(
-        self, path: Path, rel: str, data: bytes, agent_scope: AgentScope
+        self, rel: str, data: bytes, agent_scope: AgentScope
     ) -> tuple[list[Event], FileParseStats]:
         """The file's events and stats: from the cache when its bytes are
         unchanged, else from ``parse_session_file``."""
@@ -578,7 +568,7 @@ class ParseCache:
             if found is not None:
                 self._store(line.encode())
                 return found
-        events, stats = parse_session_file(path, self._aliases, agent_scope, rel, data=data)
+        events, stats = parse_session_file(data, rel, self._aliases, agent_scope)
         if self._sink is not None:
             columns = [
                 None if column and column[0] is None and column.count(None) == len(column)
@@ -766,14 +756,13 @@ def scan_and_parse(
     recoverable: dict[AgentScope, int] = {"main": 0, "other_agent": 0}
     with ParseCache(cache_path, aliases) as cache:
         for rel in sorted(scopes):
-            path = root_path / rel
             try:
-                with open(path, "rb") as handle:
+                with open(root_path / rel, "rb") as handle:
                     data = handle.read()
             except OSError:
                 warnings.append(f"unreadable or truncated session file: {rel}")
                 continue
-            parsed, stats = cache.parse(path, rel, data, scopes[rel])
+            parsed, stats = cache.parse(rel, data, scopes[rel])
             recoverable[scopes[rel]] += 1 if stats.recoverable else 0
             events.extend(parsed)
 

@@ -159,19 +159,18 @@ def compute_pare_m(
     window: ObservationWindow,
     token_totals: "TokenTotals",
     timestamps: Sequence[int],
-    primary_cap: int = DEFAULT_CAP_MINUTES,
-    sensitivity_cap: int = SENSITIVITY_CAP_MINUTES,
 ) -> MetricReport:
     """Assemble the full PARE-M report from de-duplicated analysis inputs.
 
     ``events`` must already be de-duplicated and scoped, and ``timestamps``
-    are ``window_timestamps(events, window)``. OPR and GER are flagged
+    are ``window_timestamps(events, window)``. ATE and its sensitivity use
+    the 30- and 60-minute caps their rule ids name. OPR and GER are flagged
     undefined (never infinite) when there are no active days.
     """
     day_count = len({ts // MS_PER_DAY for ts in timestamps})
 
-    primary = active_time(timestamps, primary_cap)
-    sensitivity = active_time(timestamps, sensitivity_cap)
+    primary = active_time(timestamps, DEFAULT_CAP_MINUTES)
+    sensitivity = active_time(timestamps, SENSITIVITY_CAP_MINUTES)
 
     output_count = sum(1 for p in proxies if p.kind == "output")
     governance_count = sum(1 for p in proxies if p.kind == "governance")

@@ -19,10 +19,8 @@ from pathlib import Path
 
 from . import __version__
 from .activetime import (
-    DEFAULT_CAP_MINUTES,
     DEFAULT_CAPS,
     DEFAULT_CLIP_MINUTES,
-    SENSITIVITY_CAP_MINUTES,
     ActiveTimeEstimate,
     GapHistogram,
     cap_sensitivity,
@@ -51,12 +49,15 @@ from .ingest import (
 )
 from .metrics import MetricReport, ObservationWindow, compute_pare_m, utc_date, window_timestamps
 from .report import (
+    DEDUP_LEDGER_HEADER,
     EVENTS_TOKENS_CSV,
     Provenance,
     ReportBundle,
     TokenEventRow,
+    csv_bytes,
     export_csvs,
     render_report,
+    write_file,
 )
 from .tokens import (
     AssociationStats,
@@ -83,8 +84,6 @@ class RunConfig:
     out_dir: str = "parem-out"
     window: ObservationWindow | None = None
     caps: tuple[int, ...] = DEFAULT_CAPS
-    primary_cap: int = DEFAULT_CAP_MINUTES
-    sensitivity_cap: int = SENSITIVITY_CAP_MINUTES
     gap_bin_minutes: int = DEFAULT_GAP_BIN_MINUTES
     gap_clip_minutes: int = DEFAULT_CLIP_MINUTES
     scope: str = "main"  # main | all-agent
@@ -112,7 +111,7 @@ class RunConfig:
         # type(...) is int: a bool is an int to isinstance, but not a minute count
         if any(type(cap) is not int or cap <= 0 for cap in self.caps):
             raise ValueError(f"caps must all be positive integers, got {list(self.caps)}")
-        for name in ("primary_cap", "sensitivity_cap", "gap_bin_minutes", "gap_clip_minutes"):
+        for name in ("gap_bin_minutes", "gap_clip_minutes"):
             value = getattr(self, name)
             if type(value) is not int or value <= 0:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
@@ -269,8 +268,6 @@ class Analysis:
             self.window[0],
             self.tokens[0],
             self.active_time[0],
-            primary_cap=self.config.primary_cap,
-            sensitivity_cap=self.config.sensitivity_cap,
         )
 
     @cached_property
@@ -295,8 +292,6 @@ class Analysis:
             scope=config.scope,
             flags={
                 "caps": list(config.caps),
-                "primary_cap": config.primary_cap,
-                "sensitivity_cap": config.sensitivity_cap,
                 "granularity": config.granularity,
                 "repeat_horizon_days": config.repeat_horizon_days,
                 "exclude_generated": config.exclude_generated,
@@ -323,11 +318,6 @@ class Analysis:
         )
 
 
-def build_bundle(config: RunConfig) -> ReportBundle:
-    """Run the full pipeline in memory and return the completed bundle."""
-    return Analysis(config).bundle
-
-
 def write_outputs(
     bundle: ReportBundle,
     config: RunConfig,
@@ -338,27 +328,20 @@ def write_outputs(
     on failure."""
     out_path = Path(config.out_dir)
     written: list[Path] = []
-    try:
-        text_path = out_path / REPORT_TEXT
-        text_path.parent.mkdir(parents=True, exist_ok=True)
-        text_path.write_text(render_report(bundle, "text"), encoding="utf-8")
-        written.append(text_path)
 
+    def write(name: str, data: bytes) -> None:
+        path = out_path / name
+        write_file(path, data)
+        written.append(path)
+
+    try:
+        write(REPORT_TEXT, render_report(bundle, "text").encode("utf-8"))
         csvs = export_csvs(bundle, out_path)
         written.extend(csvs)
-
-        json_path = out_path / REPORT_JSON
         events_sha256 = csvs[out_path / EVENTS_TOKENS_CSV]
-        json_path.write_text(render_report(bundle, "structured", events_sha256), encoding="utf-8")
-        written.append(json_path)
-
+        write(REPORT_JSON, render_report(bundle, "structured", events_sha256).encode("utf-8"))
         if config.dedup_ledger and deduped_events is not None:
-            ledger_path = out_path / DEDUP_LEDGER_CSV
-            lines = ["tier,key,source,line"]
-            for tier, key, source, line in ledger_rows(deduped_events):
-                lines.append(f"{tier},{key},{source},{line}")
-            ledger_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            written.append(ledger_path)
+            write(DEDUP_LEDGER_CSV, csv_bytes(DEDUP_LEDGER_HEADER, ledger_rows(deduped_events)))
     except Exception:
         for path in written:
             try:

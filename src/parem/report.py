@@ -3,7 +3,8 @@
 Every number in a rendered report is copied from a bundle field; nothing is
 computed at render time, and identical bundles render to identical bytes.
 CSV exports carry full precision; the text report uses the reporting
-precisions (3 d.p. proportions, 2 d.p. rates, 0.1 h hours).
+precisions (3 d.p. proportions, 2 d.p. rates, 0.1 h hours). Every CSV is
+encoded by ``csv_bytes`` and every output file written by ``write_file``.
 """
 
 from __future__ import annotations
@@ -11,9 +12,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from itertools import chain
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .activetime import ActiveTimeEstimate, GapHistogram
 from .dedup import DedupStats
@@ -68,6 +72,12 @@ METRICS_HEADER = [
 ]
 PROXY_LEDGER_HEADER = ["date", "kind", "class", "terms", "source"]
 SURFACE_COUNTS_HEADER = ["surface", "files"]
+DEDUP_LEDGER_HEADER = ["tier", "key", "source", "line"]
+
+# the CSV columns a record holds, in the order of its table's header
+_daily_row = attrgetter(*(f.name for f in fields(DailyTokens)))
+_sensitivity_row = attrgetter("cap_minutes", "hours", "cluster_count")
+_window_dates = attrgetter("start_date", "end_date")
 
 
 class ReportError(Exception):
@@ -149,6 +159,27 @@ _METRIC_KIND = {
 }
 
 
+def inventory_lines(inventory: WorkspaceInventory) -> list[str]:
+    """The inventory's file counts, one line each, as the report and ``scan`` print them."""
+    lines = [
+        f"memory files: {inventory.memory_files}",
+        f"agent directories: {inventory.agent_dirs}",
+        f"skill files: {inventory.skill_files}",
+        f"session files (main): {inventory.session_files_main} "
+        f"({inventory.recoverable_main} recoverable)",
+        f"session files (all agents): {inventory.session_files_all} "
+        f"({inventory.recoverable_all} recoverable)",
+    ]
+    for surface, count in sorted(inventory.surfaces.counts.items()):
+        lines.append(f"surface {surface}: {count}")
+    return lines
+
+
+def governance_by_class(proxies: Iterable[ProxyEvent]) -> dict[str, int]:
+    """Governance proxies per class, an unclassified one under ``unclassified``."""
+    return dict(Counter(proxy.governance_class or "unclassified" for proxy in proxies))
+
+
 def render_report(
     bundle: ReportBundle, format: str = "text", events_sha256: str | None = None
 ) -> str:
@@ -176,7 +207,6 @@ def render_report(
     lines: list[str] = []
     provenance = bundle.provenance
     metrics = bundle.metrics
-    inventory = bundle.inventory
     lines.append("workspace measurement report (pare-m v0.1)")
     lines.append("=" * 44)
     lines.append(f"tool version: {provenance.tool_version}")
@@ -223,19 +253,7 @@ def render_report(
 
     lines.append("inventory")
     lines.append("-" * 44)
-    lines.append(f"memory files: {inventory.memory_files}")
-    lines.append(f"agent directories: {inventory.agent_dirs}")
-    lines.append(f"skill files: {inventory.skill_files}")
-    lines.append(
-        f"session files (main): {inventory.session_files_main} "
-        f"({inventory.recoverable_main} recoverable)"
-    )
-    lines.append(
-        f"session files (all agents): {inventory.session_files_all} "
-        f"({inventory.recoverable_all} recoverable)"
-    )
-    for surface, count in sorted(inventory.surfaces.counts.items()):
-        lines.append(f"surface {surface}: {count}")
+    lines.extend(inventory_lines(bundle.inventory))
     lines.append("")
 
     lines.append("outputs and governance")
@@ -243,11 +261,7 @@ def render_report(
     lines.append(f"dated memory sections: {bundle.dated_section_count}")
     lines.append(f"output proxies: {len(bundle.output_proxies)}")
     lines.append(f"governance proxies: {len(bundle.governance_proxies)}")
-    by_class: dict[str, int] = {}
-    for proxy in bundle.governance_proxies:
-        key = proxy.governance_class or "unclassified"
-        by_class[key] = by_class.get(key, 0) + 1
-    for name, count in sorted(by_class.items()):
+    for name, count in sorted(governance_by_class(bundle.governance_proxies).items()):
         lines.append(f"governance class {name}: {count}")
     lines.append("")
 
@@ -295,13 +309,21 @@ def render_report(
     return "\n".join(lines) + "\n"
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """Write the CSV file and return the SHA-256 of the bytes written."""
+def csv_bytes(header: Sequence[str], rows: Iterable[Iterable[object]]) -> bytes:
+    """The UTF-8 bytes of one CSV table, quoted as RFC 4180 says, with ``\n`` line ends.
+
+    ``csv.writer`` writes ``None`` as an empty field, a float by its
+    ``repr`` (full precision) and a ``date`` as ISO text.
+    """
     text = io.StringIO(newline="")
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    data = text.getvalue().encode("utf-8")
+    return text.getvalue().encode("utf-8")
+
+
+def write_file(path: Path, data: bytes) -> str:
+    """Write ``data`` to ``path``, making its directory, and return its SHA-256."""
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(data)
     return hashlib.sha256(data).hexdigest()
@@ -311,94 +333,30 @@ def export_csvs(bundle: ReportBundle, out_dir: str | Path) -> dict[Path, str]:
     """Write the fixed-schema CSV exports and return each written path with
     the SHA-256 of its bytes; on failure, remove partial files."""
     out_path = Path(out_dir)
+    metrics = bundle.metrics
+    # the rows are generators, each run only while its own file is written
+    metric_rows = (
+        (v.metric, v.numerator, v.denominator, *_window_dates(v.window), v.rule_id, v.value)
+        for v in [*(metrics.values[name] for name in METRIC_NAMES), metrics.ate_sensitivity]
+    )
+    proxy_rows = (
+        (p.date, p.kind, p.governance_class, "|".join(p.matched_terms), "#".join(p.section_ref))
+        for p in chain(bundle.output_proxies, bundle.governance_proxies)
+    )
+    surface_counts = bundle.inventory.surfaces.counts
+    tables = (
+        (DAILY_TOKENS_CSV, DAILY_TOKENS_HEADER, map(_daily_row, bundle.daily_tokens)),
+        (EVENTS_TOKENS_CSV, EVENTS_TOKENS_HEADER, bundle.token_events),
+        (SENSITIVITY_CSV, SENSITIVITY_HEADER, map(_sensitivity_row, bundle.ate_sensitivity)),
+        (METRICS_CSV, METRICS_HEADER, metric_rows),
+        (PROXY_LEDGER_CSV, PROXY_LEDGER_HEADER, proxy_rows),
+        (SURFACE_COUNTS_CSV, SURFACE_COUNTS_HEADER, sorted(surface_counts.items())),
+    )
     written: dict[Path, str] = {}
     try:
-        daily_path = out_path / DAILY_TOKENS_CSV
-        written[daily_path] = _write_csv(
-            daily_path,
-            DAILY_TOKENS_HEADER,
-            [
-                [
-                    row.date.isoformat(),
-                    row.input,
-                    row.output,
-                    row.cache_read,
-                    row.cache_write,
-                    row.completions,
-                ]
-                for row in bundle.daily_tokens
-            ],
-        )
-
-        events_path = out_path / EVENTS_TOKENS_CSV
-        written[events_path] = _write_csv(
-            events_path,
-            EVENTS_TOKENS_HEADER,
-            [
-                [
-                    row.timestamp_ms if row.timestamp_ms is not None else "",
-                    row.provider_route,
-                    row.model,
-                    row.input,
-                    row.output,
-                    row.cache_read,
-                    row.cache_write,
-                ]
-                for row in bundle.token_events
-            ],
-        )
-
-        sensitivity_path = out_path / SENSITIVITY_CSV
-        written[sensitivity_path] = _write_csv(
-            sensitivity_path,
-            SENSITIVITY_HEADER,
-            [
-                [estimate.cap_minutes, repr(estimate.hours), estimate.cluster_count]
-                for estimate in bundle.ate_sensitivity
-            ],
-        )
-
-        metrics_path = out_path / METRICS_CSV
-        metric_rows = []
-        ordered = [bundle.metrics.values[name] for name in METRIC_NAMES]
-        ordered.append(bundle.metrics.ate_sensitivity)
-        for value in ordered:
-            metric_rows.append(
-                [
-                    value.metric,
-                    repr(value.numerator),
-                    repr(value.denominator),
-                    value.window.start_date.isoformat(),
-                    value.window.end_date.isoformat(),
-                    value.rule_id,
-                    repr(value.value) if value.value is not None else "",
-                ]
-            )
-        written[metrics_path] = _write_csv(metrics_path, METRICS_HEADER, metric_rows)
-
-        ledger_path = out_path / PROXY_LEDGER_CSV
-        ledger_rows = []
-        for proxy in list(bundle.output_proxies) + list(bundle.governance_proxies):
-            ledger_rows.append(
-                [
-                    proxy.date.isoformat(),
-                    proxy.kind,
-                    proxy.governance_class or "",
-                    "|".join(proxy.matched_terms),
-                    f"{proxy.section_ref[0]}#{proxy.section_ref[1]}",
-                ]
-            )
-        written[ledger_path] = _write_csv(ledger_path, PROXY_LEDGER_HEADER, ledger_rows)
-
-        surfaces_path = out_path / SURFACE_COUNTS_CSV
-        written[surfaces_path] = _write_csv(
-            surfaces_path,
-            SURFACE_COUNTS_HEADER,
-            [
-                [surface, count]
-                for surface, count in sorted(bundle.inventory.surfaces.counts.items())
-            ],
-        )
+        for name, header, rows in tables:
+            path = out_path / name
+            written[path] = write_file(path, csv_bytes(header, rows))
     except OSError as exc:
         for path in written:
             try:

@@ -123,9 +123,6 @@ class SplitMix64:
             raise ValueError(f"empty range [{low}, {high}]")
         return low + self.next_u64() % (high - low + 1)
 
-    def choice(self, items):
-        return items[self.randint(0, len(items) - 1)]
-
 
 @dataclass(frozen=True)
 class CorpusSpec:

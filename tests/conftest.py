@@ -3,9 +3,24 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+import pytest
+from hypothesis import strategies as st
+
 from parem.ingest import Event, TokenUsage
 from parem.metrics import ObservationWindow
 from parem.pipeline import Analysis, RunConfig
+
+
+@pytest.fixture(scope="session", autouse=True)
+def unicode_table():
+    """Build Hypothesis's Unicode character table before the first test.
+
+    The first text strategy a process validates builds it, which takes
+    seconds when no .hypothesis/ directory holds it yet; built here, that
+    one-off cost stays out of the too_slow health check of whichever test
+    draws text first.
+    """
+    st.text().validate()
 
 
 def make_event(

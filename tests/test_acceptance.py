@@ -32,7 +32,7 @@ from parem.metrics import (
     round_proportion,
     round_rate,
 )
-from parem.pipeline import RunConfig, build_bundle, run_analysis
+from parem.pipeline import Analysis, RunConfig, run_analysis
 from parem.synth import CorpusSpec, generate_corpus
 from parem.tokens import (
     TokenTotals,
@@ -236,7 +236,7 @@ def test_acceptance_5_dedup_properties():
 
         again, again_stats = deduplicate(retained)
         assert again == retained
-        assert again_stats.removed_count == 0
+        assert sum(again_stats.removed_by_tier.values()) == 0
 
         shuffled = list(events)
         rnd.shuffle(shuffled)
@@ -248,7 +248,7 @@ def test_acceptance_5_dedup_properties():
                 assert key.tier == "explicit_id"
 
         assert stats.input_count == len(events)
-        assert stats.retained_count + stats.removed_count == len(events)
+        assert stats.retained_count + sum(stats.removed_by_tier.values()) == len(events)
 
     print("ACCEPTANCE 5 PASS: dedup idempotent, order-invariant, tier-ordered on 500 sets")
 
@@ -271,7 +271,7 @@ def test_acceptance_6_synthetic_round_trip(tmp_path):
                 ground_truth.window_start, ground_truth.window_end
             ),
         )
-        bundle = build_bundle(config)
+        bundle = Analysis(config).bundle
 
         assert bundle.dedup_stats.retained_count == ground_truth.drc
         assert bundle.metrics.values["DRC"].value == ground_truth.drc

@@ -50,7 +50,7 @@ def test_default_panel_app_rule():
 
 def test_empty_paths_zero_asb():
     counts = surface_counts([], ClassificationRules())
-    assert counts.total_files == 0
+    assert counts.counts == {}
     assert counts.asb == 0
 
 
@@ -77,7 +77,6 @@ def test_known_per_surface_counts():
     paths = ["manuscripts/a.md", "manuscripts/b.md", "scripts/x.py", "other/y.txt"]
     counts = surface_counts(paths, rules)
     assert counts.counts == {"manuscripts": 2, "scripts": 1, "unclassified": 1}
-    assert counts.total_files == 4
     assert counts.asb == 2
 
 
@@ -125,8 +124,8 @@ def test_classification_is_total(path):
 def test_asb_bounded_by_configured_surfaces(paths):
     rules = ClassificationRules()
     counts = surface_counts(paths, rules)
-    assert counts.asb <= len(set(rules.surfaces()))
-    assert counts.total_files == len(paths)
+    assert counts.asb <= len({surface for _, surface in rules.rules})
+    assert sum(counts.counts.values()) == len(paths)
 
 
 def test_generated_exclusion_off_by_default():

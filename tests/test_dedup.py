@@ -148,7 +148,7 @@ def test_deduplicate_distinct_events():
     events = [make_event(content_prefix=f"n{i}", line=i + 1) for i in range(5)]
     retained, stats = deduplicate(events)
     assert len(retained) == 5
-    assert stats.removed_count == 0
+    assert sum(stats.removed_by_tier.values()) == 0
 
 
 def test_deduplicate_self_concatenation():
@@ -159,7 +159,7 @@ def test_deduplicate_self_concatenation():
     ]
     retained, stats = deduplicate(doubled)
     assert retained == events  # canonical-first representative
-    assert stats.removed_count == 5
+    assert sum(stats.removed_by_tier.values()) == 5
     assert stats.removed_by_tier["content_hash"] == 5
 
 
@@ -225,7 +225,7 @@ def test_idempotence(events):
     once, _ = deduplicate(events)
     twice, stats = deduplicate(once)
     assert twice == once
-    assert stats.removed_count == 0
+    assert sum(stats.removed_by_tier.values()) == 0
 
 
 @given(event_lists, st.randoms())

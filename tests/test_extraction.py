@@ -313,7 +313,7 @@ def test_ruleset_validation():
     with pytest.raises(ValueError):
         KeywordRuleSet(families={"empty": ()})
     with pytest.raises(ValueError):
-        KeywordRuleSet(families={"a": ("x",)}, match_mode="substring")
+        KeywordRuleSet(families={"a": ("x", "  ")})
 
 
 def test_ruleset_round_trip():

@@ -101,6 +101,10 @@ def test_content_prefix_normalization():
     assert normalize_content_prefix([{"k": "v"}]) == '[{"k":"v"}]'
 
 
+def parse_file(path: Path):
+    return parse_session_file(path.read_bytes(), str(path))
+
+
 def write_lines(path: Path, lines):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -117,7 +121,7 @@ class TestParseSessionFile:
                 json.dumps({"type": "tool_call", "tool_name": "shell"}),
             ],
         )
-        events, stats = parse_session_file(path)
+        events, stats = parse_file(path)
         assert len(events) == 3
         assert stats.recoverable
         assert stats.total_lines == 3
@@ -127,7 +131,7 @@ class TestParseSessionFile:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")
-        events, stats = parse_session_file(path)
+        events, stats = parse_file(path)
         assert events == []
         assert not stats.recoverable
 
@@ -169,7 +173,7 @@ class TestParseSessionFile:
                 ),
             ],
         )
-        events, stats = parse_session_file(path)
+        events, stats = parse_file(path)
         assert len(events) == 2
         assert stats.total_lines == 4
         assert stats.parsed_lines == 2
@@ -191,7 +195,7 @@ class TestParseSessionFile:
                 json.dumps({"role": "user", "content": "c"}),
             ],
         )
-        events, stats = parse_session_file(path)
+        events, stats = parse_file(path)
         assert stats.total_lines == 5
         assert stats.parsed_lines == 3
         assert len(events) == 3
@@ -199,15 +203,10 @@ class TestParseSessionFile:
     def test_json_without_recognized_fields_is_skipped(self, tmp_path):
         path = tmp_path / "u.jsonl"
         write_lines(path, [json.dumps({"zzz": 1}), json.dumps([1, 2, 3]), '"plain"'])
-        events, stats = parse_session_file(path)
+        events, stats = parse_file(path)
         assert events == []
         assert stats.total_lines == 3
         assert not stats.recoverable
-
-    def test_unreadable_path_reports_truncated(self, tmp_path):
-        events, stats = parse_session_file(tmp_path)  # a directory, not a file
-        assert events == []
-        assert stats.truncated
 
     def test_order_deterministic(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -215,8 +214,8 @@ class TestParseSessionFile:
             path,
             [json.dumps({"role": "user", "content": f"m{i}"}) for i in range(20)],
         )
-        first, _ = parse_session_file(path)
-        second, _ = parse_session_file(path)
+        first, _ = parse_file(path)
+        second, _ = parse_file(path)
         assert first == second
         assert [e.line_number for e in first] == list(range(1, 21))
 
@@ -243,7 +242,7 @@ class TestParseSessionFile:
                 )
             ],
         )
-        events, _ = parse_session_file(path)
+        events, _ = parse_file(path)
         assert len(events) == 1
         event = events[0]
         assert event.role == "assistant"
@@ -255,14 +254,14 @@ class TestParseSessionFile:
     def test_model_completed_without_usage_gets_zero_tokens(self, tmp_path):
         path = tmp_path / "m.jsonl"
         write_lines(path, [json.dumps({"type": "model.completed"})])
-        events, _ = parse_session_file(path)
+        events, _ = parse_file(path)
         assert events[0].tokens is not None
         assert events[0].tokens.total() == 0
 
     def test_unparseable_timestamp_keeps_event(self, tmp_path):
         path = tmp_path / "b.jsonl"
         write_lines(path, [json.dumps({"role": "user", "timestamp": "someday"})])
-        events, _ = parse_session_file(path)
+        events, _ = parse_file(path)
         assert len(events) == 1
         assert events[0].timestamp_ms is None
 
@@ -273,17 +272,16 @@ class TestParseSessionFile:
             + json.dumps({"role": "user", "content": "survived"}).encode()
             + b"\n\x80\x81\x82\n"
         )
-        events, stats = parse_session_file(path)
+        events, stats = parse_file(path)
         assert len(events) == 1
         assert events[0].content_prefix == "survived"
         assert stats.total_lines == 3
         assert stats.recoverable
-        assert not stats.truncated
 
     def test_role_and_type_both_present(self, tmp_path):
         path = tmp_path / "rt.jsonl"
         write_lines(path, [json.dumps({"type": "message", "role": "user", "content": "x"})])
-        events, _ = parse_session_file(path)
+        events, _ = parse_file(path)
         assert events[0].role == "user"
         assert events[0].event_type == "message"
 
@@ -310,7 +308,7 @@ class TestParseSessionFile:
 def test_recoverable_iff_one_line_parsed(tmp_path_factory, lines):
     path = tmp_path_factory.mktemp("mix") / "f.jsonl"
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    events, stats = parse_session_file(path)
+    events, stats = parse_file(path)
     valid = sum(1 for line in lines if '"role"' in line)
     assert stats.parsed_lines == valid
     assert len(events) == stats.parsed_lines
@@ -323,7 +321,7 @@ def test_raw_record_per_nonempty_line(tmp_path):
     path.write_text(
         '{"role": "user"}\n\n   \nplain text\n{"role": "assistant"}\n', encoding="utf-8"
     )
-    events, stats = parse_session_file(path)
+    events, stats = parse_file(path)
     assert [e.line_number for e in events] == [1, 5]
     assert stats.total_lines == 3
     assert stats.parsed_lines == 2
@@ -836,7 +834,7 @@ def test_pathological_numbers_and_nesting_are_tolerated(tmp_path):
             '{"id": ' + "9" * 5000 + "}",
         ],
     )
-    events, stats = parse_session_file(path)
+    events, stats = parse_file(path)
     assert stats.total_lines == 6
     assert stats.parsed_lines == 4
     assert [e.timestamp_ms for e in events] == [None, None, None, None]
@@ -869,7 +867,7 @@ def test_lone_surrogates_become_replacement_characters(tmp_path):
             '{"role": "user", "content": "pair \\ud83d\\ude00 kept"}',
         ],
     )
-    events, _ = parse_session_file(path)
+    events, _ = parse_file(path)
     assert events[0].content_prefix == "a\ufffdb"
     assert events[0].model == "m\ufffd"
     assert events[1].content_prefix == "pair \U0001F600 kept"
@@ -947,11 +945,10 @@ def test_line_fuzz_never_raises(tmp_path_factory, lines):
     data = b"\n".join(lines)
     path = tmp_path_factory.mktemp("fuzz") / "f.jsonl"
     path.write_bytes(data)
-    events, stats = parse_session_file(path)
+    events, stats = parse_file(path)
     numbered = list(enumerate(text_lines(data), start=1))
     assert stats.total_lines == sum(1 for _, line in numbered if line.strip())
     assert len(events) == stats.parsed_lines <= stats.total_lines
-    assert not stats.truncated
     # a line is an event exactly when json.loads reads it as a dict with a
     # recognized field; near the recursion limit the parser, a few frames
     # deeper than this test, may refuse a line json.loads accepted here

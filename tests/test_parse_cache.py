@@ -19,7 +19,7 @@ from parem import ingest
 from parem.cli import main
 from parem.ingest import FieldAliases, WorkspaceConventions, parse_session_file, scan_and_parse
 from parem.jsonfmt import to_json
-from parem.pipeline import PARSE_CACHE, RunConfig, build_bundle, run_analysis
+from parem.pipeline import PARSE_CACHE, Analysis, RunConfig, run_analysis
 from parem.synth import CorpusSpec, generate_corpus
 
 
@@ -39,9 +39,9 @@ def parses(monkeypatch):
     calls: list[str] = []
     original = ingest.parse_session_file
 
-    def counting(path, *args, **kwargs):
-        calls.append(kwargs.get("source_path", args[2] if len(args) > 2 else path))
-        return original(path, *args, **kwargs)
+    def counting(data, source_path, *args, **kwargs):
+        calls.append(source_path)
+        return original(data, source_path, *args, **kwargs)
 
     monkeypatch.setattr(ingest, "parse_session_file", counting)
     return calls
@@ -98,7 +98,7 @@ def test_two_cold_runs_write_identical_caches(corpora, tmp_path):
 
 
 def test_in_memory_build_and_stage_commands_write_no_cache(corpora, tmp_path, monkeypatch):
-    build_bundle(RunConfig(root=str(corpora[7]), out_dir=str(tmp_path / "out")))
+    Analysis(RunConfig(root=str(corpora[7]), out_dir=str(tmp_path / "out"))).bundle
     assert not (tmp_path / "out").exists()
     monkeypatch.chdir(tmp_path)
     for command in ("scan", "dedup", "activetime", "tokens", "extract"):
@@ -290,7 +290,7 @@ def test_events_come_back_in_path_then_line_order(files):
         expected = []
         for path in sorted(files):
             scope = "other_agent" if path.startswith("subagents/") else "main"
-            expected.extend(parse_session_file(root / path, None, scope, path)[0])
+            expected.extend(parse_session_file(files[path], path, None, scope)[0])
     assert events == sorted(events, key=lambda e: (e.source_path, e.line_number))
     assert events == expected
 
@@ -312,8 +312,7 @@ def test_bytes_split_into_lines_as_open_does(parts, separators, invalid):
         path.write_bytes(data)
         with open(path, "r", encoding="utf-8", errors="replace") as handle:
             reference = {n: line.strip() for n, line in enumerate(handle, 1) if line.strip()}
-        events, stats = parse_session_file(path, data=data)
-        assert (events, stats) == parse_session_file(path)
+    events, stats = parse_session_file(data, "s.jsonl")
     assert stats.total_lines == len(reference)
     for event in events:
         assert isinstance(json.loads(reference[event.line_number]), dict)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -17,10 +18,10 @@ from parem.ingest import FieldAliases, WorkspaceConventions
 from parem.jsonfmt import from_json, to_json
 from parem.metrics import ObservationWindow
 from parem.pipeline import (
+    DEDUP_LEDGER_CSV,
     REPORT_TEXT,
     Analysis,
     RunConfig,
-    build_bundle,
     load_config_file,
     run_analysis,
 )
@@ -37,7 +38,7 @@ def corpus(tmp_path_factory):
 
 def test_window_defaults_to_event_span_with_warning(corpus):
     root, ground_truth = corpus
-    bundle = build_bundle(RunConfig(root=str(root)))
+    bundle = Analysis(RunConfig(root=str(root))).bundle
     window = bundle.metrics.window
     assert window.start_date >= ground_truth.window_start
     assert window.end_date <= ground_truth.window_end
@@ -50,13 +51,13 @@ def test_explicit_window_produces_no_default_warning(corpus):
         root=str(root),
         window=ObservationWindow(ground_truth.window_start, ground_truth.window_end),
     )
-    bundle = build_bundle(config)
+    bundle = Analysis(config).bundle
     assert not any("window defaulted" in w for w in bundle.warnings)
 
 
 def test_empty_workspace_degenerate_window(tmp_path):
     (tmp_path / "ws").mkdir()
-    bundle = build_bundle(RunConfig(root=str(tmp_path / "ws")))
+    bundle = Analysis(RunConfig(root=str(tmp_path / "ws"))).bundle
     assert bundle.metrics.window.start_date == date(1970, 1, 1)
     assert any("degenerate epoch window" in w for w in bundle.warnings)
 
@@ -64,8 +65,8 @@ def test_empty_workspace_degenerate_window(tmp_path):
 def test_scope_filters_agent_events(corpus):
     root, ground_truth = corpus
     window = ObservationWindow(ground_truth.window_start, ground_truth.window_end)
-    main_bundle = build_bundle(RunConfig(root=str(root), window=window))
-    all_bundle = build_bundle(RunConfig(root=str(root), window=window, scope="all-agent"))
+    main_bundle = Analysis(RunConfig(root=str(root), window=window)).bundle
+    all_bundle = Analysis(RunConfig(root=str(root), window=window, scope="all-agent")).bundle
     assert main_bundle.dedup_stats.retained_count == ground_truth.drc
     assert all_bundle.dedup_stats.retained_count > ground_truth.drc
 
@@ -84,14 +85,14 @@ def test_run_config_validation():
     [
         ("caps", (0, 30)),
         ("caps", (30, -15)),
-        ("primary_cap", 0),
-        ("primary_cap", "30"),
-        ("sensitivity_cap", -60),
+        ("gap_bin_minutes", -15),
+        ("gap_clip_minutes", "30"),
+        ("gap_clip_minutes", 0),
         ("gap_bin_minutes", 0),
         ("gap_clip_minutes", -1),
         ("repeat_horizon_days", -1),
         ("repeat_horizon_days", 1.5),
-        ("primary_cap", True),
+        ("gap_bin_minutes", True),
         ("caps", (True, 30)),
     ],
 )
@@ -104,6 +105,14 @@ def test_run_config_rejects_out_of_range_numbers(name, value):
 
 def test_a_zero_repeat_horizon_is_accepted():
     assert RunConfig(root="x", repeat_horizon_days=0).repeat_horizon_days == 0
+
+
+@pytest.mark.parametrize("name", ["primary_cap", "sensitivity_cap"])
+def test_ate_caps_are_not_settings(name):
+    # ATE and its sensitivity are fixed at the caps their rule ids name;
+    # `caps` gives the estimate at any other cap
+    with pytest.raises(ValueError, match=f"unknown RunConfig key\\(s\\): {name}$"):
+        from_json(RunConfig, {"root": "x", name: 45})
 
 
 def test_run_config_mapping_round_trip(corpus):
@@ -220,8 +229,6 @@ _CONFIGS = st.builds(
     out_dir=_TEXT,
     window=st.none() | _WINDOWS,
     caps=st.lists(_POSITIVE, min_size=1, max_size=4).map(tuple),
-    primary_cap=_POSITIVE,
-    sensitivity_cap=_POSITIVE,
     gap_bin_minutes=_POSITIVE,
     gap_clip_minutes=_POSITIVE,
     scope=st.sampled_from(["main", "all-agent"]),
@@ -268,7 +275,7 @@ def test_from_json_reads_back_what_to_json_writes(record):
             {"root": "ws", "output_rules": {"families": {"x": ["w"]}, "case_sensitive": "false"}},
             "RunConfig.output_rules.case_sensitive must be",
         ),
-        (RunConfig, {"root": "ws", "primary_cap": True}, "RunConfig.primary_cap must be"),
+        (RunConfig, {"root": "ws", "gap_bin_minutes": True}, "RunConfig.gap_bin_minutes must be"),
         (RunConfig, {"root": "ws", "caps": [30.7]}, "RunConfig.caps[0] must be"),
         (RunConfig, {"root": "ws", "caps": [15, "30"]}, "RunConfig.caps[1] must be"),
         (CorpusSpec, {"days": 3.9}, "CorpusSpec.days must be"),
@@ -342,8 +349,8 @@ def test_exclude_generated_flag_reaches_classifier(tmp_path):
     (workspace / "scripts" / "node_modules").mkdir(parents=True)
     (workspace / "scripts" / "real.py").write_text("pass\n", encoding="utf-8")
     (workspace / "scripts" / "node_modules" / "dep.js").write_text("x\n", encoding="utf-8")
-    raw = build_bundle(RunConfig(root=str(workspace)))
-    filtered = build_bundle(RunConfig(root=str(workspace), exclude_generated=True))
+    raw = Analysis(RunConfig(root=str(workspace))).bundle
+    filtered = Analysis(RunConfig(root=str(workspace), exclude_generated=True)).bundle
     assert raw.inventory.surfaces.counts["scripts"] == 2
     assert filtered.inventory.surfaces.counts["scripts"] == 1
 
@@ -359,7 +366,7 @@ def test_sections_outside_window_ignored(tmp_path):
         root=str(workspace),
         window=ObservationWindow(date(2026, 2, 1), date(2026, 2, 28)),
     )
-    bundle = build_bundle(config)
+    bundle = Analysis(config).bundle
     assert bundle.dated_section_count == 1
     assert len(bundle.output_proxies) == 1
 
@@ -386,6 +393,23 @@ def test_report_json_is_valid_json(corpus, tmp_path):
         "sha256": hashlib.sha256(events).hexdigest(),
     }
     assert events.count(b"\n") == 1 + ground_truth.completions_strict
+
+
+def test_dedup_ledger_reads_back_with_csv_reader(tmp_path):
+    # ids and a file name that hold the characters CSV has to quote
+    ids = ["x,1", 'say "hi"', "two\nlines", "plain"]
+    root = tmp_path / "workspace"
+    (root / "sessions").mkdir(parents=True)
+    (root / "sessions" / "a,b.jsonl").write_text(
+        "".join(json.dumps({"id": i, "role": "user"}) + "\n" for i in ids), encoding="utf-8"
+    )
+    out = tmp_path / "out"
+    run_analysis(RunConfig(root=str(root), out_dir=str(out), dedup_ledger=True))
+    with open(out / DEDUP_LEDGER_CSV, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    assert rows == [["tier", "key", "source", "line"]] + [
+        ["explicit_id", i, "sessions/a,b.jsonl", str(line)] for line, i in enumerate(ids, 1)
+    ]
 
 
 def write_trajectory(root, lines):

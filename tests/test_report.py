@@ -9,7 +9,7 @@ import pytest
 
 from parem.jsonfmt import to_json
 from parem.metrics import ObservationWindow
-from parem.pipeline import RunConfig, build_bundle
+from parem.pipeline import Analysis, RunConfig
 from parem.report import (
     DAILY_TOKENS_CSV,
     EVENTS_TOKENS_CSV,
@@ -33,13 +33,13 @@ def corpus_bundle(tmp_path_factory):
         root=str(out / "workspace"),
         window=ObservationWindow(ground_truth.window_start, ground_truth.window_end),
     )
-    return build_bundle(config), ground_truth
+    return Analysis(config).bundle, ground_truth
 
 
 @pytest.fixture()
 def empty_bundle(tmp_path):
     (tmp_path / "ws").mkdir()
-    return build_bundle(RunConfig(root=str(tmp_path / "ws")))
+    return Analysis(RunConfig(root=str(tmp_path / "ws"))).bundle
 
 
 # stands in for the digest of a written events CSV

@@ -8,7 +8,7 @@ import pytest
 from conftest import hash_tree
 from parem.jsonfmt import from_json, to_json
 from parem.metrics import ObservationWindow
-from parem.pipeline import RunConfig, build_bundle
+from parem.pipeline import Analysis, RunConfig
 from parem.synth import CorpusSpec, GroundTruth, SplitMix64, generate_corpus
 
 
@@ -17,7 +17,7 @@ def analyze(root: Path, ground_truth: GroundTruth):
         root=str(root),
         window=ObservationWindow(ground_truth.window_start, ground_truth.window_end),
     )
-    return build_bundle(config)
+    return Analysis(config).bundle
 
 
 def test_splitmix64_reference_values():
@@ -51,7 +51,7 @@ def test_zero_duplication_zero_junk(tmp_path):
     spec = CorpusSpec(seed=5, days=6, duplication_rate=0.0, junk_rate=0.0)
     ground_truth = generate_corpus(spec, tmp_path)
     bundle = analyze(tmp_path / "workspace", ground_truth)
-    assert bundle.dedup_stats.removed_count == 0
+    assert sum(bundle.dedup_stats.removed_by_tier.values()) == 0
     assert bundle.dedup_stats.retained_count == ground_truth.drc
 
 
@@ -59,7 +59,7 @@ def test_thirty_percent_duplication_exact_drc(tmp_path):
     spec = CorpusSpec(seed=6, days=8, duplication_rate=0.3)
     ground_truth = generate_corpus(spec, tmp_path)
     bundle = analyze(tmp_path / "workspace", ground_truth)
-    assert bundle.dedup_stats.removed_count > 0
+    assert sum(bundle.dedup_stats.removed_by_tier.values()) > 0
     assert bundle.dedup_stats.retained_count == ground_truth.drc
     assert bundle.metrics.values["DRC"].value == ground_truth.drc
 
