@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, islice
+from operator import sub
 from typing import Iterable, Sequence
 
 MS_PER_MINUTE = 60_000
@@ -38,6 +40,37 @@ class GapHistogram:
     clip_minutes: int = DEFAULT_CLIP_MINUTES
 
 
+class Timeline(list):
+    """Sorted unique timestamps in epoch ms, with their gaps sorted once.
+
+    ``gaps`` (ascending) and ``prefix`` (``prefix[k]`` is the sum of the
+    ``k`` smallest gaps, in integer ms) are built when first asked for and
+    kept, so every figure read off one timeline shares one sort. A list, so
+    it compares and indexes as one; do not change it after building.
+    """
+
+    @classmethod
+    def of(cls, timestamps: Iterable[int]) -> "Timeline":
+        """The timeline of any timestamps; a timeline passes straight through."""
+        if isinstance(timestamps, Timeline):
+            return timestamps
+        return cls(dict.fromkeys(sorted(timestamps)))
+
+    @classmethod
+    def between(cls, ordered: Sequence[int], lo: int, hi: int) -> "Timeline":
+        """The timeline of the ascending ``ordered`` timestamps in ``[lo, hi)``."""
+        start, stop = bisect_left(ordered, lo), bisect_left(ordered, hi)
+        return cls(dict.fromkeys(ordered[start:stop]))
+
+    @cached_property
+    def gaps(self) -> list[int]:
+        return sorted(map(sub, islice(self, 1, None), self))
+
+    @cached_property
+    def prefix(self) -> list[int]:
+        return list(accumulate(self.gaps, initial=0))
+
+
 def active_time(timestamps: Iterable[int], cap_minutes: int) -> ActiveTimeEstimate:
     """Sum consecutive gaps capped at ``cap_minutes`` over unique timestamps.
 
@@ -52,24 +85,21 @@ def cap_sensitivity(
 ) -> list[ActiveTimeEstimate]:
     """One estimate per cap; hours are non-decreasing and clusters non-increasing in cap.
 
-    The timestamps and their gaps are sorted once; each cap is then answered
-    by bisecting the sorted gaps: gaps below the cap count in full (a prefix
-    sum), the rest count as the cap, and each gap above the cap starts a new
-    cluster. A repeated timestamp only adds a zero gap, which adds no time
-    and splits no cluster, so duplicates need no removal.
+    Each cap is answered by bisecting the timeline's sorted gaps: gaps below
+    the cap count in full (a prefix sum), the rest count as the cap, and each
+    gap above the cap starts a new cluster. Given a ``Timeline``, this costs
+    O(log n) per cap; other timestamps are made into one first.
     """
     if not caps:
         raise ValueError("caps must not be empty")
     for cap in caps:
         if cap <= 0:
             raise ValueError(f"cap_minutes must be positive, got {cap}")
-    ordered = sorted(timestamps)
-    if not ordered:
+    timeline = Timeline.of(timestamps)
+    if not timeline:
         return [ActiveTimeEstimate(cap, 0.0, 0, 0) for cap in caps]
-    gaps = sorted([current - previous for previous, current in zip(ordered, ordered[1:])])
-    prefix = list(accumulate(gaps, initial=0))
+    gaps, prefix = timeline.gaps, timeline.prefix
     n = len(gaps)
-    unique_count = len(ordered) - bisect_right(gaps, 0)
     estimates = []
     for cap in caps:
         cap_ms = cap * MS_PER_MINUTE
@@ -77,7 +107,7 @@ def cap_sensitivity(
         total_ms = prefix[below] + cap_ms * (n - below)
         clusters = 1 + n - bisect_right(gaps, cap_ms)
         estimates.append(
-            ActiveTimeEstimate(cap, total_ms / MS_PER_HOUR, clusters, unique_count)
+            ActiveTimeEstimate(cap, total_ms / MS_PER_HOUR, clusters, len(timeline))
         )
     return estimates
 
@@ -87,26 +117,19 @@ def gap_histogram(
     bin_width_minutes: int,
     clip_minutes: int = DEFAULT_CLIP_MINUTES,
 ) -> GapHistogram:
-    """Histogram of raw inter-event gaps, with gaps >= clip pooled in a final bin."""
+    """Histogram of the gaps between unique timestamps, with gaps >= clip
+    pooled in a final bin.
+
+    A bin's count is the difference of the bisections of the timeline's
+    sorted gaps at its two edges, in ms. Given a ``Timeline``, this costs
+    O(log n) per bin; other timestamps are made into one first.
+    """
     if bin_width_minutes <= 0:
         raise ValueError(f"bin_width_minutes must be positive, got {bin_width_minutes}")
     if clip_minutes <= 0:
         raise ValueError(f"clip_minutes must be positive, got {clip_minutes}")
-    edges: list[int] = []
-    edge = 0
-    while edge < clip_minutes:
-        edges.append(edge)
-        edge += bin_width_minutes
-    edges.append(clip_minutes)
-
-    counts = [0] * len(edges)
-    unique = sorted(set(timestamps))
-    bin_ms = bin_width_minutes * MS_PER_MINUTE
-    clip_ms = clip_minutes * MS_PER_MINUTE
-    for previous, current in zip(unique, unique[1:]):
-        gap = current - previous
-        if gap >= clip_ms:
-            counts[-1] += 1
-        else:
-            counts[gap // bin_ms] += 1
+    edges = [*range(0, clip_minutes, bin_width_minutes), clip_minutes]
+    gaps = Timeline.of(timestamps).gaps
+    below = [bisect_left(gaps, edge * MS_PER_MINUTE) for edge in edges]
+    counts = [*map(sub, below[1:], below), len(gaps) - below[-1]]
     return GapHistogram(tuple(edges), tuple(counts), clip_minutes)

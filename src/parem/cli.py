@@ -1,9 +1,9 @@
 """Subcommand front end: scan, analyze, synth, plus per-stage debug commands.
 
 Each debug command prints one stage of the graph ``analyze`` runs
-(``pipeline.Analysis``: read -> deduped -> window -> {active_time,
-strict -> tokens, extraction} -> metrics -> bundle) and runs the graph only
-as far as that stage, so its figures are the report's figures.
+(``pipeline.Analysis``: read -> deduped -> timestamps -> window ->
+{active_time, strict -> tokens, extraction} -> metrics -> bundle) and runs the
+graph only as far as that stage, so its figures are the report's figures.
 """
 
 from __future__ import annotations

@@ -7,11 +7,14 @@ reason code instead of a value; they are never reported as zero.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
+from functools import partial
+from operator import attrgetter, is_not
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .activetime import DEFAULT_CAP_MINUTES, SENSITIVITY_CAP_MINUTES, active_time
+from .activetime import DEFAULT_CAP_MINUTES, SENSITIVITY_CAP_MINUTES, Timeline, active_time
 from .ingest import Event, ROLES, WorkspaceInventory
 
 if TYPE_CHECKING:
@@ -109,12 +112,28 @@ def utc_date(timestamp_ms: int) -> date:
     return datetime.fromtimestamp(timestamp_ms / 1000, tz=timezone.utc).date()
 
 
-def window_timestamps(events: Iterable[Event], window: ObservationWindow) -> list[int]:
-    """Sorted unique timestamps of the timed events whose UTC date is in the window."""
-    lo, hi = window.ms_bounds
-    return sorted(
-        {ts for event in events if (ts := event.timestamp_ms) is not None and lo <= ts < hi}
-    )
+def sorted_timestamps(events: Iterable[Event]) -> list[int]:
+    """The timed events' timestamps in ascending order, repeats kept."""
+    return sorted(filter(partial(is_not, None), map(attrgetter("timestamp_ms"), events)))
+
+
+def window_timestamps(events: Iterable[Event], window: ObservationWindow) -> Timeline:
+    """The timeline of the timed events whose UTC date is in the window.
+
+    The timestamps are sorted with repeats (a sort of a list in canonical
+    record order runs faster than one of a set), cut to the window's ms
+    bounds by bisection, and then rid of repeats.
+    """
+    return Timeline.between(sorted_timestamps(events), *window.ms_bounds)
+
+
+def _active_days(timeline: Timeline) -> int:
+    """The number of UTC dates the timeline touches, by one bisection per date."""
+    count = i = 0
+    while i < len(timeline):
+        count += 1
+        i = bisect_left(timeline, (timeline[i] // MS_PER_DAY + 1) * MS_PER_DAY, i)
+    return count
 
 
 def role_counts(events: Iterable[Event]) -> RoleCounts:
@@ -158,7 +177,7 @@ def compute_pare_m(
     inventory: WorkspaceInventory,
     window: ObservationWindow,
     token_totals: "TokenTotals",
-    timestamps: Sequence[int],
+    timestamps: Iterable[int],
 ) -> MetricReport:
     """Assemble the full PARE-M report from de-duplicated analysis inputs.
 
@@ -167,7 +186,8 @@ def compute_pare_m(
     the 30- and 60-minute caps their rule ids name. OPR and GER are flagged
     undefined (never infinite) when there are no active days.
     """
-    day_count = len({ts // MS_PER_DAY for ts in timestamps})
+    timestamps = Timeline.of(timestamps)
+    day_count = _active_days(timestamps)
 
     primary = active_time(timestamps, DEFAULT_CAP_MINUTES)
     sensitivity = active_time(timestamps, SENSITIVITY_CAP_MINUTES)

@@ -1,8 +1,9 @@
 """End-to-end analysis pipeline and its serializable run configuration.
 
-``Analysis`` is one graph of named stages, read -> deduped -> window ->
-{active_time, strict -> tokens, extraction} -> metrics -> bundle: ``analyze``
-writes its bundle, and each per-stage debug command prints one of its stages.
+``Analysis`` is one graph of named stages, read -> deduped -> timestamps ->
+window -> {active_time, strict -> tokens, extraction} -> metrics -> bundle:
+``analyze`` writes its bundle, and each per-stage debug command prints one of
+its stages.
 
 A run is reproducible from the RunConfig plus the workspace bytes: no wall
 clock, host name, or scheduling detail reaches the outputs, so re-running
@@ -14,7 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import date
-from functools import cached_property
+from functools import cache, cached_property, partial
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
@@ -23,6 +25,7 @@ from .activetime import (
     DEFAULT_CLIP_MINUTES,
     ActiveTimeEstimate,
     GapHistogram,
+    Timeline,
     cap_sensitivity,
     gap_histogram,
 )
@@ -43,11 +46,12 @@ from .extraction import (
 from .ingest import (
     Event,
     FieldAliases,
+    TokenUsage,
     WorkspaceConventions,
     WorkspaceInventory,
     scan_and_parse,
 )
-from .metrics import MetricReport, ObservationWindow, compute_pare_m, utc_date, window_timestamps
+from .metrics import MetricReport, ObservationWindow, compute_pare_m, sorted_timestamps, utc_date
 from .report import (
     DEDUP_LEDGER_HEADER,
     EVENTS_TOKENS_CSV,
@@ -71,6 +75,11 @@ from .tokens import (
 )
 
 DEFAULT_GAP_BIN_MINUTES = 15
+
+# build an events-CSV row from a tuple of all its fields, skipping the
+# keyword-argument handling of the named tuple's constructor
+_new_row = partial(tuple.__new__, TokenEventRow)
+_NO_TOKENS = TokenUsage()
 
 REPORT_TEXT = "reports/report.txt"
 REPORT_JSON = "reports/report.json"
@@ -125,7 +134,8 @@ class Analysis:
     """The stages of one run, each computed when first asked for and kept.
 
     The stages form one graph: ``read`` (scan and parse) -> ``deduped``
-    (scope filter and de-duplication) -> ``window`` -> ``active_time``,
+    (scope filter and de-duplication) -> ``timestamps`` (sorted once, for the
+    derived window and the timeline) -> ``window`` -> ``active_time``,
     ``strict`` -> ``tokens``, and ``extraction`` -> ``metrics`` -> ``bundle``.
     A stage reads only the stages before it, so asking for one runs the graph
     as far as that stage and no further, and no stage runs twice. A stage
@@ -165,17 +175,22 @@ class Analysis:
         return deduplicate(events)
 
     @cached_property
+    def timestamps(self) -> list[int]:
+        """The timestamps of the timed records, ascending with repeats."""
+        return sorted_timestamps(self.deduped[0])
+
+    @cached_property
     def window(self) -> tuple[ObservationWindow, list[str]]:
         """The configured window, else the UTC date span of the timed
         records, and the warning a derived window carries."""
         if self.config.window is not None:
             return self.config.window, []
-        stamps = [ts for e in self.deduped[0] if (ts := e.timestamp_ms) is not None]
+        stamps = self.timestamps
         if not stamps:
             return ObservationWindow(date(1970, 1, 1), date(1970, 1, 1)), [
                 "no timed events and no configured window; using a degenerate epoch window"
             ]
-        window = ObservationWindow(utc_date(min(stamps)), utc_date(max(stamps)))
+        window = ObservationWindow(utc_date(stamps[0]), utc_date(stamps[-1]))
         return window, [
             "observation window defaulted to the event date span "
             f"{window.start_date.isoformat()}..{window.end_date.isoformat()}; "
@@ -183,19 +198,19 @@ class Analysis:
         ]
 
     @cached_property
-    def active_time(self) -> tuple[list[int], list[ActiveTimeEstimate], GapHistogram]:
-        """The window's unique timestamps, the capped-gap estimate at each
-        cap, and the gap histogram."""
+    def active_time(self) -> tuple[Timeline, list[ActiveTimeEstimate], GapHistogram]:
+        """The window's timeline (as ``window_timestamps`` gives it), the
+        capped-gap estimate at each cap, and the gap histogram."""
         config = self.config
-        timestamps = window_timestamps(self.deduped[0], self.window[0])
-        sensitivity = cap_sensitivity(timestamps, config.caps)
-        histogram = gap_histogram(timestamps, config.gap_bin_minutes, config.gap_clip_minutes)
-        return timestamps, sensitivity, histogram
+        timeline = Timeline.between(self.timestamps, *self.window[0].ms_bounds)
+        sensitivity = cap_sensitivity(timeline, config.caps)
+        histogram = gap_histogram(timeline, config.gap_bin_minutes, config.gap_clip_minutes)
+        return timeline, sensitivity, histogram
 
     @cached_property
     def strict(self) -> list[Event]:
         """The strict subset: trajectory-file completions timed inside the window."""
-        is_trajectory = self.config.conventions.is_trajectory
+        is_trajectory = cache(self.config.conventions.is_trajectory)  # once per file
         lo, hi = self.window[0].ms_bounds
         return [
             e
@@ -219,19 +234,18 @@ class Analysis:
             per_route(strict),
             daily_composition(strict, self.window[0]),
             cache_output_association(strict, log1p=self.config.log1p),
+            # strict is in canonical (path, line) order and the sort is
+            # stable, so the rows come out by (timestamp, path, line)
             [
-                TokenEventRow(
-                    timestamp_ms=e.timestamp_ms,
-                    provider_route=e.provider_route or "unknown",
-                    model=e.model or "unknown",
-                    input=e.tokens.input if e.tokens else 0,
-                    output=e.tokens.output if e.tokens else 0,
-                    cache_read=e.tokens.cache_read if e.tokens else 0,
-                    cache_write=e.tokens.cache_write if e.tokens else 0,
+                _new_row(
+                    (
+                        e.timestamp_ms,
+                        e.provider_route or "unknown",
+                        e.model or "unknown",
+                        *(e.tokens or _NO_TOKENS),
+                    )
                 )
-                for e in sorted(
-                    strict, key=lambda e: (e.timestamp_ms, e.source_path, e.line_number)
-                )
+                for e in sorted(strict, key=attrgetter("timestamp_ms"))
             ],
         )
 

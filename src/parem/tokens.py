@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
+from itertools import repeat
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .ingest import Event
@@ -144,19 +146,16 @@ def daily_composition(
 
 
 def average_ranks(values: Sequence[float]) -> list[float]:
-    """1-based ranks with ties averaged."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        average = (i + j + 2) / 2  # 1-based midpoint of the tie run
-        for k in range(i, j + 1):
-            ranks[order[k]] = average
-        i = j + 1
-    return ranks
+    """1-based ranks with ties averaged.
+
+    A tie run spans the first to the last 1-based position its value takes
+    in sorted order, and its members share the midpoint of the two.
+    """
+    ordered = sorted(values)
+    n = len(ordered)
+    last = dict(zip(ordered, range(1, n + 1)))  # a later position overwrites
+    first = dict(zip(reversed(ordered), range(n, 0, -1)))
+    return [(first[v] + last[v]) / 2 for v in values]
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
@@ -170,11 +169,11 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     if min(xs) == max(xs) or min(ys) == max(ys):
         return None
     n = len(xs)
-    mean_x = math.fsum(xs) / n
-    mean_y = math.fsum(ys) / n
-    cov = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    var_x = math.fsum((x - mean_x) ** 2 for x in xs)
-    var_y = math.fsum((y - mean_y) ** 2 for y in ys)
+    dxs = list(map(sub, xs, repeat(math.fsum(xs) / n)))
+    dys = list(map(sub, ys, repeat(math.fsum(ys) / n)))
+    cov = math.fsum(map(mul, dxs, dys))
+    var_x = math.fsum(map(pow, dxs, repeat(2)))
+    var_y = math.fsum(map(pow, dys, repeat(2)))
     if var_x * var_y == 0.0:
         return None
     r = cov / math.sqrt(var_x * var_y)

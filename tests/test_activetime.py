@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from parem.activetime import (
     DEFAULT_CAPS,
     ActiveTimeEstimate,
+    GapHistogram,
+    Timeline,
     active_time,
     cap_sensitivity,
     gap_histogram,
@@ -220,3 +222,56 @@ def test_cap_sensitivity_matches_per_cap_scan(case):
     assert cap_sensitivity(stream, caps) == [reference_estimate(stream, cap) for cap in caps]
     for cap in caps:
         assert active_time(stream, cap) == reference_estimate(stream, cap)
+
+
+def reference_histogram(timestamps, bin_width_minutes, clip_minutes):
+    """The per-gap loop: bin each gap between sorted unique timestamps."""
+    edges = []
+    edge = 0
+    while edge < clip_minutes:
+        edges.append(edge)
+        edge += bin_width_minutes
+    edges.append(clip_minutes)
+    counts = [0] * len(edges)
+    unique = sorted(set(timestamps))
+    for previous, current in zip(unique, unique[1:]):
+        gap = current - previous
+        if gap >= clip_minutes * MIN:
+            counts[-1] += 1
+        else:
+            counts[gap // (bin_width_minutes * MIN)] += 1
+    return GapHistogram(tuple(edges), tuple(counts), clip_minutes)
+
+
+@st.composite
+def streams_and_bins(draw):
+    """Bin widths that often do not divide the clip, and gaps exactly on a
+    bin edge, on the clip, and 1 ms either side of them."""
+    width = draw(st.integers(min_value=1, max_value=60))
+    clip = draw(st.integers(min_value=1, max_value=240))
+    stream = draw(st.lists(st.integers(min_value=0, max_value=10**8), max_size=60))
+    edges = [*range(0, clip, width), clip]
+    if stream:
+        for anchor in draw(st.lists(st.sampled_from(stream), max_size=10)):
+            gap = draw(st.sampled_from(edges)) * MIN + draw(st.sampled_from((-1, 0, 1)))
+            stream.append(anchor + gap)
+    return draw(st.permutations(stream)), width, clip
+
+
+@given(streams_and_bins())
+@settings(max_examples=150)
+def test_histogram_bisection_matches_the_per_gap_loop(case):
+    stream, width, clip = case
+    expected = reference_histogram(stream, width, clip)
+    assert gap_histogram(stream, width, clip) == expected
+    assert gap_histogram(Timeline.of(stream), width, clip) == expected
+
+
+@given(timestamps_strategy)
+@settings(max_examples=50)
+def test_timeline_is_sorted_unique_and_passes_through(stream):
+    timeline = Timeline.of(stream)
+    assert timeline == sorted(set(stream))
+    assert Timeline.of(timeline) is timeline
+    assert timeline.gaps == sorted(b - a for a, b in zip(timeline, timeline[1:]))
+    assert cap_sensitivity(timeline) == cap_sensitivity(stream)

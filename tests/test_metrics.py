@@ -244,6 +244,29 @@ def windows_and_timestamps(draw):
     return window, stamps
 
 
+def reference_window_timestamps(events, window):
+    """The set comprehension the timeline replaced."""
+    lo, hi = window.ms_bounds
+    return sorted({ts for e in events if (ts := e.timestamp_ms) is not None and lo <= ts < hi})
+
+
+@given(windows_and_timestamps(), st.data())
+@settings(max_examples=100)
+def test_window_timeline_matches_the_set_comprehension(case, data):
+    # repeats, untimed records and any order; the window cuts through the data
+    window, stamps = case
+    if stamps:
+        stamps = stamps + data.draw(st.lists(st.sampled_from(stamps), max_size=10))
+    stamps = data.draw(st.permutations(stamps + [None] * data.draw(st.integers(0, 3))))
+    events = [make_event(timestamp_ms=ts, line=i) for i, ts in enumerate(stamps)]
+    timeline = window_timestamps(events, window)
+    expected = reference_window_timestamps(events, window)
+    assert timeline == expected
+    assert timeline.gaps == sorted(b - a for a, b in zip(expected, expected[1:]))
+    report = pare_m(events, window)
+    assert report.active_day_count == len({ts // DAY_MS for ts in expected})
+
+
 @given(windows_and_timestamps())
 @settings(max_examples=200)
 def test_ms_bounds_filter_matches_utc_date_containment(case):

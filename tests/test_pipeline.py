@@ -435,6 +435,30 @@ def test_lone_surrogates_do_not_abort_analysis(tmp_path):
     assert "m\ufffd" in (out / EVENTS_TOKENS_CSV).read_text(encoding="utf-8")
 
 
+def test_token_event_rows_come_out_by_timestamp_then_path_then_line(tmp_path):
+    # the rows are sorted on the timestamp alone, so ties keep the strict
+    # subset's (path, line) order: b.jsonl holds both the earliest completion
+    # and one that shares its timestamp with a.jsonl
+    def completion(minute: int, output: int) -> str:
+        return (
+            f'{{"type": "model_completed", "ts": "2026-05-01T10:{minute:02d}:00Z",'
+            f' "usage": {{"input": 1, "output": {output}, "cache_read": 3}}}}'
+        )
+
+    sessions = tmp_path / "workspace" / "trajectories"
+    sessions.mkdir(parents=True)
+    (sessions / "a.jsonl").write_text(completion(30, 1) + "\n" + completion(20, 2) + "\n")
+    (sessions / "b.jsonl").write_text(
+        completion(20, 3) + "\n" + completion(20, 4) + "\n" + completion(10, 5) + "\n"
+    )
+    out = tmp_path / "out"
+    run_analysis(RunConfig(root=str(tmp_path / "workspace"), out_dir=str(out)))
+    with open(out / EVENTS_TOKENS_CSV, newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    # b:3, then a:2, b:1, b:2 at 10:20, then a:1
+    assert [row["output"] for row in rows] == ["5", "2", "3", "4", "1"]
+
+
 def test_degenerate_association_renders(tmp_path):
     # cache_read 39, 39, 39: zero variance, which a float test misses
     root = tmp_path / "workspace"

@@ -365,3 +365,62 @@ def test_daily_rows_reject_a_completion_outside_the_window(offset_ms):
     window = ObservationWindow(date(2026, 5, 1), date(2026, 5, 3))
     with pytest.raises(ValueError, match="outside"):
         daily_composition([make_completion(ts=MAY1_MS + offset_ms)], window)
+
+
+# --- the rewrites against copies of their old rules, compared exactly -----
+
+
+def reference_average_ranks(values):
+    """Walk the index order sorted by value; each tie run gets its midpoint."""
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    ranks = [0.0] * len(values)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        for k in range(i, j + 1):
+            ranks[order[k]] = (i + j + 2) / 2
+        i = j + 1
+    return ranks
+
+
+def reference_pearson(xs, ys):
+    """The generator-expression sums the report's bytes were first made by."""
+    if min(xs) == max(xs) or min(ys) == max(ys):
+        return None
+    n = len(xs)
+    mean_x = math.fsum(xs) / n
+    mean_y = math.fsum(ys) / n
+    cov = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    var_x = math.fsum((x - mean_x) ** 2 for x in xs)
+    var_y = math.fsum((y - mean_y) ** 2 for y in ys)
+    if var_x * var_y == 0.0:
+        return None
+    return max(-1.0, min(1.0, cov / math.sqrt(var_x * var_y)))
+
+
+# few distinct values, so most draws hold ties; floats include -0.0 == 0.0
+tied_values = st.one_of(
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=10**9),
+    st.sampled_from([-0.0, 0.0, 0.5, 1e-300, 2.5]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+@given(st.lists(tied_values, max_size=40))
+@settings(max_examples=150)
+def test_average_ranks_match_the_run_walk(values):
+    assert average_ranks(values) == reference_average_ranks(values)
+
+
+@given(st.lists(st.tuples(tied_values, tied_values), min_size=1, max_size=40))
+@settings(max_examples=150)
+def test_pearson_and_spearman_match_the_old_sums_bit_for_bit(pairs):
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    assert pearson(xs, ys) == reference_pearson(xs, ys)
+    assert spearman(xs, ys) == reference_pearson(
+        reference_average_ranks(xs), reference_average_ranks(ys)
+    )
