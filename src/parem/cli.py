@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .ingest import WorkspaceError
-from .jsonfmt import dumps_indented, from_json, to_json
+from .jsonfmt import from_json, to_json
 from .pipeline import Analysis, RunConfig, load_config_file, run_analysis
 from .report import ReportError, governance_by_class, inventory_lines
 from .synth import CorpusSpec, generate_corpus
@@ -127,7 +127,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _print_json(data: object) -> None:
-    print(dumps_indented(to_json(data)))
+    print(json.dumps(to_json(data), indent=2, sort_keys=True))
 
 
 def cmd_scan(args: argparse.Namespace) -> int:

@@ -1,45 +1,23 @@
-"""Plain JSON data to and from parem's records, and its indented, key-sorted text.
+"""Plain JSON data to and from parem's records.
 
 ``to_json(obj)`` turns a record (a dataclass or a named tuple) into plain
 JSON data, reading its fields the way ``dataclasses.fields`` and ``_fields``
 name them; every output of parem that holds a record goes through it.
 ``from_json(kind, data)`` is the other direction: every config file is read
 through it, and each value is checked against its field's annotation.
+The text itself is left to the standard library's ``json`` module.
 The module imports nothing from parem, so any module can call it.
-
-``dumps_indented(obj)`` returns exactly the text ``json.dumps`` returns
-with ``indent=2`` and ``sort_keys=True``. The standard library falls back
-to its pure-Python encoder whenever ``indent`` is set, which costs a
-generator call per container and is the slowest part of writing a large
-report. Here Python walks the nesting one level at a time and writes the
-values found at one level together. Values that hold no container, and
-containers that each hold only such values, go to the C encoder in one call
-per level: its item separator is set to the newline plus indent that
-``indent`` writes between those items, and its output is cut apart at the
-boundaries between the values. A list of dicts that share their keys (the
-report's records) is written one key at a time, as columns.
-
-Cutting is safe because, with ``ensure_ascii`` on, an encoded string never
-holds a raw newline: a newline in the C output is always a separator.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from collections.abc import Mapping
 from datetime import date
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
-
-INDENT = 2
-_CONTAINERS = (dict, list, tuple)
-# writes a list of scalars with a bare newline between them
-_SCALARS = json.JSONEncoder(separators=("\n", ": "))
-
 
 _PLAIN = frozenset({str, int, float, bool, type(None)})
 # record class -> (its keys, one getter per key)
@@ -163,90 +141,3 @@ def _converted(values: list) -> list:
     names, getters = _record_plan(kind)
     columns = [_converted(list(map(getter, values))) for getter in getters]
     return [dict(zip(names, row)) for row in zip(*columns)]
-
-
-def _newline(level: int) -> str:
-    return "\n" + " " * (INDENT * level)
-
-
-def _holds_no_container(values) -> bool:
-    return not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, values)))
-
-
-def _all_of(values, kind: type | tuple[type, ...]) -> bool:
-    return all(issubclass(each, kind) for each in set(map(type, values)))
-
-
-def _key_text(key) -> str:
-    # the key conversions json.dumps makes: str as is, int/float/bool/None
-    # as their JSON text, anything else refused
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):
-        return encode_basestring_ascii(_SCALARS.encode(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _list_items(values):
-    return chain.from_iterable(values)
-
-
-def _dict_items(values):
-    return chain.from_iterable(map(dict.values, values))
-
-
-def dumps_indented(obj: object) -> str:
-    """What ``json.dumps`` returns with ``indent=2, sort_keys=True``, byte for byte."""
-    return _texts([obj], 0)[0]
-
-
-def _texts(values: list, level: int) -> list[str]:
-    """The JSON text of each of ``values`` (at least one), written at nesting ``level``."""
-    if _holds_no_container(values):
-        return _SCALARS.encode(values)[1:-1].split("\n")
-    for kind, items, opening, closing in (
-        ((list, tuple), _list_items, "[", "]"),
-        (dict, _dict_items, "{", "}"),
-    ):
-        if _all_of(values, kind) and _holds_no_container(items(values)):
-            # containers of scalars: one call, cut where one container ends
-            # and the next begins; an empty piece is an empty container
-            inner = _newline(level + 1)
-            encoder = json.JSONEncoder(sort_keys=True, separators=("," + inner, ": "))
-            pieces = encoder.encode(values)[2:-2].split(closing + "," + inner + opening)
-            close = _newline(level) + closing
-            return [opening + inner + p + close if p else opening + closing for p in pieces]
-    if _all_of(values, dict) and len(set(map(tuple, values))) == 1:
-        keys = sorted(values[0])
-        if all(isinstance(key, str) for key in keys):
-            return _records(values, keys, level)
-    return [_text(value, level) for value in values]
-
-
-def _records(rows: list[dict], keys: list[str], level: int) -> list[str]:
-    """Dicts with the same string keys, the values of each key written together."""
-    inner = _newline(level + 1)
-    columns = [
-        map((_key_text(key) + ": ").__add__, _texts(list(map(itemgetter(key), rows)), level + 1))
-        for key in keys
-    ]
-    close = _newline(level) + "}"
-    return ["{" + inner + text + close for text in map(("," + inner).join, zip(*columns))]
-
-
-def _text(value: object, level: int) -> str:
-    """One value, written at nesting ``level``."""
-    inner = _newline(level + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = sorted(value.items())
-        texts = _texts([item for _, item in items], level + 1)
-        fields = [_key_text(key) + ": " + text for (key, _), text in zip(items, texts)]
-        return "{" + inner + ("," + inner).join(fields) + _newline(level) + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        texts = _texts(list(value), level + 1)
-        return "[" + inner + ("," + inner).join(texts) + _newline(level) + "]"
-    return _texts([value], level)[0]

@@ -117,16 +117,6 @@ def sorted_timestamps(events: Iterable[Event]) -> list[int]:
     return sorted(filter(partial(is_not, None), map(attrgetter("timestamp_ms"), events)))
 
 
-def window_timestamps(events: Iterable[Event], window: ObservationWindow) -> Timeline:
-    """The timeline of the timed events whose UTC date is in the window.
-
-    The timestamps are sorted with repeats (a sort of a list in canonical
-    record order runs faster than one of a set), cut to the window's ms
-    bounds by bisection, and then rid of repeats.
-    """
-    return Timeline.between(sorted_timestamps(events), *window.ms_bounds)
-
-
 def _active_days(timeline: Timeline) -> int:
     """The number of UTC dates the timeline touches, by one bisection per date."""
     count = i = 0
@@ -182,8 +172,9 @@ def compute_pare_m(
     """Assemble the full PARE-M report from de-duplicated analysis inputs.
 
     ``events`` must already be de-duplicated and scoped, and ``timestamps``
-    are ``window_timestamps(events, window)``. ATE and its sensitivity use
-    the 30- and 60-minute caps their rule ids name. OPR and GER are flagged
+    are those events' timestamps inside the window, such as the timeline
+    that ``Analysis.active_time`` cuts with ``Timeline.between``. ATE and
+    its sensitivity use the 30- and 60-minute caps their rule ids name. OPR and GER are flagged
     undefined (never infinite) when there are no active days.
     """
     timestamps = Timeline.of(timestamps)

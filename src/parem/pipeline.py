@@ -57,16 +57,17 @@ from .report import (
     EVENTS_TOKENS_CSV,
     Provenance,
     ReportBundle,
-    TokenEventRow,
     csv_bytes,
     export_csvs,
     render_report,
     write_file,
 )
 from .tokens import (
+    UNKNOWN_ROUTE,
     AssociationStats,
     DailyTokens,
     RouteTotals,
+    TokenEventRow,
     TokenTotals,
     aggregate_tokens,
     cache_output_association,
@@ -199,8 +200,8 @@ class Analysis:
 
     @cached_property
     def active_time(self) -> tuple[Timeline, list[ActiveTimeEstimate], GapHistogram]:
-        """The window's timeline (as ``window_timestamps`` gives it), the
-        capped-gap estimate at each cap, and the gap histogram."""
+        """The window's timeline (the unique timestamps inside its bounds),
+        the capped-gap estimate at each cap, and the gap histogram."""
         config = self.config
         timeline = Timeline.between(self.timestamps, *self.window[0].ms_bounds)
         sensitivity = cap_sensitivity(timeline, config.caps)
@@ -208,11 +209,12 @@ class Analysis:
         return timeline, sensitivity, histogram
 
     @cached_property
-    def strict(self) -> list[Event]:
-        """The strict subset: trajectory-file completions timed inside the window."""
+    def strict(self) -> list[TokenEventRow]:
+        """The strict subset, trajectory-file completions timed inside the
+        window, as the events CSV's rows, by (timestamp, path, line)."""
         is_trajectory = cache(self.config.conventions.is_trajectory)  # once per file
         lo, hi = self.window[0].ms_bounds
-        return [
+        strict = [
             e
             for e in self.deduped[0]
             if e.role == "model_completed"
@@ -220,33 +222,28 @@ class Analysis:
             and lo <= ts < hi
             and is_trajectory(e.source_path)
         ]
+        # the records are in canonical (path, line) order and the sort is stable
+        return [
+            _new_row(
+                (
+                    e.timestamp_ms,
+                    e.provider_route or UNKNOWN_ROUTE,
+                    e.model or "unknown",
+                    *(e.tokens or _NO_TOKENS),
+                )
+            )
+            for e in sorted(strict, key=attrgetter("timestamp_ms"))
+        ]
 
     @cached_property
-    def tokens(
-        self,
-    ) -> tuple[
-        TokenTotals, list[RouteTotals], list[DailyTokens], AssociationStats, list[TokenEventRow]
-    ]:
-        """Totals, routes, daily rows, association and event rows of the strict subset."""
+    def tokens(self) -> tuple[TokenTotals, list[RouteTotals], list[DailyTokens], AssociationStats]:
+        """Totals, routes, daily rows and association of the strict subset."""
         strict = self.strict
         return (
             aggregate_tokens(strict),
             per_route(strict),
             daily_composition(strict, self.window[0]),
             cache_output_association(strict, log1p=self.config.log1p),
-            # strict is in canonical (path, line) order and the sort is
-            # stable, so the rows come out by (timestamp, path, line)
-            [
-                _new_row(
-                    (
-                        e.timestamp_ms,
-                        e.provider_route or "unknown",
-                        e.model or "unknown",
-                        *(e.tokens or _NO_TOKENS),
-                    )
-                )
-                for e in sorted(strict, key=attrgetter("timestamp_ms"))
-            ],
         )
 
     @cached_property
@@ -291,7 +288,7 @@ class Analysis:
         window, window_warnings = self.window
         _, sensitivity, histogram = self.active_time
         sections, output_proxies, governance_proxies, memory_warnings = self.extraction
-        totals, routes, daily, association, token_events = self.tokens
+        totals, routes, daily, association = self.tokens
         provenance = Provenance(
             tool_version=__version__,
             ruleset_versions={
@@ -323,7 +320,7 @@ class Analysis:
             token_totals=totals,
             route_totals=routes,
             daily_tokens=daily,
-            token_events=token_events,
+            token_events=self.strict,
             association=association,
             output_proxies=output_proxies,
             governance_proxies=governance_proxies,

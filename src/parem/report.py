@@ -12,18 +12,19 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .activetime import ActiveTimeEstimate, GapHistogram
 from .dedup import DedupStats
 from .extraction import ProxyEvent
 from .ingest import WorkspaceInventory
-from .jsonfmt import dumps_indented, to_json
+from .jsonfmt import to_json
 from .metrics import (
     METRIC_NAMES,
     MetricReport,
@@ -31,7 +32,7 @@ from .metrics import (
     round_proportion,
     round_rate,
 )
-from .tokens import AssociationStats, DailyTokens, RouteTotals, TokenTotals
+from .tokens import AssociationStats, DailyTokens, RouteTotals, TokenEventRow, TokenTotals
 
 # names the structured report's schema; it changes whenever the schema does
 REPORT_FORMAT = "parem-report/2"
@@ -84,18 +85,6 @@ class ReportError(Exception):
     """Raised for an unknown report format or a failed export."""
 
 
-class TokenEventRow(NamedTuple):
-    """One strict-subset completion, as exported to the events CSV."""
-
-    timestamp_ms: int | None
-    provider_route: str
-    model: str
-    input: int
-    output: int
-    cache_read: int
-    cache_write: int
-
-
 @dataclass(frozen=True)
 class Provenance:
     tool_version: str
@@ -127,6 +116,27 @@ class ReportBundle:
 
 # the bundle fields the structured report writes as they are
 _STRUCTURED_FIELDS = tuple(f.name for f in fields(ReportBundle) if f.name != "token_events")
+# writes one item of a top-level list on one line
+_ONE_LINE = json.JSONEncoder(sort_keys=True)
+
+
+def _dumps_report(data: dict[str, object]) -> str:
+    """``data`` as ``json.dumps(data, indent=2, sort_keys=True)`` writes it,
+    except that each item of a non-empty top-level list takes one line.
+
+    Each item is one call to the C encoder, which the standard library
+    leaves for a pure-Python one whenever ``indent`` is set. Every other
+    value is indented one level deeper by indenting each of its newlines:
+    all of them are layout, because an encoded string never holds a raw one.
+    """
+    fields = []
+    for key, value in sorted(data.items()):
+        if isinstance(value, list) and value:
+            text = "[\n    " + ",\n    ".join(map(_ONE_LINE.encode, value)) + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}"
 
 
 def _format_metric(value: float | None, kind: str, reason: str | None) -> str:
@@ -188,7 +198,7 @@ def render_report(
     The structured report holds every bundle field but the token events,
     which it points to in the events CSV: that file's path, its row count
     and ``events_sha256``, the SHA-256 of its bytes as ``export_csvs``
-    wrote them.
+    wrote them. Each record of its lists takes one line (``_dumps_report``).
     """
     if format == "structured":
         if events_sha256 is None:
@@ -200,7 +210,7 @@ def render_report(
             "sha256": events_sha256,
         }
         data["format"] = REPORT_FORMAT
-        return dumps_indented(data) + "\n"
+        return _dumps_report(data) + "\n"
     if format != "text":
         raise ReportError(f"unknown report format: {format!r}")
 

@@ -15,7 +15,7 @@ from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import Mapping
 
-from .jsonfmt import dumps_indented, to_json
+from .jsonfmt import to_json
 
 _MASK64 = (1 << 64) - 1
 
@@ -600,7 +600,7 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> GroundTruth:
     )
 
     (out_path / "ground_truth.json").write_text(
-        dumps_indented(to_json(ground_truth)) + "\n",
+        json.dumps(to_json(ground_truth), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
     return ground_truth

@@ -1,29 +1,50 @@
 """Token telemetry accounting for model-completed events.
 
-All counts accumulate as exact integers; per-route and per-day partitions
-reconcile to the grand totals by construction. The cache/output association
-statistics use natural-log Pearson and average-rank Spearman over events
-with positive counts (zero-count events are excluded and counted, unless
-log1p mode is enabled).
+Every figure is read off the strict subset's rows (``TokenEventRow``, one per
+completion, as the events CSV holds them), which the pipeline builds once.
+All counts accumulate as exact integers, by column sums; per-route and
+per-day partitions reconcile to the grand totals by construction. The
+cache/output association statistics use natural-log Pearson and
+average-rank Spearman over completions with positive counts (zero-count
+completions are excluded and counted, unless log1p mode is enabled).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date
-from itertools import repeat
-from operator import mul, sub
-from typing import Iterable, Sequence
+from itertools import compress, groupby, repeat
+from operator import itemgetter, mul, sub
+from typing import NamedTuple, Sequence
 
-from .ingest import Event
 from .metrics import MS_PER_DAY, ObservationWindow
 
 UNKNOWN_ROUTE = "unknown"
 
 REASON_TOO_FEW_EVENTS = "fewer_than_3_events"
 REASON_ZERO_VARIANCE = "zero_variance"
-REASON_NO_TOKENS = "no_recorded_tokens"
+
+
+class TokenEventRow(NamedTuple):
+    """One strict-subset completion, as exported to the events CSV."""
+
+    timestamp_ms: int | None
+    provider_route: str
+    model: str
+    input: int
+    output: int
+    cache_read: int
+    cache_write: int
+
+
+_timestamp = itemgetter(0)
+_route = itemgetter(1)
+_output = itemgetter(4)
+_cache_read = itemgetter(5)
+# input, output, cache_read and cache_write
+_token_columns = tuple(map(itemgetter, range(3, 7)))
 
 
 @dataclass(frozen=True)
@@ -81,67 +102,43 @@ class AssociationStats:
                 )
 
 
-def aggregate_tokens(events: Iterable[Event]) -> TokenTotals:
-    """Exact integer token sums over model-completed events."""
-    input_sum = output_sum = cache_read_sum = cache_write_sum = 0
-    for event in events:
-        usage = event.tokens
-        if event.role != "model_completed" or usage is None:
-            continue
-        input_sum += usage.input
-        output_sum += usage.output
-        cache_read_sum += usage.cache_read
-        cache_write_sum += usage.cache_write
-    return TokenTotals(input_sum, output_sum, cache_read_sum, cache_write_sum)
+def _token_sums(rows: Sequence[TokenEventRow]) -> list[int]:
+    """The sums of the four token columns."""
+    return [sum(map(column, rows)) for column in _token_columns]
 
 
-def per_route(events: Iterable[Event]) -> list[RouteTotals]:
-    """Token totals grouped by provider route; routeless events fall under "unknown"."""
-    sums: dict[str, list[int]] = {}
-    for event in events:
-        if event.role != "model_completed":
-            continue
-        route = event.provider_route or UNKNOWN_ROUTE
-        bucket = sums.setdefault(route, [0, 0, 0, 0, 0])
-        usage = event.tokens
-        if usage is not None:
-            bucket[0] += usage.input
-            bucket[1] += usage.output
-            bucket[2] += usage.cache_read
-            bucket[3] += usage.cache_write
-        bucket[4] += 1
-    return [
-        RouteTotals(route, TokenTotals(*sums[route][:4]), sums[route][4])
-        for route in sorted(sums)
-    ]
+def aggregate_tokens(rows: Sequence[TokenEventRow]) -> TokenTotals:
+    """Exact integer token sums over the strict subset's rows."""
+    return TokenTotals(*_token_sums(rows))
+
+
+def per_route(rows: Sequence[TokenEventRow]) -> list[RouteTotals]:
+    """Token totals and completions per provider route, in route order."""
+    routes = []
+    for route, group in groupby(sorted(rows, key=_route), _route):
+        group = list(group)
+        routes.append(RouteTotals(route, aggregate_tokens(group), len(group)))
+    return routes
 
 
 def daily_composition(
-    events: Iterable[Event], window: ObservationWindow
+    rows: Sequence[TokenEventRow], window: ObservationWindow
 ) -> list[DailyTokens]:
     """One row per UTC date in the window, zero-filled where nothing happened.
 
-    Every model-completed event must be timed inside the window.
+    Every row must be timed inside the window. The rows of one date are
+    found by bisecting the timestamps at each midnight.
     """
-    first_day = window.ms_bounds[0] // MS_PER_DAY
-    rows = [[0, 0, 0, 0, 0] for _ in range(window.calendar_days)]
-    for event in events:
-        if event.role != "model_completed":
-            continue
-        day = event.timestamp_ms // MS_PER_DAY - first_day
-        if not 0 <= day < len(rows):
-            raise ValueError(f"completion at {event.timestamp_ms} ms lies outside {window}")
-        bucket = rows[day]
-        usage = event.tokens
-        if usage is not None:
-            bucket[0] += usage.input
-            bucket[1] += usage.output
-            bucket[2] += usage.cache_read
-            bucket[3] += usage.cache_write
-        bucket[4] += 1
+    rows = sorted(rows, key=_timestamp)
+    stamps = list(map(_timestamp, rows))
+    lo, hi = window.ms_bounds
+    for stamp in stamps[:1] + stamps[-1:]:
+        if not lo <= stamp < hi:
+            raise ValueError(f"completion at {stamp} ms lies outside {window}")
+    bounds = [bisect_left(stamps, midnight) for midnight in range(lo, hi + 1, MS_PER_DAY)]
     return [
-        DailyTokens(day, *row[:4], completions=row[4])
-        for day, row in zip(window.dates(), rows)
+        DailyTokens(day, *_token_sums(rows[start:stop]), completions=stop - start)
+        for day, start, stop in zip(window.dates(), bounds, bounds[1:])
     ]
 
 
@@ -186,36 +183,34 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
 
 
 def cache_output_association(
-    events: Iterable[Event], log1p: bool = False
+    rows: Sequence[TokenEventRow], log1p: bool = False
 ) -> AssociationStats:
     """Association between cache-read and output tokens per completion.
 
     Pearson runs on natural-log counts; Spearman on average ranks of the raw
-    counts over the same included set. Events with a zero on either side are
-    excluded and counted, unless ``log1p`` shifts the transform to ln(1+x)
-    and keeps them.
+    counts over the same included set. Completions with a zero on either side
+    are excluded and counted, unless ``log1p`` shifts the transform to
+    ln(1+x) and keeps them. The sums are ``math.fsum``, exactly rounded, and
+    the ranks depend only on the values, so the rows' order cannot change
+    the result.
     """
-    pairs: list[tuple[int, int]] = []
-    excluded = 0
-    for event in events:
-        if event.role != "model_completed" or event.tokens is None:
-            continue
-        cache_read, output = event.tokens.cache_read, event.tokens.output
-        if not log1p and (cache_read == 0 or output == 0):
-            excluded += 1
-            continue
-        pairs.append((cache_read, output))
+    # two columns, not a pair per completion: the rows are held as well,
+    # and a tuple each would add to the stage's peak memory
+    xs = list(map(_cache_read, rows))
+    ys = list(map(_output, rows))
+    if not log1p:
+        kept = list(map(all, zip(xs, ys)))
+        xs, ys = list(compress(xs, kept)), list(compress(ys, kept))
+    n, excluded = len(xs), len(rows) - len(xs)
 
-    if len(pairs) < 3:
-        return AssociationStats(None, None, len(pairs), excluded, REASON_TOO_FEW_EVENTS)
+    if n < 3:
+        return AssociationStats(None, None, n, excluded, REASON_TOO_FEW_EVENTS)
 
-    xs = [x for x, _ in pairs]
-    ys = [y for _, y in pairs]
     transform = math.log1p if log1p else math.log
-    r = pearson([transform(x) for x in xs], [transform(y) for y in ys])
+    r = pearson(list(map(transform, xs)), list(map(transform, ys)))
     rho = spearman(xs, ys)
     # rho is None exactly when the integer counts on one side are all equal;
     # r also when distinct counts collapse to one float logarithm
     if r is None or rho is None:
-        return AssociationStats(None, None, len(pairs), excluded, REASON_ZERO_VARIANCE)
-    return AssociationStats(r, rho, len(pairs), excluded)
+        return AssociationStats(None, None, n, excluded, REASON_ZERO_VARIANCE)
+    return AssociationStats(r, rho, n, excluded)

@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+from parem.activetime import Timeline
 from parem.ingest import Event, TokenUsage
-from parem.metrics import ObservationWindow
+from parem.metrics import ObservationWindow, sorted_timestamps
 from parem.pipeline import Analysis, RunConfig
+from parem.tokens import TokenEventRow
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -51,11 +53,17 @@ def make_completion(
     )
 
 
-def strict_stage(events: list[Event], window: ObservationWindow) -> list[Event]:
-    """The strict stage of a run over ``window`` whose de-duplicated records are ``events``."""
+def strict_stage(events: list[Event], window: ObservationWindow) -> list[TokenEventRow]:
+    """The strict stage of a run over ``window`` whose de-duplicated records
+    are ``events``: the events-CSV rows of its completions."""
     analysis = Analysis(RunConfig(root=".", window=window))
     analysis.deduped = list(events), None
     return analysis.strict
+
+
+def window_timeline(events: list[Event], window: ObservationWindow) -> Timeline:
+    """The timeline of ``events`` that a run over ``window`` measures active time on."""
+    return Timeline.between(sorted_timestamps(events), *window.ms_bounds)
 
 
 def hash_tree(root: Path) -> str:

@@ -348,7 +348,7 @@ def test_acceptance_7_association_oracle():
             make_completion(ts=MAY1_MS + i, tokens=(0, out, cache, 0))
             for i, (cache, out) in enumerate(pairs)
         ]
-        stats = cache_output_association(events)
+        stats = cache_output_association(strict_stage(events, MAY_WINDOW))
         xs = [float(c) for c, _ in pairs]
         ys = [float(o) for _, o in pairs]
         expected_r = _oracle_pearson([math.log(x) for x in xs], [math.log(y) for y in ys])
@@ -364,9 +364,8 @@ def test_acceptance_7_association_oracle():
             make_completion(ts=MAY1_MS + i, tokens=(0, out, cache**2, 0))
             for i, (cache, out) in enumerate(pairs)
         ]
-        assert cache_output_association(transformed).spearman_rho == pytest.approx(
-            stats.spearman_rho, abs=1e-12
-        )
+        rescaled = cache_output_association(strict_stage(transformed, MAY_WINDOW))
+        assert rescaled.spearman_rho == pytest.approx(stats.spearman_rho, abs=1e-12)
 
     print("ACCEPTANCE 7 PASS: association statistics match brute-force oracles within 1e-12")
 

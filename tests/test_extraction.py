@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_event
+from conftest import make_event, window_timeline
 from parem import extraction
 from parem.extraction import (
     DEFAULT_GOVERNANCE_RULES,
@@ -28,7 +28,7 @@ from parem.extraction import (
 )
 from parem.ingest import WorkspaceInventory
 from parem.jsonfmt import from_json, to_json
-from parem.metrics import ObservationWindow, compute_pare_m, window_timestamps
+from parem.metrics import ObservationWindow, compute_pare_m
 from parem.tokens import TokenTotals
 
 DAY_MS = 86_400_000
@@ -271,7 +271,7 @@ class TestProxyRates:
             WorkspaceInventory(),
             window,
             TokenTotals(),
-            window_timestamps(events, window),
+            window_timeline(events, window),
         )
         return report.values["OPR"], report.values["GER"]
 

@@ -29,7 +29,7 @@ from parem.ingest import (
     parse_session_file,
     scan_and_parse,
 )
-from parem.report import TokenEventRow
+from parem.tokens import TokenEventRow
 
 
 def iso_oracle_ms(year, month, day, hour=0, minute=0, second=0):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_completion, make_event
+from conftest import make_completion, make_event, window_timeline
+from parem.activetime import Timeline
 from parem.ingest import WorkspaceInventory
 from parem.classify import SurfaceCounts
 from parem.metrics import (
@@ -18,8 +19,8 @@ from parem.metrics import (
     role_counts,
     round_proportion,
     round_rate,
+    sorted_timestamps,
     utc_date,
-    window_timestamps,
 )
 from parem.tokens import TokenTotals
 
@@ -59,7 +60,7 @@ class TestCalendarDays:
 
 def pare_m(events, window):
     return compute_pare_m(
-        events, [], empty_inventory(), window, TokenTotals(), window_timestamps(events, window)
+        events, [], empty_inventory(), window, TokenTotals(), window_timeline(events, window)
     )
 
 
@@ -174,7 +175,7 @@ class TestComputePareM:
             empty_inventory({"s": 1}),
             REFERENCE_WINDOW,
             TokenTotals(1, 2, 3, 4),
-            window_timestamps(events, REFERENCE_WINDOW),
+            window_timeline(events, REFERENCE_WINDOW),
         )
         for name in METRIC_NAMES:
             metric = report.values[name]
@@ -195,7 +196,7 @@ class TestComputePareM:
             empty_inventory({"s": 2}),
             REFERENCE_WINDOW,
             TokenTotals(10, 20, 30, 40),
-            window_timestamps(events, REFERENCE_WINDOW),
+            window_timeline(events, REFERENCE_WINDOW),
         )
         assert compute_pare_m(*args) == compute_pare_m(*args)
 
@@ -210,7 +211,7 @@ class TestComputePareM:
             empty_inventory(),
             REFERENCE_WINDOW,
             TokenTotals(),
-            window_timestamps(events, REFERENCE_WINDOW),
+            window_timeline(events, REFERENCE_WINDOW),
         )
         # gaps of 45 min: capped at 30 -> 1.5h, at 60 -> 2.25h
         assert report.values["ATE"].value == pytest.approx(1.5)
@@ -226,7 +227,7 @@ class TestComputePareM:
             empty_inventory(),
             REFERENCE_WINDOW,
             TokenTotals(),
-            window_timestamps(events, REFERENCE_WINDOW),
+            window_timeline(events, REFERENCE_WINDOW),
         )
         assert any("lower bound" in a for a in report.annotations)
 
@@ -259,7 +260,7 @@ def test_window_timeline_matches_the_set_comprehension(case, data):
         stamps = stamps + data.draw(st.lists(st.sampled_from(stamps), max_size=10))
     stamps = data.draw(st.permutations(stamps + [None] * data.draw(st.integers(0, 3))))
     events = [make_event(timestamp_ms=ts, line=i) for i, ts in enumerate(stamps)]
-    timeline = window_timestamps(events, window)
+    timeline = Timeline.between(sorted_timestamps(events), *window.ms_bounds)
     expected = reference_window_timestamps(events, window)
     assert timeline == expected
     assert timeline.gaps == sorted(b - a for a, b in zip(expected, expected[1:]))
@@ -277,5 +278,5 @@ def test_ms_bounds_filter_matches_utc_date_containment(case):
     events = [make_event(timestamp_ms=ts, line=i) for i, ts in enumerate(stamps)]
     events.append(make_event(line=len(stamps)))  # untimed
     inside = [ts for ts in stamps if window.contains(utc_date(ts))]
-    assert window_timestamps(events, window) == sorted(set(inside))
+    assert window_timeline(events, window) == sorted(set(inside))
     assert pare_m(events, window).active_day_count == len({utc_date(ts) for ts in inside})

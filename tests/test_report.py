@@ -6,6 +6,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parem.jsonfmt import to_json
 from parem.metrics import ObservationWindow
@@ -19,6 +21,7 @@ from parem.report import (
     SURFACE_COUNTS_CSV,
     ReportBundle,
     ReportError,
+    _dumps_report,
     export_csvs,
     render_report,
 )
@@ -54,7 +57,7 @@ def test_render_deterministic(corpus_bundle):
     )
 
 
-def test_structured_is_json_dumps_indented(corpus_bundle, empty_bundle):
+def test_structured_parses_to_the_bundle(corpus_bundle, empty_bundle):
     for bundle in (corpus_bundle[0], empty_bundle):
         rendered = render_report(bundle, "structured", EVENTS_SHA256)
         expected = to_json(bundle)
@@ -64,7 +67,54 @@ def test_structured_is_json_dumps_indented(corpus_bundle, empty_bundle):
             "sha256": EVENTS_SHA256,
         }
         expected["format"] = "parem-report/2"
-        assert rendered == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        assert json.loads(rendered) == expected
+
+
+# text that looks like the newlines and separators of the layout, or that an
+# encoder must escape: line and paragraph separators, lone surrogates
+TRICKY_TEXT = ["\n", "}, {", "},\n    {", "\n  ]", "\u2028", "\u2029", "é", "日本", '"', "\\"]
+texts = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet=st.characters(blacklist_categories=()), max_size=8),  # lone surrogates
+    st.sampled_from(["\ud800", "\udfff", "a\udc00b"]),
+    st.lists(st.sampled_from(TRICKY_TEXT), max_size=4).map("".join),
+)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),  # NaN is written, but never equals its parse
+    texts,
+)
+values = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3), st.dictionaries(texts, children, max_size=3)
+    ),
+    max_leaves=10,
+)
+records = st.dictionaries(texts, values, max_size=4)
+# the report's top level: never empty, its lists hold records or text
+reports = st.dictionaries(
+    texts, st.one_of(st.lists(st.one_of(records, texts), max_size=4), values), min_size=1, max_size=5
+)
+
+
+@given(reports)
+@settings(max_examples=100)
+def test_report_writer_puts_each_list_item_on_one_line(data):
+    text = _dumps_report(data)
+    assert text.isascii()
+    assert json.loads(text) == data
+    lines = text.split("\n")
+    for key, value in data.items():
+        if isinstance(value, list) and value:
+            start = lines.index(f"  {json.dumps(key)}: [") + 1
+            items = lines[start : start + len(value)]
+            assert [json.loads(line.strip().rstrip(",")) for line in items] == value
+            assert lines[start + len(value)].rstrip(",") == "  ]"
+    if not any(isinstance(value, list) and value for value in data.values()):
+        assert text == json.dumps(data, indent=2, sort_keys=True)
 
 
 def test_render_text_reflects_ground_truth(corpus_bundle):

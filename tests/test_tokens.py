@@ -12,6 +12,7 @@ from conftest import make_completion, strict_stage
 from parem.metrics import ObservationWindow
 from parem.tokens import (
     AssociationStats,
+    TokenEventRow,
     TokenTotals,
     aggregate_tokens,
     average_ranks,
@@ -99,8 +100,14 @@ def test_non_completions_ignored():
     from conftest import make_event
     from parem.ingest import TokenUsage
 
-    stray = make_event(role="assistant", tokens=TokenUsage(9, 9, 9, 9))
-    assert aggregate_tokens([stray]).total == 0
+    stray = make_event(
+        role="assistant",
+        source="trajectories/a.jsonl",
+        timestamp_ms=MAY1_MS,
+        tokens=TokenUsage(9, 9, 9, 9),
+    )
+    assert strict_stage([stray], WINDOW) == []
+    assert aggregate_tokens([]).total == 0
 
 
 # --- per-route ------------------------------------------------------------
@@ -223,10 +230,11 @@ def test_generator_known_daily_schedule():
 
 
 def completion_pairs(pairs):
-    return [
+    events = [
         make_completion(ts=MAY1_MS + i, tokens=(0, out, cache, 0))
         for i, (cache, out) in enumerate(pairs)
     ]
+    return strict_stage(events, WINDOW)
 
 
 def test_proportional_pairs():
@@ -364,7 +372,7 @@ def test_average_ranks_with_ties():
 def test_daily_rows_reject_a_completion_outside_the_window(offset_ms):
     window = ObservationWindow(date(2026, 5, 1), date(2026, 5, 3))
     with pytest.raises(ValueError, match="outside"):
-        daily_composition([make_completion(ts=MAY1_MS + offset_ms)], window)
+        daily_composition([TokenEventRow(MAY1_MS + offset_ms, "a", "m", 1, 2, 3, 4)], window)
 
 
 # --- the rewrites against copies of their old rules, compared exactly -----
