@@ -173,12 +173,29 @@ def test_analyze_rejects_a_misspelt_config_key_before_writing(corpus, tmp_path, 
         ("analyze", {"classification": ["x"]}, "RunConfig.classification"),
         ("analyze", {"window": ["2024-01-01"]}, "RunConfig.window"),
         ("synth", {"start_date": 5}, "CorpusSpec.start_date"),
+        (
+            "analyze",
+            {"output_rules": {"families": {"x": ["wrote"]}, "exclusions": ["("]}},
+            "RunConfig.output_rules: exclusion '(' does not compile",
+        ),
+        (
+            "analyze",
+            {
+                "governance_rules": {
+                    "families": {"v": ["checked"]},
+                    "family_classes": {"v": "verifcation"},
+                }
+            },
+            "RunConfig.governance_rules: class 'verifcation' of family 'v'",
+        ),
     ],
     ids=[
         "ruleset-without-families",
         "list-for-an-object",
         "list-for-the-window",
         "spec-date-as-a-number",
+        "exclusion-that-does-not-compile",
+        "family-class-not-in-the-priority",
     ],
 )
 def test_a_bad_config_is_reported_before_writing(corpus, tmp_path, capsys, command, data, path):

@@ -19,8 +19,6 @@ from parem.extraction import (
     KeywordRuleSet,
     ProxyEvent,
     _artifact_tokens,
-    _clusters,
-    _priority_class,
     extract_governance_events,
     extract_output_proxies,
     parse_memory_sections,
@@ -99,6 +97,12 @@ class TestParseMemorySections:
         sections, warnings = parse_memory_sections([tmp_path / "missing.md"])
         assert sections == []
         assert len(warnings) == 1
+
+    def test_heading_whose_optional_date_group_is_unset_is_body(self, tmp_path):
+        path = tmp_path / "m.md"
+        path.write_text("## 2026-02-01\nok\n## notes\nmore\n", encoding="utf-8")
+        sections, _ = parse_memory_sections([path], heading_pattern=r"^#+\s(\d{4}-\d{2}-\d{2})?")
+        assert [(s.date, s.body) for s in sections] == [(date(2026, 2, 1), "ok\n## notes\nmore")]
 
     def test_same_date_twice_yields_two_sections(self, tmp_path):
         path = tmp_path / "m.md"
@@ -316,6 +320,29 @@ def test_ruleset_validation():
         KeywordRuleSet(families={"a": ("x", "  ")})
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"exclusions": ["("]}, "exclusion '(' does not compile"),
+        ({"exclusions": ["draft", "(?i"]}, "exclusion '(?i' does not compile"),
+        ({"family_classes": {"w": "failure"}}, "family_classes names no keyword family: 'w'"),
+        (
+            {"family_classes": {"x": "verifcation"}},
+            "class 'verifcation' of family 'x' is not in class_priority",
+        ),
+        (
+            {"family_classes": {"x": "failure"}, "class_priority": ["safety"]},
+            "class 'failure' of family 'x' is not in class_priority",
+        ),
+    ],
+    ids=["open-group", "unclosed-flag", "unknown-family", "misspelt-class", "class-not-ranked"],
+)
+def test_a_bad_exclusion_or_family_class_is_rejected_when_the_set_is_built(data, message):
+    # the way a config file is read: before any stage runs
+    with pytest.raises(ValueError, match=re.escape(f"KeywordRuleSet: {message}")):
+        from_json(KeywordRuleSet, {"families": {"x": ["wrote"]}, **data})
+
+
 def test_ruleset_round_trip():
     again = from_json(KeywordRuleSet, to_json(DEFAULT_GOVERNANCE_RULES))
     assert again == DEFAULT_GOVERNANCE_RULES
@@ -417,6 +444,57 @@ def normalized(term: str) -> str:
     return re.sub(r"\s+", " ", term.strip())
 
 
+# Reference copies of the sentence, cluster, artifact and class helpers, each
+# running its regex on every input, so the extractors are not checked against
+# the code they share with them.
+
+def reference_split_sentences(body: str) -> list[str]:
+    sentences = []
+    for line in body.splitlines():
+        line = re.sub(r"^[\s>*+-]+", "", line).strip()
+        if not line:
+            continue
+        for piece in re.split(r"(?<=[.!?])\s+", line):
+            piece = " ".join(piece.split())
+            if piece:
+                sentences.append(piece)
+    return sentences
+
+
+def reference_clusters(hits, granularity):
+    clusters: list[tuple[list[int], list[str]]] = []
+    previous_index = None
+    for index, terms in hits:
+        if granularity == "section" and previous_index is not None and index == previous_index + 1:
+            clusters[-1][0].append(index)
+            clusters[-1][1].extend(terms)
+        else:
+            clusters.append(([index], list(terms)))
+        previous_index = index
+    return [(tuple(members), tuple(dict.fromkeys(terms))) for members, terms in clusters]
+
+
+ARTIFACT_TOKEN = (
+    r"`([^`]+)`|\b([\w./-]+\.(?:md|py|ts|js|pdf|csv|html|tex|ipynb|docx|pptx|svg))\b"
+)
+
+
+def reference_artifact_tokens(sentences, indices) -> set[str]:
+    tokens = set()
+    for index in indices:
+        for match in re.finditer(ARTIFACT_TOKEN, sentences[index]):
+            tokens.add((match.group(1) or match.group(2)).lower())
+    return tokens
+
+
+def reference_priority_class(families, rules: KeywordRuleSet):
+    classes = {rules.family_classes[f] for f in families if f in rules.family_classes}
+    for name in rules.class_priority:
+        if name in classes:
+            return name
+    return None
+
+
 def reference_matches(
     rules: KeywordRuleSet, sentences
 ) -> dict[str, list[tuple[int, list[str]]]]:
@@ -442,11 +520,11 @@ def reference_output_proxies(sections, rules, granularity, repeat_horizon_days):
     last_logged: dict[tuple[str, str], date] = {}
     proxies = []
     for sec in sorted(sections, key=lambda s: (s.date, s.source_path, s.heading)):
-        sentences = split_sentences(sec.body)
+        sentences = reference_split_sentences(sec.body)
         matches = reference_matches(rules, sentences)
         for family in rules.families:
-            for members, terms in _clusters(matches[family], granularity):
-                tokens = _artifact_tokens(sentences, members)
+            for members, terms in reference_clusters(matches[family], granularity):
+                tokens = reference_artifact_tokens(sentences, members)
                 suppressed = False
                 if tokens and repeat_horizon_days > 0:
                     text = " ".join(sentences[i] for i in members)
@@ -475,7 +553,7 @@ def reference_output_proxies(sections, rules, granularity, repeat_horizon_days):
 def reference_governance_events(sections, rules, granularity):
     proxies = []
     for sec in sorted(sections, key=lambda s: (s.date, s.source_path, s.heading)):
-        matches = reference_matches(rules, split_sentences(sec.body))
+        matches = reference_matches(rules, reference_split_sentences(sec.body))
         per_sentence: dict[int, tuple[list[str], list[str]]] = {}
         for family, hits in matches.items():
             for index, terms in hits:
@@ -483,7 +561,7 @@ def reference_governance_events(sections, rules, granularity):
                 families.append(family)
                 all_terms.extend(terms)
         rows = [(index, per_sentence[index][1]) for index in sorted(per_sentence)]
-        for members, terms in _clusters(rows, granularity):
+        for members, terms in reference_clusters(rows, granularity):
             families = [f for index in members for f in per_sentence[index][0]]
             proxies.append(
                 ProxyEvent(
@@ -491,7 +569,7 @@ def reference_governance_events(sections, rules, granularity):
                     "governance",
                     terms,
                     (sec.source_path, sec.heading),
-                    governance_class=_priority_class(families, rules),
+                    governance_class=reference_priority_class(families, rules),
                 )
             )
     return proxies
@@ -592,6 +670,54 @@ def test_fold_hazards_are_every_character_ignorecase_adds():
         return re.sub(r"\W", "0", re.sub(r"\w", "1", text))
 
     assert word_mask(folded) == word_mask(rest)
+
+
+def test_the_ascii_word_split_is_findall():
+    # the translation acts per character: each ASCII character between two
+    # letters, doubled, and at both ends
+    text = "".join(f"{chr(c)}a{chr(c)}b{chr(c)}{chr(c)}" for c in range(128))
+    split = text.encode().translate(extraction._NON_WORD_TO_SPACE).decode().split()
+    assert split == re.findall(r"\w+", text)
+
+
+# --- each regex gate against the ungated helper --------------------------------
+
+ALL_CHARS = "".join(map(chr, range(sys.maxunicode + 1)))
+WHITESPACE = re.findall(r"\s", ALL_CHARS)
+
+
+def test_re_whitespace_is_str_isspace():
+    # split_sentences tests line[0].isspace() for the bullet prefix's \s
+    assert len(WHITESPACE) == 29
+    assert WHITESPACE == [c for c in ALL_CHARS if c.isspace()]
+
+
+LINE_PIECES = [
+    *WHITESPACE, ">", "*", "+", "-", ".", "!", "?", "\r\n", "\u2028", "\n\n", "a", "Drafted", "b.c",
+]
+
+
+@given(st.lists(st.sampled_from(LINE_PIECES), max_size=24).map("".join))
+@settings(max_examples=300)
+def test_split_sentences_equals_the_ungated_split(body):
+    assert split_sentences(body) == reference_split_sentences(body)
+
+
+ARTIFACT_PIECES = [
+    "`", "x.md", ".md", "a.", "report.md.", "`report.md`", "notes.pdf", "x.p", ".", "..", "md",
+    "py", "a", "é", " ", "/", "-", "_",
+]
+
+
+@given(
+    st.lists(
+        st.lists(st.sampled_from(ARTIFACT_PIECES), max_size=8).map("".join), min_size=1, max_size=4
+    )
+)
+@settings(max_examples=300)
+def test_artifact_tokens_equal_the_ungated_search(sentences):
+    indices = range(len(sentences))
+    assert _artifact_tokens(sentences, indices) == reference_artifact_tokens(sentences, indices)
 
 
 class _Spy:

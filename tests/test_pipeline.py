@@ -190,17 +190,37 @@ _CLASSIFICATION = st.builds(
     generated_patterns=_TEXTS,
     version=_TEXT,
 )
-_RULESETS = st.builds(
-    KeywordRuleSet,
-    families=st.dictionaries(
-        _KEYS, st.lists(st.text(alphabet="abc", min_size=1), min_size=1, max_size=3).map(tuple)
-    ),
-    family_classes=st.dictionaries(_KEYS, _TEXT, max_size=2),
-    exclusions=st.lists(_KEYS, max_size=2).map(tuple),
-    class_priority=_TEXTS,
-    case_sensitive=st.booleans(),
-    version=_TEXT,
-)
+
+
+@st.composite
+def _rulesets(draw) -> KeywordRuleSet:
+    # a family class must name a family and a class listed in class_priority
+    families = draw(
+        st.dictionaries(
+            _KEYS, st.lists(st.text(alphabet="abc", min_size=1), min_size=1, max_size=3).map(tuple)
+        )
+    )
+    class_priority = draw(_TEXTS)
+    family_classes = (
+        draw(
+            st.dictionaries(
+                st.sampled_from(sorted(families)), st.sampled_from(class_priority), max_size=2
+            )
+        )
+        if families and class_priority
+        else {}
+    )
+    return KeywordRuleSet(
+        families=families,
+        family_classes=family_classes,
+        exclusions=tuple(draw(st.lists(_KEYS, max_size=2))),
+        class_priority=class_priority,
+        case_sensitive=draw(st.booleans()),
+        version=draw(_TEXT),
+    )
+
+
+_RULESETS = _rulesets()
 _ALIASES = st.builds(
     FieldAliases,
     **{f.name: _TEXT if f.type == "str" else _TEXTS for f in fields(FieldAliases)},
