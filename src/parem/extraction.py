@@ -110,7 +110,9 @@ class KeywordRuleSet:
 
     Matching is word-boundary over whitespace-normalized sentences,
     case-insensitive unless configured otherwise. A sentence hit by any
-    exclusion pattern contributes no matches at all.
+    exclusion pattern contributes no matches at all. Families are stored in
+    name order, the order they take in a config written with sorted keys, so
+    the proxies of a section come out the same for a set read back from one.
     """
 
     families: Mapping[str, tuple[str, ...]]
@@ -121,6 +123,7 @@ class KeywordRuleSet:
     version: str = "ruleset/1"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "families", dict(sorted(self.families.items())))
         for name, terms in self.families.items():
             if not terms:
                 raise ValueError(f"keyword family {name!r} is empty")

@@ -12,6 +12,7 @@ the same configuration yields byte-identical files.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import date
@@ -51,6 +52,7 @@ from .ingest import (
     WorkspaceInventory,
     scan_and_parse,
 )
+from .jsonfmt import to_json
 from .metrics import MetricReport, ObservationWindow, compute_pare_m, sorted_timestamps, utc_date
 from .report import (
     DEDUP_LEDGER_HEADER,
@@ -87,6 +89,10 @@ REPORT_JSON = "reports/report.json"
 DEDUP_LEDGER_CSV = "reports/dedup-ledger.csv"
 PARSE_CACHE = "cache/parse.jsonl"
 
+# config sections that may hold an inline mapping or a path to a JSON ruleset
+# file (resolved relative to the config file); provenance digests each one
+RULESET_SECTIONS = ("classification", "output_rules", "governance_rules", "aliases", "conventions")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -121,6 +127,8 @@ class RunConfig:
         # type(...) is int: a bool is an int to isinstance, but not a minute count
         if any(type(cap) is not int or cap <= 0 for cap in self.caps):
             raise ValueError(f"caps must all be positive integers, got {list(self.caps)}")
+        if len(set(self.caps)) < len(self.caps):
+            raise ValueError(f"caps must not list {max(self.caps, key=self.caps.count)} twice")
         for name in ("gap_bin_minutes", "gap_clip_minutes"):
             value = getattr(self, name)
             if type(value) is not int or value <= 0:
@@ -283,35 +291,13 @@ class Analysis:
 
     @cached_property
     def bundle(self) -> ReportBundle:
-        config = self.config
         inventory = self.read[0]
         window, window_warnings = self.window
         _, sensitivity, histogram = self.active_time
         sections, output_proxies, governance_proxies, memory_warnings = self.extraction
         totals, routes, daily, association = self.tokens
-        provenance = Provenance(
-            tool_version=__version__,
-            ruleset_versions={
-                "classification": config.classification.version,
-                "output_rules": config.output_rules.version,
-                "governance_rules": config.governance_rules.version,
-                "aliases": config.aliases.version,
-                "conventions": config.conventions.version,
-            },
-            window_start=window.start_date.isoformat(),
-            window_end=window.end_date.isoformat(),
-            scope=config.scope,
-            flags={
-                "caps": list(config.caps),
-                "granularity": config.granularity,
-                "repeat_horizon_days": config.repeat_horizon_days,
-                "exclude_generated": config.exclude_generated,
-                "log1p": config.log1p,
-                "scope": config.scope,
-            },
-        )
         return ReportBundle(
-            provenance=provenance,
+            provenance=provenance(self.config, window),
             inventory=inventory,
             metrics=self.metrics,
             dedup_stats=self.deduped[1],
@@ -327,6 +313,26 @@ class Analysis:
             dated_section_count=len(sections),
             warnings=[*inventory.warnings, *window_warnings, *memory_warnings],
         )
+
+
+def _sha256_json(data: object) -> str:
+    """The SHA-256 of ``data``'s canonical JSON: sorted keys, no spaces."""
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def provenance(config: RunConfig, window: ObservationWindow) -> Provenance:
+    """The window, the config but ``root`` and ``out_dir`` as ``to_json`` writes it, and digests."""
+    data = to_json(config)
+    del data["root"], data["out_dir"]
+    return Provenance(
+        tool_version=__version__,
+        window_start=window.start_date.isoformat(),
+        window_end=window.end_date.isoformat(),
+        config=data,
+        config_sha256=_sha256_json(data),
+        ruleset_sha256={name: _sha256_json(data[name]) for name in RULESET_SECTIONS},
+    )
 
 
 def write_outputs(
@@ -375,17 +381,6 @@ def run_analysis(config: RunConfig) -> tuple[ReportBundle, list[Path]]:
     deduped = analysis.deduped[0] if config.dedup_ledger else None
     del analysis  # free the records and stage results before writing: lower peak memory
     return bundle, write_outputs(bundle, config, deduped)
-
-
-# config sections that may hold either an inline mapping or a path to a
-# separate JSON ruleset file (resolved relative to the config file)
-RULESET_SECTIONS = (
-    "classification",
-    "output_rules",
-    "governance_rules",
-    "aliases",
-    "conventions",
-)
 
 
 def load_config_file(path: str | Path) -> dict:

@@ -35,7 +35,7 @@ from .metrics import (
 from .tokens import AssociationStats, DailyTokens, RouteTotals, TokenEventRow, TokenTotals
 
 # names the structured report's schema; it changes whenever the schema does
-REPORT_FORMAT = "parem-report/2"
+REPORT_FORMAT = "parem-report/3"
 
 DAILY_TOKENS_CSV = "figures/figure-1-token-telemetry-daily.csv"
 EVENTS_TOKENS_CSV = "figures/figure-1-token-telemetry-events.csv"
@@ -88,11 +88,11 @@ class ReportError(Exception):
 @dataclass(frozen=True)
 class Provenance:
     tool_version: str
-    ruleset_versions: dict[str, str]
     window_start: str
     window_end: str
-    scope: str
-    flags: dict[str, object] = field(default_factory=dict)
+    config: dict[str, object]
+    config_sha256: str
+    ruleset_sha256: dict[str, str]
 
 
 @dataclass
@@ -221,11 +221,10 @@ def render_report(
     lines.append("=" * 44)
     lines.append(f"tool version: {provenance.tool_version}")
     lines.append(f"window: {provenance.window_start} .. {provenance.window_end}")
-    lines.append(f"scope: {provenance.scope}")
-    for name, version in sorted(provenance.ruleset_versions.items()):
-        lines.append(f"ruleset {name}: {version}")
-    for name, value in sorted(provenance.flags.items()):
-        lines.append(f"flag {name}: {value}")
+    lines.append(f"scope: {provenance.config['scope']}")
+    lines.append(f"config sha256: {provenance.config_sha256}")
+    for name, digest in provenance.ruleset_sha256.items():
+        lines.append(f"ruleset {name}: {provenance.config[name]['version']} sha256 {digest}")
     lines.append("")
 
     lines.append("metrics")

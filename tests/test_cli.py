@@ -8,6 +8,7 @@ import pytest
 
 from conftest import hash_tree
 from parem.cli import main
+from parem.extraction import DEFAULT_HEADING_PATTERN
 from parem.synth import CorpusSpec, generate_corpus
 
 
@@ -226,7 +227,7 @@ def test_flag_overrides_config(corpus, tmp_path):
     args = analyze_args(root, out, ground_truth) + ["--config", str(config_path), "--scope", "main"]
     assert main(args) == 0
     report = json.loads((out / "reports" / "report.json").read_text())
-    assert report["provenance"]["scope"] == "main"
+    assert report["provenance"]["config"]["scope"] == "main"
     assert report["metrics"]["values"]["DRC"]["value"] == ground_truth.drc
 
 
@@ -258,7 +259,12 @@ def test_ruleset_path_in_config(corpus, tmp_path):
     )
     assert main(["analyze", "--config", str(config_path)]) == 0
     report = json.loads((out / "reports" / "report.json").read_text())
-    assert report["provenance"]["ruleset_versions"]["output_rules"] == "narrow/1"
+    # the report holds the rule set read from that file, not the path to it
+    config = report["provenance"]["config"]
+    assert config["output_rules"]["version"] == "narrow/1"
+    assert config["output_rules"]["families"] == {
+        "authorship": ["drafted", "rendered", "generated"]
+    }
     # the narrowed families cannot see the merged/published planted sentences
     assert len(report["output_proxies"]) < ground_truth.output_proxies
     assert len(report["output_proxies"]) > 0
@@ -281,8 +287,58 @@ def test_provenance_records_flags(corpus, tmp_path):
     out = tmp_path / "out"
     assert main(analyze_args(root, out, ground_truth) + ["--granularity", "sentence"]) == 0
     report = json.loads((out / "reports" / "report.json").read_text())
-    assert report["provenance"]["flags"]["granularity"] == "sentence"
-    assert report["provenance"]["ruleset_versions"]["output_rules"] == "output-families/1"
+    config = report["provenance"]["config"]
+    assert config["granularity"] == "sentence"
+    assert config["output_rules"]["version"] == "output-families/1"
+    # every setting is named, not only those with a flag of their own
+    assert config["gap_bin_minutes"] == 15
+    assert config["heading_pattern"] == DEFAULT_HEADING_PATTERN
+    assert config["window"] == {
+        "start_date": ground_truth.window_start.isoformat(),
+        "end_date": ground_truth.window_end.isoformat(),
+    }
+    # where the run read and wrote is not part of its configuration
+    assert "root" not in config and "out_dir" not in config
+
+
+def test_a_report_reruns_from_its_own_config(corpus, tmp_path):
+    root, ground_truth = corpus
+    first, second = tmp_path / "first", tmp_path / "second"
+    flags = ["--caps", "15,45", "--granularity", "sentence", "--dedup-ledger"]
+    assert main(analyze_args(root, first, ground_truth) + flags) == 0
+    report = json.loads((first / "reports" / "report.json").read_text())
+    config_path = tmp_path / "rerun.json"
+    config_path.write_text(
+        json.dumps({**report["provenance"]["config"], "root": str(root)}), encoding="utf-8"
+    )
+    assert main(["analyze", "--config", str(config_path), "--out", str(second)]) == 0
+    assert hash_tree(first) == hash_tree(second)
+
+
+def test_a_section_two_families_match_reruns_from_its_own_config(tmp_path):
+    # the default families are not listed in name order; the report's config
+    # holds them in name order, as every object it writes
+    (tmp_path / "ws" / "memory").mkdir(parents=True)
+    (tmp_path / "ws" / "memory" / "notes.md").write_text(
+        "## 2024-01-02\nDrafted the manuscript. Verified the protocol checklist.\n",
+        encoding="utf-8",
+    )
+    first, second = tmp_path / "first", tmp_path / "second"
+    window = ["--window-start", "2024-01-01", "--window-end", "2024-01-03"]
+    assert main(["analyze", "--root", str(tmp_path / "ws"), "--out", str(first), *window]) == 0
+    report = json.loads((first / "reports" / "report.json").read_text())
+    assert [p["family"] for p in report["output_proxies"]] == [
+        "artifact",
+        "authorship",
+        "verification",
+    ]
+    config_path = tmp_path / "rerun.json"
+    config_path.write_text(
+        json.dumps({**report["provenance"]["config"], "root": str(tmp_path / "ws")}),
+        encoding="utf-8",
+    )
+    assert main(["analyze", "--config", str(config_path), "--out", str(second)]) == 0
+    assert hash_tree(first) == hash_tree(second)
 
 
 def test_stage_commands_emit_json(corpus, capsys):

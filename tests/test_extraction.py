@@ -166,6 +166,24 @@ class TestOutputProxies:
         families = sorted(p.family for p in proxies)
         assert families == ["authorship", "engineering"]
 
+    @pytest.mark.parametrize("defaults", [DEFAULT_OUTPUT_RULES, DEFAULT_GOVERNANCE_RULES])
+    def test_family_order_is_name_order_whatever_the_set_lists(self, defaults):
+        # a config file written with sorted keys must give back the same rules
+        backwards = dict(reversed(list(defaults.families.items())))
+        rules = dataclasses.replace(defaults, families=backwards)
+        assert list(rules.families) == sorted(backwards) == list(defaults.families)
+        body = "Drafted the manuscript and verified the protocol checklist."
+        assert extract_output_proxies([section(body)], rules) == extract_output_proxies(
+            [section(body)], defaults
+        )
+        assert extract_governance_events([section(body)], rules) == extract_governance_events(
+            [section(body)], defaults
+        )
+        proxies = extract_output_proxies([section(body)])
+        assert [p.family for p in proxies] == ["artifact", "authorship", "verification"]
+        (event,) = extract_governance_events([section(body)])
+        assert event.matched_terms == ("protocol", "checklist", "verified")
+
     def test_repeat_same_artifact_suppressed_within_horizon(self):
         sections = [
             section("Drafted `report.md` today.", day="2026-02-03"),

@@ -23,8 +23,8 @@ GOLDEN = {
         "figures/figure-1-token-telemetry-events.csv": "ca4ebcda2082aeda9dfee63408f3a84348aff5940f001706ee3a00dba51c2cd1",
         "reports/metrics.csv": "f14a1b4dc4375030dc7da9ebe3379f2f40da3391741dbe27f367c93a4a4c20de",
         "reports/proxy-ledger.csv": "31863732b5c99020df978865a6160b332b1d5c73f4f238ada31069ab6942885a",
-        "reports/report.json": "0481f29cd21faa60026f28fb2c7818101336bb3c051c6aa5c19f32588e577763",
-        "reports/report.txt": "dab806b525acadcafb40dd2b999f43edf121b0b206507f46b366e755e5ca7436",
+        "reports/report.json": "ca4ff42653789827148d23431c1d4efba4d8895a34d2c8e449f5e8413b0c6412",
+        "reports/report.txt": "9d8f2d660835d0a57f84a63e858bc0a6d8375e0fb52a0e665767128de056b6d8",
         "reports/surface-counts.csv": "51666d7c509c73e049f40808172ec15470833143654272f0926ed5a8f0e20d93",
     },
     # no window (derived from the events), all-agent scope, dedup ledger
@@ -35,8 +35,8 @@ GOLDEN = {
         "reports/dedup-ledger.csv": "e858e55575a09c1eff7da534017f018366db3c05625fec2809fa1a977127a64b",
         "reports/metrics.csv": "1c31997f129dd578ca2e49b7099a498ab22a6431a9a02e59c701bf6a8c0325f6",
         "reports/proxy-ledger.csv": "31863732b5c99020df978865a6160b332b1d5c73f4f238ada31069ab6942885a",
-        "reports/report.json": "0ba48d279c407de3937beb4708c94594f7c58e3bf7349cb72c3a478222729c35",
-        "reports/report.txt": "6540afcacd2867998c894243d88f95a1708dc2991c62977f8717eabecba70df9",
+        "reports/report.json": "3dfe05ac06284c04b46377ed23d6185022969c8a372a3a22f4c2aef269e530f3",
+        "reports/report.txt": "f1bf2eff3dbfdffc2657f7b5246ff0421924119d6a1211ead31a263296d7558c",
         "reports/surface-counts.csv": "51666d7c509c73e049f40808172ec15470833143654272f0926ed5a8f0e20d93",
     },
 }

@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import date
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import hash_tree
 from parem.classify import ClassificationRules
 from parem.extraction import DEFAULT_GOVERNANCE_RULES, DEFAULT_HEADING_PATTERN, KeywordRuleSet
 from parem.ingest import FieldAliases, WorkspaceConventions
@@ -19,10 +21,13 @@ from parem.jsonfmt import from_json, to_json
 from parem.metrics import ObservationWindow
 from parem.pipeline import (
     DEDUP_LEDGER_CSV,
+    REPORT_JSON,
     REPORT_TEXT,
+    RULESET_SECTIONS,
     Analysis,
     RunConfig,
     load_config_file,
+    provenance,
     run_analysis,
 )
 from parem.report import EVENTS_TOKENS_CSV
@@ -248,7 +253,7 @@ _CONFIGS = st.builds(
     root=_TEXT,
     out_dir=_TEXT,
     window=st.none() | _WINDOWS,
-    caps=st.lists(_POSITIVE, min_size=1, max_size=4).map(tuple),
+    caps=st.lists(_POSITIVE, min_size=1, max_size=4, unique=True).map(tuple),
     gap_bin_minutes=_POSITIVE,
     gap_clip_minutes=_POSITIVE,
     scope=st.sampled_from(["main", "all-agent"]),
@@ -275,6 +280,86 @@ def test_from_json_reads_back_what_to_json_writes(record):
     assert from_json(type(record), json.loads(json.dumps(to_json(record)))) == record
 
 
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small-corpus")
+    ground_truth = generate_corpus(CorpusSpec(seed=3, days=3), out)
+    # every word of one to three letters a drawn rule set's terms are made
+    # of, so drawn families match one section together
+    words = [
+        "".join(word) for size in (1, 2, 3) for word in itertools.product("abc", repeat=size)
+    ]
+    (out / "workspace" / "memory" / "words.md").write_text(
+        f"## {ground_truth.window_start.isoformat()}\n{' '.join(words)}.\n", encoding="utf-8"
+    )
+    return out / "workspace", ground_truth
+
+
+# A drawn config is large: shrinking a failing one took minutes and hundreds
+# of MB, so the properties below report a failing example as drawn.
+_NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
+
+
+@settings(max_examples=25, deadline=None, phases=_NO_SHRINK)
+@given(_CONFIGS, st.booleans(), st.booleans())
+def test_a_report_reproduces_from_its_provenance_config(
+    small_corpus, tmp_path_factory, config, fixed_window, drawn_aliases
+):
+    root, ground_truth = small_corpus
+    first, second = tmp_path_factory.mktemp("first"), tmp_path_factory.mktemp("second")
+    window = ObservationWindow(ground_truth.window_start, ground_truth.window_end)
+    config = replace(
+        config,
+        root=str(root),
+        out_dir=str(first),
+        window=window if fixed_window else None,
+        # a drawn layout could lead the scan out of the root
+        conventions=WorkspaceConventions(),
+        # drawn aliases read hardly a record of the corpus
+        aliases=config.aliases if drawn_aliases else FieldAliases(),
+    )
+    run_analysis(config)
+    report = json.loads((first / REPORT_JSON).read_text(encoding="utf-8"))
+    data = {**report["provenance"]["config"], "root": str(root), "out_dir": str(second)}
+    run_analysis(from_json(RunConfig, data))
+    assert hash_tree(first) == hash_tree(second)
+
+
+_WINDOW = ObservationWindow(date(2024, 1, 1), date(2024, 1, 31))
+
+
+@settings(max_examples=25, deadline=None, phases=_NO_SHRINK)
+@given(_CONFIGS, _CONFIGS, _TEXT, _TEXT)
+def test_the_config_digest_names_every_setting_but_root_and_out_dir(a, b, root, out_dir):
+    assert provenance(replace(a, root=root, out_dir=out_dir), _WINDOW) == provenance(a, _WINDOW)
+    digest = provenance(a, _WINDOW).config_sha256
+    # one setting at a time, taken from the other config
+    for name in (f.name for f in fields(RunConfig) if f.name not in ("root", "out_dir")):
+        changed = replace(a, **{name: getattr(b, name)})
+        assert (provenance(changed, _WINDOW).config_sha256 == digest) == (changed == a), name
+
+
+_SECTION_VALUES = {
+    "classification": _CLASSIFICATION,
+    "output_rules": _RULESETS,
+    "governance_rules": _RULESETS,
+    "aliases": _ALIASES,
+    "conventions": _CONVENTIONS,
+}
+
+
+@settings(max_examples=25, deadline=None, phases=_NO_SHRINK)
+@given(_CONFIGS, st.sampled_from(RULESET_SECTIONS), st.data())
+def test_a_rule_set_change_moves_only_its_own_digest(config, section, data):
+    rules = data.draw(_SECTION_VALUES[section])
+    assume(rules != getattr(config, section))
+    before = provenance(config, _WINDOW)
+    after = provenance(replace(config, **{section: rules}), _WINDOW)
+    assert after.config_sha256 != before.config_sha256
+    old, new = before.ruleset_sha256, after.ruleset_sha256
+    assert {name for name in RULESET_SECTIONS if new[name] != old[name]} == {section}
+
+
 @pytest.mark.parametrize(
     "kind, data, message",
     [
@@ -298,6 +383,7 @@ def test_from_json_reads_back_what_to_json_writes(record):
         (RunConfig, {"root": "ws", "gap_bin_minutes": True}, "RunConfig.gap_bin_minutes must be"),
         (RunConfig, {"root": "ws", "caps": [30.7]}, "RunConfig.caps[0] must be"),
         (RunConfig, {"root": "ws", "caps": [15, "30"]}, "RunConfig.caps[1] must be"),
+        (RunConfig, {"root": "ws", "caps": [30, 30, 15]}, "RunConfig: caps must not list 30 twice"),
         (CorpusSpec, {"days": 3.9}, "CorpusSpec.days must be"),
         (
             RunConfig,
@@ -342,6 +428,7 @@ def test_from_json_reads_back_what_to_json_writes(record):
         "bool-for-an-int",
         "float-cap",
         "string-cap",
+        "repeated-cap",
         "float-spec-days",
         "empty-window",
         "ruleset-without-families",
@@ -404,7 +491,7 @@ def test_report_json_is_valid_json(corpus, tmp_path):
     report_path = next(p for p in written if p.name == "report.json")
     data = json.loads(report_path.read_text())
     assert data["metrics"]["values"]["DRC"]["value"] == ground_truth.drc
-    assert data["format"] == "parem-report/2"
+    assert data["format"] == "parem-report/3"
     # the token events are not copied into the report but pointed to
     events = (tmp_path / "out" / EVENTS_TOKENS_CSV).read_bytes()
     assert data["token_events"] == {

@@ -66,7 +66,7 @@ def test_structured_parses_to_the_bundle(corpus_bundle, empty_bundle):
             "rows": len(bundle.token_events),
             "sha256": EVENTS_SHA256,
         }
-        expected["format"] = "parem-report/2"
+        expected["format"] = "parem-report/3"
         assert json.loads(rendered) == expected
 
 
