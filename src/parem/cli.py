@@ -24,6 +24,29 @@ from .synth import CorpusSpec, generate_corpus
 CONFIG_ENV_VAR = "PAREM_CONFIG"
 
 
+def _extraction_counts(analysis: Analysis) -> dict:
+    sections, outputs, governance, warnings = analysis.extraction
+    return {
+        "dated_sections": len(sections),
+        "output_proxies": len(outputs),
+        "governance_proxies": len(governance),
+        "governance_by_class": governance_by_class(governance),
+        "warnings": warnings,
+    }
+
+
+# each debug command: its help text, and what it prints of the stage it runs to
+_STAGE_COMMANDS = {
+    "dedup": ("print de-duplication stats for a workspace", lambda a: a.deduped[1]),
+    "activetime": ("print capped-gap estimates for a workspace", lambda a: a.active_time[1]),
+    "tokens": (
+        "print strict-subset token totals for a workspace",
+        lambda a: {"totals": a.tokens[0], "routes": a.tokens[1]},
+    ),
+    "extract": ("print proxy extraction counts for a workspace", _extraction_counts),
+}
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--root", help="workspace root to analyze")
     parser.add_argument(
@@ -80,12 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--out", required=True, help="output directory")
     synth.add_argument("--seed", type=int, help="override the spec seed")
 
-    for name, help_text in (
-        ("dedup", "print de-duplication stats for a workspace"),
-        ("activetime", "print capped-gap estimates for a workspace"),
-        ("tokens", "print strict-subset token totals for a workspace"),
-        ("extract", "print proxy extraction counts for a workspace"),
-    ):
+    for name, (help_text, _) in _STAGE_COMMANDS.items():
         stage = sub.add_parser(name, help=help_text)
         _add_common(stage)
 
@@ -170,52 +188,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_dedup(args: argparse.Namespace) -> int:
-    _print_json(Analysis(_config_from_args(args)).deduped[1])
+def cmd_stage(args: argparse.Namespace) -> int:
+    _print_json(_STAGE_COMMANDS[args.command][1](Analysis(_config_from_args(args))))
     return 0
 
 
-def cmd_activetime(args: argparse.Namespace) -> int:
-    _print_json(Analysis(_config_from_args(args)).active_time[1])
-    return 0
-
-
-def cmd_tokens(args: argparse.Namespace) -> int:
-    totals, routes, *_ = Analysis(_config_from_args(args)).tokens
-    _print_json({"totals": totals, "routes": routes})
-    return 0
-
-
-def cmd_extract(args: argparse.Namespace) -> int:
-    sections, outputs, governance, warnings = Analysis(_config_from_args(args)).extraction
-    _print_json(
-        {
-            "dated_sections": len(sections),
-            "output_proxies": len(outputs),
-            "governance_proxies": len(governance),
-            "governance_by_class": governance_by_class(governance),
-            "warnings": warnings,
-        }
-    )
-    return 0
-
-
-_COMMANDS = {
-    "scan": cmd_scan,
-    "analyze": cmd_analyze,
-    "synth": cmd_synth,
-    "dedup": cmd_dedup,
-    "activetime": cmd_activetime,
-    "tokens": cmd_tokens,
-    "extract": cmd_extract,
-}
+_COMMANDS = {"scan": cmd_scan, "analyze": cmd_analyze, "synth": cmd_synth}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS.get(args.command, cmd_stage)(args)
     except (WorkspaceError, ReportError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

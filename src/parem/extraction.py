@@ -16,6 +16,8 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Literal, Mapping, Sequence
 
+from .ingest import read_file
+
 ProxyKind = Literal["output", "governance"]
 Granularity = Literal["section", "sentence"]
 
@@ -321,8 +323,8 @@ def parse_memory_sections(
     """Split memory files into dated sections.
 
     Undated text attaches to the preceding dated section; text before the
-    first dated heading is skipped. Unreadable files produce a warning and
-    are skipped. Returns (sections, warnings).
+    first dated heading is skipped. A file that is unreadable or not a
+    regular file produces a warning and is skipped. Returns (sections, warnings).
     """
     pattern = compile_heading_pattern(heading_pattern)
     sections: list[DatedSection] = []
@@ -331,7 +333,7 @@ def parse_memory_sections(
         full = Path(root) / file_path if root is not None else Path(file_path)
         label = str(file_path)
         try:
-            text = full.read_text(encoding="utf-8", errors="replace")
+            text = read_file(full).decode("utf-8", errors="replace")
         except OSError as exc:
             warnings.append(f"unreadable memory file: {label} ({exc.__class__.__name__})")
             continue

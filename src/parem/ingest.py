@@ -15,6 +15,7 @@ import json
 import math
 import os
 import re
+import stat
 import zlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -78,9 +79,6 @@ class TokenUsage(NamedTuple):
     output: int = 0
     cache_read: int = 0
     cache_write: int = 0
-
-    def total(self) -> int:
-        return self.input + self.output + self.cache_read + self.cache_write
 
 
 class Event(NamedTuple):
@@ -642,7 +640,7 @@ def _decode_line(
 
 @dataclass(frozen=True)
 class WorkspaceFiles:
-    """Relative paths discovered under a workspace root, grouped by kind."""
+    """Relative paths under a workspace root, grouped by kind, and warnings."""
 
     memory: tuple[str, ...] = ()
     skills: tuple[str, ...] = ()
@@ -650,6 +648,7 @@ class WorkspaceFiles:
     main_sessions: tuple[str, ...] = ()
     agent_sessions: tuple[str, ...] = ()
     artifacts: tuple[str, ...] = ()
+    warnings: tuple[str, ...] = ()
 
 
 def discover_workspace(
@@ -657,45 +656,41 @@ def discover_workspace(
     conventions: WorkspaceConventions | None = None,
     skip: str | None = None,
 ) -> WorkspaceFiles:
-    """Walk the tree once and bucket every file; deterministic for a fixed tree.
+    """List the tree once and bucket every file; deterministic for a fixed tree.
 
     ``skip`` is a directory below the root, relative to it, that the walk
-    leaves out, such as an output directory inside the workspace.
+    leaves out, such as an output directory inside the workspace. Directory
+    symlinks are not descended; an unlistable directory below the root adds
+    a warning.
     """
     conventions = conventions or WorkspaceConventions()
     root_path = Path(root)
-    if not root_path.is_dir():
-        raise WorkspaceError(f"workspace root is not a readable directory: {root}")
-
     memory: list[str] = []
     skills: list[str] = []
     agent_dirs: list[str] = []
     main_sessions: list[str] = []
     agent_sessions: list[str] = []
     artifacts: list[str] = []
-
-    try:
-        entries = sorted(os.listdir(root_path))
-    except OSError as exc:
-        raise WorkspaceError(f"cannot list workspace root {root}: {exc}") from exc
-
-    agents_root = root_path / conventions.agent_root
-    if agents_root.is_dir():
-        agent_dirs = sorted(
-            f"{conventions.agent_root}/{name}"
-            for name in os.listdir(agents_root)
-            if (agents_root / name).is_dir()
-        )
+    warnings: list[str] = []
 
     skipped = os.path.join(root_path, skip) if skip else None
     # os.walk joins each directory onto the root as given, so the part of a
     # path below the root starts at one fixed offset
     cut = len(os.path.join(root_path, ""))
-    for dirpath, dirnames, filenames in os.walk(root_path):
+
+    def unlistable(exc: OSError) -> None:
+        if exc.filename == os.fspath(root_path):
+            raise WorkspaceError(f"workspace root is not a readable directory: {root}") from exc
+        rel = exc.filename[cut:].replace(os.sep, "/")
+        warnings.append(f"unlistable directory: {rel} ({exc.__class__.__name__})")
+
+    for dirpath, dirnames, filenames in os.walk(root_path, onerror=unlistable):
         dirnames.sort()
+        prefix = dirpath[cut:].replace(os.sep, "/")
+        if prefix == conventions.agent_root:
+            agent_dirs = [f"{prefix}/{name}" for name in dirnames]
         if skipped is not None:
             dirnames[:] = [d for d in dirnames if os.path.join(dirpath, d) != skipped]
-        prefix = dirpath[cut:].replace(os.sep, "/")
         prefix = prefix + "/" if prefix else ""
         for filename in sorted(filenames):
             rel = prefix + filename
@@ -721,7 +716,22 @@ def discover_workspace(
         main_sessions=tuple(sorted(main_sessions)),
         agent_sessions=tuple(sorted(agent_sessions)),
         artifacts=tuple(sorted(artifacts)),
+        warnings=tuple(warnings),
     )
+
+
+def read_file(path: str | Path) -> bytes:
+    """The bytes of a regular file. It is opened without blocking and its type
+    read from the open descriptor, so a FIFO or device file, even one swapped in
+    after the scan, raises OSError at once instead of hanging the read."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise OSError(f"not a regular file: {path}")
+        with open(fd, "rb", closefd=False) as handle:
+            return handle.read()
+    finally:
+        os.close(fd)
 
 
 def scan_and_parse(
@@ -751,14 +761,13 @@ def scan_and_parse(
     scopes: dict[str, AgentScope] = dict.fromkeys(files.main_sessions, "main")
     scopes.update(dict.fromkeys(files.agent_sessions, "other_agent"))
 
-    warnings: list[str] = []
+    warnings = list(files.warnings)
     events: list[Event] = []
     recoverable: dict[AgentScope, int] = {"main": 0, "other_agent": 0}
     with ParseCache(cache_path, aliases) as cache:
         for rel in sorted(scopes):
             try:
-                with open(root_path / rel, "rb") as handle:
-                    data = handle.read()
+                data = read_file(root_path / rel)
             except OSError:
                 warnings.append(f"unreadable or truncated session file: {rel}")
                 continue

@@ -93,10 +93,6 @@ class RoleCounts:
     model_completed: int = 0
     other: int = 0
 
-    @property
-    def total(self) -> int:
-        return sum(getattr(self, role) for role in ROLES)
-
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -138,15 +134,20 @@ def ratio_metric(
     numerator: float,
     denominator: float,
     window: ObservationWindow,
-    rule_id: str | None = None,
 ) -> MetricValue:
     """A MetricValue whose value is numerator/denominator, or undefined."""
-    rule = rule_id if rule_id is not None else RULE_IDS[metric]
+    rule = RULE_IDS[metric]
     if denominator > 0:
         return MetricValue(metric, numerator, denominator, window, rule, numerator / denominator)
     return MetricValue(
         metric, numerator, denominator, window, rule, None, reason=REASON_ZERO_DENOMINATOR
     )
+
+
+def ate_metric(hours: float, window: ObservationWindow, rule: str) -> MetricValue:
+    """ATE under ``RULE_IDS[rule]`` as seconds over 3600; rounding the seconds to
+    the ms makes them exactly the capped-gap ms / 1000, free of float noise."""
+    return MetricValue("ATE", round(hours * 3600, 3), 3600, window, RULE_IDS[rule], hours)
 
 
 def round_proportion(value: float) -> float:
@@ -180,36 +181,20 @@ def compute_pare_m(
     timestamps = Timeline.of(timestamps)
     day_count = _active_days(timestamps)
 
-    primary = active_time(timestamps, DEFAULT_CAP_MINUTES)
-    sensitivity = active_time(timestamps, SENSITIVITY_CAP_MINUTES)
-
     output_count = sum(1 for p in proxies if p.kind == "output")
     governance_count = sum(1 for p in proxies if p.kind == "governance")
 
     values = {
         "ADF": ratio_metric("ADF", day_count, window.calendar_days, window),
         "DRC": ratio_metric("DRC", len(events), 1, window),
-        "ATE": MetricValue(
-            "ATE",
-            primary.hours * 3600,
-            3600,
-            window,
-            RULE_IDS["ATE"],
-            primary.hours,
-        ),
+        "ATE": ate_metric(active_time(timestamps, DEFAULT_CAP_MINUTES).hours, window, "ATE"),
         "CDR": ratio_metric("CDR", token_totals.cache_read, token_totals.total, window),
         "OPR": ratio_metric("OPR", output_count, day_count, window),
         "GER": ratio_metric("GER", governance_count, day_count, window),
         "ASB": ratio_metric("ASB", inventory.surfaces.asb, 1, window),
     }
-    ate_sensitivity = MetricValue(
-        "ATE",
-        sensitivity.hours * 3600,
-        3600,
-        window,
-        RULE_IDS["ATE_SENSITIVITY"],
-        sensitivity.hours,
-    )
+    sensitivity = active_time(timestamps, SENSITIVITY_CAP_MINUTES).hours
+    ate_sensitivity = ate_metric(sensitivity, window, "ATE_SENSITIVITY")
 
     annotations: list[str] = []
     if timestamps:

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 
+import parem
 from conftest import hash_tree
 from parem.cli import main
 from parem.extraction import DEFAULT_HEADING_PATTERN
@@ -511,3 +516,29 @@ def test_activetime_with_no_timed_record_in_the_window(tmp_path, capsys, lines):
     assert main(["analyze", "--root", str(workspace), "--out", str(out), *window]) == 0
     report = json.loads((out / "reports" / "report.json").read_text(encoding="utf-8"))
     assert list(estimates.values()) == report["ate_sensitivity"]
+
+
+@pytest.mark.parametrize("fifo", ["memory/pipe.md", "sessions/pipe.jsonl"])
+def test_a_fifo_in_the_workspace_is_skipped_with_a_warning(tmp_path, fifo):
+    ground_truth = generate_corpus(CorpusSpec(seed=3, days=3), tmp_path / "corpus")
+    root = tmp_path / "corpus" / "workspace"
+    assert main(analyze_args(root, tmp_path / "plain", ground_truth)) == 0
+    os.mkfifo(root / fifo)
+    # in a child with a timeout, so a read that blocks on the FIFO fails the
+    # test instead of hanging the suite
+    paths = [str(Path(parem.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    subprocess.run(
+        [sys.executable, "-m", "parem.cli", *analyze_args(root, tmp_path / "fifo", ground_truth)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))),
+        capture_output=True,
+        timeout=60,
+        check=True,
+    )
+    metrics = [(tmp_path / out / "reports" / "metrics.csv").read_bytes() for out in ("plain", "fifo")]
+    assert metrics[0] == metrics[1]
+    warnings = [
+        json.loads((tmp_path / out / "reports" / "report.json").read_text())["warnings"]
+        for out in ("plain", "fifo")
+    ]
+    added = [warning for warning in warnings[1] if warning not in warnings[0]]
+    assert len(added) == 1 and fifo in added[0]

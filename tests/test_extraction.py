@@ -4,9 +4,10 @@ import dataclasses
 import re
 import sys
 from datetime import date, timedelta
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_event, window_timeline
@@ -110,6 +111,24 @@ class TestParseMemorySections:
         sections, _ = parse_memory_sections([path])
         assert len(sections) == 2
 
+
+
+MEMORY_PIECES = [b"\n", b"\r", b"\r\n", "\u2028".encode(), b"\xef\xbb\xbf", b"\xff", b"\xe2\x80"]
+MEMORY_PIECES += [b"## 2026-02-01", b"## 2026-02-02 b", b"shipped the draft", b" "]
+
+
+@given(st.lists(st.one_of(st.sampled_from(MEMORY_PIECES), st.binary(max_size=6)), max_size=40))
+@settings(max_examples=100)
+@example([b"\xef\xbb\xbf## 2026-02-01\r\nx\xff\r## 2026-02-02 b", "\u2028y".encode()])
+def test_memory_files_read_as_read_text_reads_them(tmp_path_factory, pieces):
+    path = tmp_path_factory.mktemp("memory") / "m.md"
+    path.write_bytes(b"".join(pieces))
+    # the reference run gets, in place of the file's bytes, an object whose
+    # decode gives the text read_text reads
+    text = mock.Mock(decode=lambda *args, **kwargs: path.read_text("utf-8", errors="replace"))
+    with mock.patch.object(extraction, "read_file", lambda _: text):
+        expected = parse_memory_sections([path])
+    assert parse_memory_sections([path]) == expected
 
 ALL_OUTPUT_TERMS = [
     term for terms in DEFAULT_OUTPUT_RULES.families.values() for term in terms

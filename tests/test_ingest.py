@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import math
+import os
 import re
 import sys
 from datetime import datetime, timedelta, timezone
@@ -27,6 +29,7 @@ from parem.ingest import (
     normalize_content_prefix,
     normalize_timestamp,
     parse_session_file,
+    read_file,
     scan_and_parse,
 )
 from parem.tokens import TokenEventRow
@@ -256,7 +259,7 @@ class TestParseSessionFile:
         write_lines(path, [json.dumps({"type": "model.completed"})])
         events, _ = parse_file(path)
         assert events[0].tokens is not None
-        assert events[0].tokens.total() == 0
+        assert sum(events[0].tokens) == 0
 
     def test_unparseable_timestamp_keeps_event(self, tmp_path):
         path = tmp_path / "b.jsonl"
@@ -441,6 +444,19 @@ def small_workspace(root: Path) -> WorkspaceFiles:
     )
 
 
+def deny_listing(monkeypatch, denied: Path) -> None:
+    """Make ``os.scandir`` fail on ``denied`` as on a directory it may not read;
+    root ignores file modes, so the error has to be injected."""
+    scandir = os.scandir
+
+    def listing(path="."):
+        if os.fspath(path) == str(denied):
+            raise PermissionError(errno.EACCES, "Permission denied", str(denied))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", listing)
+
+
 class TestDiscoverWorkspace:
     def test_paths_are_relative_to_the_root(self, tmp_path):
         expected = small_workspace(tmp_path)
@@ -466,6 +482,41 @@ class TestDiscoverWorkspace:
         assert discover_workspace(tmp_path, skip="out") == expected
         monkeypatch.chdir(tmp_path)
         assert discover_workspace(".", skip="out") == expected
+
+    def test_an_unlistable_directory_warns_and_the_rest_is_counted(self, tmp_path, monkeypatch):
+        expected = small_workspace(tmp_path)
+        deny_listing(monkeypatch, tmp_path / "skills")
+        warning = "unlistable directory: skills (PermissionError)"
+        assert discover_workspace(tmp_path) == dataclasses.replace(
+            expected, skills=(), warnings=(warning,)
+        )
+        inventory = scan_and_parse(tmp_path)[0]
+        assert inventory.warnings == (warning,)
+        assert (inventory.memory_files, inventory.session_files_all) == (2, 2)
+
+    def test_an_unlistable_root_is_fatal(self, tmp_path, monkeypatch):
+        small_workspace(tmp_path)
+        deny_listing(monkeypatch, tmp_path)
+        with pytest.raises(WorkspaceError, match="not a readable directory"):
+            discover_workspace(tmp_path)
+
+    def test_a_symlinked_agent_root_is_not_descended(self, tmp_path):
+        expected = small_workspace(tmp_path / "ws")
+        (tmp_path / "ws" / "agents").rename(tmp_path / "elsewhere")
+        (tmp_path / "ws" / "agents").symlink_to(tmp_path / "elsewhere")
+        # neither its agent directories nor their sessions count
+        assert discover_workspace(tmp_path / "ws") == dataclasses.replace(
+            expected, agent_dirs=(), agent_sessions=()
+        )
+        inventory = scan_and_parse(tmp_path / "ws")[0]
+        assert (inventory.agent_dirs, inventory.session_files_all) == (0, 1)
+
+
+def test_read_file_refuses_what_is_not_a_regular_file(tmp_path):
+    (tmp_path / "a.jsonl").write_bytes(b"x\r\n")
+    assert read_file(tmp_path / "a.jsonl") == b"x\r\n"
+    with pytest.raises(OSError, match="not a regular file"):
+        read_file(tmp_path)
 
 
 # --- alias plans against the per-field scan they replace --------------------

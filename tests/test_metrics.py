@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 from datetime import date, timedelta
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -98,7 +100,7 @@ class TestActiveDays:
 class TestRoleCounts:
     def test_empty(self):
         counts = role_counts([])
-        assert counts.total == 0
+        assert sum(astuple(counts)) == 0
 
     def test_fixture(self):
         events = (
@@ -230,6 +232,18 @@ class TestComputePareM:
             window_timeline(events, REFERENCE_WINDOW),
         )
         assert any("lower bound" in a for a in report.annotations)
+
+
+@given(st.integers(0, 10**12), st.lists(st.integers(0, 8_000_000), max_size=200), st.randoms())
+@settings(max_examples=100)
+def test_ate_numerator_is_the_capped_gap_seconds(start, gaps, random):
+    # repeats (zero gaps) and gaps on both sides of each cap, in any order
+    stamps = list(accumulate(gaps, initial=start))
+    random.shuffle(stamps)
+    report = compute_pare_m([], [], empty_inventory(), REFERENCE_WINDOW, TokenTotals(), stamps)
+    for metric, cap in ((report.values["ATE"], 30), (report.ate_sensitivity, 60)):
+        capped_ms = sum(min(gap, cap * 60_000) for gap in gaps)
+        assert (metric.numerator, metric.denominator) == (capped_ms / 1000, 3600)
 
 
 @st.composite
