@@ -44,7 +44,6 @@ from .tokens import (
     AssociationStats,
     DailyTokens,
     RouteTotals,
-    TokenTotals,
     aggregate_tokens,
     cache_output_association,
     daily_composition,

@@ -56,12 +56,6 @@ class Timeline(list):
             return timestamps
         return cls(dict.fromkeys(sorted(timestamps)))
 
-    @classmethod
-    def between(cls, ordered: Sequence[int], lo: int, hi: int) -> "Timeline":
-        """The timeline of the ascending ``ordered`` timestamps in ``[lo, hi)``."""
-        start, stop = bisect_left(ordered, lo), bisect_left(ordered, hi)
-        return cls(dict.fromkeys(ordered[start:stop]))
-
     @cached_property
     def gaps(self) -> list[int]:
         return sorted(map(sub, islice(self, 1, None), self))

@@ -32,15 +32,6 @@ from .jsonfmt import to_json
 Role = Literal["user", "assistant", "tool_result", "tool_call", "model_completed", "other"]
 AgentScope = Literal["main", "other_agent"]
 
-ROLES: tuple[Role, ...] = (
-    "user",
-    "assistant",
-    "tool_result",
-    "tool_call",
-    "model_completed",
-    "other",
-)
-
 CONTENT_PREFIX_CHARS = 64
 
 # Raw epoch values at or above this threshold are read as milliseconds,
@@ -75,10 +66,25 @@ class WorkspaceError(Exception):
 
 
 class TokenUsage(NamedTuple):
+    """The four token counts of one completion, or their sums over many."""
+
     input: int = 0
     output: int = 0
     cache_read: int = 0
     cache_write: int = 0
+
+    # properties written beside the fields (see ``jsonfmt.to_json``)
+    DERIVED_KEYS = ("total", "cdr")
+
+    @property
+    def total(self) -> int:
+        return self.input + self.output + self.cache_read + self.cache_write
+
+    @property
+    def cdr(self) -> float | None:
+        """Cache-read share of all recorded tokens; None when nothing recorded."""
+        total = self.total
+        return self.cache_read / total if total > 0 else None
 
 
 class Event(NamedTuple):

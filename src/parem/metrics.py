@@ -8,30 +8,29 @@ reason code instead of a value; they are never reported as zero.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from functools import partial
-from operator import attrgetter, is_not
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .activetime import DEFAULT_CAP_MINUTES, SENSITIVITY_CAP_MINUTES, Timeline, active_time
-from .ingest import Event, ROLES, WorkspaceInventory
+from .ingest import Event, TokenUsage, WorkspaceInventory
 
 if TYPE_CHECKING:
     from .extraction import ProxyEvent
-    from .tokens import TokenTotals
 
 METRIC_NAMES: tuple[str, ...] = ("ADF", "DRC", "ATE", "CDR", "OPR", "GER", "ASB")
 
 RULE_IDS: dict[str, str] = {
     "ADF": "pare-m-0.1/adf/active-days-over-calendar-days",
-    "DRC": "pare-m-0.1/drc/unique-records-after-key-cascade",
+    "DRC": "pare-m-0.1/drc/window-records-after-key-cascade",
     "ATE": "pare-m-0.1/ate/capped-gap-sum-30min",
     "ATE_SENSITIVITY": "pare-m-0.1/ate/capped-gap-sum-60min",
     "CDR": "pare-m-0.1/cdr/cache-read-over-total-tokens",
     "OPR": "pare-m-0.1/opr/output-proxies-per-active-day",
     "GER": "pare-m-0.1/ger/governance-proxies-per-active-day",
-    "ASB": "pare-m-0.1/asb/distinct-artifact-surfaces",
+    "ASB": "pare-m-0.1/asb/distinct-artifact-surfaces-at-scan-time",
 }
 
 REASON_ZERO_DENOMINATOR = "zero_denominator"
@@ -108,11 +107,6 @@ def utc_date(timestamp_ms: int) -> date:
     return datetime.fromtimestamp(timestamp_ms / 1000, tz=timezone.utc).date()
 
 
-def sorted_timestamps(events: Iterable[Event]) -> list[int]:
-    """The timed events' timestamps in ascending order, repeats kept."""
-    return sorted(filter(partial(is_not, None), map(attrgetter("timestamp_ms"), events)))
-
-
 def _active_days(timeline: Timeline) -> int:
     """The number of UTC dates the timeline touches, by one bisection per date."""
     count = i = 0
@@ -123,10 +117,7 @@ def _active_days(timeline: Timeline) -> int:
 
 
 def role_counts(events: Iterable[Event]) -> RoleCounts:
-    counts = {role: 0 for role in ROLES}
-    for event in events:
-        counts[event.role] += 1
-    return RoleCounts(**counts)
+    return RoleCounts(**Counter(map(attrgetter("role"), events)))
 
 
 def ratio_metric(
@@ -167,16 +158,18 @@ def compute_pare_m(
     proxies: Sequence["ProxyEvent"],
     inventory: WorkspaceInventory,
     window: ObservationWindow,
-    token_totals: "TokenTotals",
+    token_totals: TokenUsage,
     timestamps: Iterable[int],
 ) -> MetricReport:
     """Assemble the full PARE-M report from de-duplicated analysis inputs.
 
-    ``events`` must already be de-duplicated and scoped, and ``timestamps``
-    are those events' timestamps inside the window, such as the timeline
-    that ``Analysis.active_time`` cuts with ``Timeline.between``. ATE and
-    its sensitivity use the 30- and 60-minute caps their rule ids name. OPR and GER are flagged
-    undefined (never infinite) when there are no active days.
+    ``events`` are the de-duplicated records of the scope that the window
+    covers (``Analysis.windowed``: the untimed ones and those timed inside
+    it), so DRC and the role counts count them, and ``timestamps`` are their
+    timestamps, such as the timeline of ``Analysis.active_time``. ATE and
+    its sensitivity use the 30- and 60-minute caps their rule ids name. OPR
+    and GER are flagged undefined (never infinite) when there are no active
+    days. ASB counts the workspace's files as the scan found them.
     """
     timestamps = Timeline.of(timestamps)
     day_count = _active_days(timestamps)

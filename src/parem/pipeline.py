@@ -1,9 +1,9 @@
 """End-to-end analysis pipeline and its serializable run configuration.
 
-``Analysis`` is one graph of named stages, read -> deduped -> timestamps ->
-window -> {active_time, strict -> tokens, extraction} -> metrics -> bundle:
-``analyze`` writes its bundle, and each per-stage debug command prints one of
-its stages.
+``Analysis`` is one graph of named stages, read -> deduped -> window ->
+{windowed -> {active_time, strict -> tokens}, extraction} -> metrics ->
+bundle: ``analyze`` writes its bundle, and each per-stage debug command
+prints one of its stages.
 
 A run is reproducible from the RunConfig plus the workspace bytes: no wall
 clock, host name, or scheduling detail reaches the outputs, so re-running
@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cache, cached_property, partial
-from operator import attrgetter
+from operator import attrgetter, is_not
 from pathlib import Path
 
 from . import __version__
@@ -53,7 +53,7 @@ from .ingest import (
     scan_and_parse,
 )
 from .jsonfmt import to_json
-from .metrics import MetricReport, ObservationWindow, compute_pare_m, sorted_timestamps, utc_date
+from .metrics import MetricReport, ObservationWindow, compute_pare_m, utc_date
 from .report import (
     DEDUP_LEDGER_HEADER,
     EVENTS_TOKENS_CSV,
@@ -70,7 +70,6 @@ from .tokens import (
     DailyTokens,
     RouteTotals,
     TokenEventRow,
-    TokenTotals,
     aggregate_tokens,
     cache_output_association,
     daily_composition,
@@ -83,6 +82,7 @@ DEFAULT_GAP_BIN_MINUTES = 15
 # keyword-argument handling of the named tuple's constructor
 _new_row = partial(tuple.__new__, TokenEventRow)
 _NO_TOKENS = TokenUsage()
+_timestamp_ms = attrgetter("timestamp_ms")
 
 REPORT_TEXT = "reports/report.txt"
 REPORT_JSON = "reports/report.json"
@@ -143,9 +143,10 @@ class Analysis:
     """The stages of one run, each computed when first asked for and kept.
 
     The stages form one graph: ``read`` (scan and parse) -> ``deduped``
-    (scope filter and de-duplication) -> ``timestamps`` (sorted once, for the
-    derived window and the timeline) -> ``window`` -> ``active_time``,
-    ``strict`` -> ``tokens``, and ``extraction`` -> ``metrics`` -> ``bundle``.
+    (scope filter and de-duplication) -> ``window`` -> ``windowed`` (the
+    records the window covers, the only place a record's timestamp meets
+    the window) -> ``active_time``, ``strict`` -> ``tokens``; ``window`` ->
+    ``extraction``; and all of them -> ``metrics`` -> ``bundle``.
     A stage reads only the stages before it, so asking for one runs the graph
     as far as that stage and no further, and no stage runs twice. A stage
     with warnings returns its own, and ``bundle`` joins them in graph order,
@@ -184,22 +185,17 @@ class Analysis:
         return deduplicate(events)
 
     @cached_property
-    def timestamps(self) -> list[int]:
-        """The timestamps of the timed records, ascending with repeats."""
-        return sorted_timestamps(self.deduped[0])
-
-    @cached_property
     def window(self) -> tuple[ObservationWindow, list[str]]:
         """The configured window, else the UTC date span of the timed
         records, and the warning a derived window carries."""
         if self.config.window is not None:
             return self.config.window, []
-        stamps = self.timestamps
+        stamps = list(_timestamps(self.deduped[0]))
         if not stamps:
             return ObservationWindow(date(1970, 1, 1), date(1970, 1, 1)), [
                 "no timed events and no configured window; using a degenerate epoch window"
             ]
-        window = ObservationWindow(utc_date(stamps[0]), utc_date(stamps[-1]))
+        window = ObservationWindow(utc_date(min(stamps)), utc_date(max(stamps)))
         return window, [
             "observation window defaulted to the event date span "
             f"{window.start_date.isoformat()}..{window.end_date.isoformat()}; "
@@ -207,27 +203,32 @@ class Analysis:
         ]
 
     @cached_property
+    def windowed(self) -> list[Event]:
+        """The de-duplicated records the window covers, in canonical order:
+        the untimed ones, which count everywhere, and those timed inside it."""
+        lo, hi = self.window[0].ms_bounds
+        return [e for e in self.deduped[0] if (ts := e.timestamp_ms) is None or lo <= ts < hi]
+
+    @cached_property
     def active_time(self) -> tuple[Timeline, list[ActiveTimeEstimate], GapHistogram]:
-        """The window's timeline (the unique timestamps inside its bounds),
-        the capped-gap estimate at each cap, and the gap histogram."""
+        """The window's timeline (the unique timestamps of its records), the
+        capped-gap estimate at each cap, and the gap histogram."""
         config = self.config
-        timeline = Timeline.between(self.timestamps, *self.window[0].ms_bounds)
+        timeline = Timeline.of(_timestamps(self.windowed))
         sensitivity = cap_sensitivity(timeline, config.caps)
         histogram = gap_histogram(timeline, config.gap_bin_minutes, config.gap_clip_minutes)
         return timeline, sensitivity, histogram
 
     @cached_property
     def strict(self) -> list[TokenEventRow]:
-        """The strict subset, trajectory-file completions timed inside the
-        window, as the events CSV's rows, by (timestamp, path, line)."""
+        """The strict subset, the window's timed trajectory-file completions,
+        as the events CSV's rows, by (timestamp, path, line)."""
         is_trajectory = cache(self.config.conventions.is_trajectory)  # once per file
-        lo, hi = self.window[0].ms_bounds
         strict = [
             e
-            for e in self.deduped[0]
+            for e in self.windowed
             if e.role == "model_completed"
-            and (ts := e.timestamp_ms) is not None
-            and lo <= ts < hi
+            and e.timestamp_ms is not None
             and is_trajectory(e.source_path)
         ]
         # the records are in canonical (path, line) order and the sort is stable
@@ -240,11 +241,11 @@ class Analysis:
                     *(e.tokens or _NO_TOKENS),
                 )
             )
-            for e in sorted(strict, key=attrgetter("timestamp_ms"))
+            for e in sorted(strict, key=_timestamp_ms)
         ]
 
     @cached_property
-    def tokens(self) -> tuple[TokenTotals, list[RouteTotals], list[DailyTokens], AssociationStats]:
+    def tokens(self) -> tuple[TokenUsage, list[RouteTotals], list[DailyTokens], AssociationStats]:
         """Totals, routes, daily rows and association of the strict subset."""
         strict = self.strict
         return (
@@ -281,7 +282,7 @@ class Analysis:
     def metrics(self) -> MetricReport:
         _, output_proxies, governance_proxies, _ = self.extraction
         return compute_pare_m(
-            self.deduped[0],
+            self.windowed,
             output_proxies + governance_proxies,
             self.read[0],
             self.window[0],
@@ -315,6 +316,11 @@ class Analysis:
         )
 
 
+def _timestamps(events: list[Event]):
+    """The timed records' timestamps, in the records' order."""
+    return filter(partial(is_not, None), map(_timestamp_ms, events))
+
+
 def _sha256_json(data: object) -> str:
     """The SHA-256 of ``data``'s canonical JSON: sorted keys, no spaces."""
     text = json.dumps(data, sort_keys=True, separators=(",", ":"))
@@ -340,25 +346,19 @@ def write_outputs(
     config: RunConfig,
     deduped_events: list[Event] | None = None,
 ) -> list[Path]:
-    """Write report text, all CSVs and then the report JSON, which points to
-    the events CSV by the digest of its written bytes; remove partial files
-    on failure."""
-    out_path = Path(config.out_dir)
+    """Write the report text, the CSVs, the report JSON (which points to the
+    events CSV by the digest of its bytes) and the dedup ledger, in that
+    order; on failure, remove every file this call wrote or began."""
+    files = {REPORT_TEXT: render_report(bundle, "text").encode("utf-8"), **export_csvs(bundle)}
+    events_sha256 = hashlib.sha256(files[EVENTS_TOKENS_CSV]).hexdigest()
+    files[REPORT_JSON] = render_report(bundle, "structured", events_sha256).encode("utf-8")
+    if config.dedup_ledger and deduped_events is not None:
+        files[DEDUP_LEDGER_CSV] = csv_bytes(DEDUP_LEDGER_HEADER, ledger_rows(deduped_events))
     written: list[Path] = []
-
-    def write(name: str, data: bytes) -> None:
-        path = out_path / name
-        write_file(path, data)
-        written.append(path)
-
     try:
-        write(REPORT_TEXT, render_report(bundle, "text").encode("utf-8"))
-        csvs = export_csvs(bundle, out_path)
-        written.extend(csvs)
-        events_sha256 = csvs[out_path / EVENTS_TOKENS_CSV]
-        write(REPORT_JSON, render_report(bundle, "structured", events_sha256).encode("utf-8"))
-        if config.dedup_ledger and deduped_events is not None:
-            write(DEDUP_LEDGER_CSV, csv_bytes(DEDUP_LEDGER_HEADER, ledger_rows(deduped_events)))
+        for name, data in files.items():
+            written.append(path := Path(config.out_dir, name))
+            write_file(path, data)
     except Exception:
         for path in written:
             try:

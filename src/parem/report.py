@@ -10,7 +10,6 @@ encoded by ``csv_bytes`` and every output file written by ``write_file``.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 from collections import Counter
@@ -23,7 +22,7 @@ from typing import Iterable, Sequence
 from .activetime import ActiveTimeEstimate, GapHistogram
 from .dedup import DedupStats
 from .extraction import ProxyEvent
-from .ingest import WorkspaceInventory
+from .ingest import TokenUsage, WorkspaceInventory
 from .jsonfmt import to_json
 from .metrics import (
     METRIC_NAMES,
@@ -32,7 +31,7 @@ from .metrics import (
     round_proportion,
     round_rate,
 )
-from .tokens import AssociationStats, DailyTokens, RouteTotals, TokenEventRow, TokenTotals
+from .tokens import AssociationStats, DailyTokens, RouteTotals, TokenEventRow
 
 # names the structured report's schema; it changes whenever the schema does
 REPORT_FORMAT = "parem-report/3"
@@ -82,7 +81,8 @@ _window_dates = attrgetter("start_date", "end_date")
 
 
 class ReportError(Exception):
-    """Raised for an unknown report format or a failed export."""
+    """Raised for an unknown report format, or a structured report without
+    the events CSV's digest."""
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ class ReportBundle:
     dedup_stats: DedupStats
     ate_sensitivity: list[ActiveTimeEstimate]
     gap_histogram: GapHistogram
-    token_totals: TokenTotals
+    token_totals: TokenUsage
     route_totals: list[RouteTotals]
     daily_tokens: list[DailyTokens]
     token_events: list[TokenEventRow]
@@ -197,8 +197,8 @@ def render_report(
 
     The structured report holds every bundle field but the token events,
     which it points to in the events CSV: that file's path, its row count
-    and ``events_sha256``, the SHA-256 of its bytes as ``export_csvs``
-    wrote them. Each record of its lists takes one line (``_dumps_report``).
+    and ``events_sha256``, the SHA-256 of the bytes ``export_csvs``
+    encodes for it. Each record of its lists takes one line (``_dumps_report``).
     """
     if format == "structured":
         if events_sha256 is None:
@@ -331,19 +331,16 @@ def csv_bytes(header: Sequence[str], rows: Iterable[Iterable[object]]) -> bytes:
     return text.getvalue().encode("utf-8")
 
 
-def write_file(path: Path, data: bytes) -> str:
-    """Write ``data`` to ``path``, making its directory, and return its SHA-256."""
+def write_file(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path``, making its directory."""
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
 
 
-def export_csvs(bundle: ReportBundle, out_dir: str | Path) -> dict[Path, str]:
-    """Write the fixed-schema CSV exports and return each written path with
-    the SHA-256 of its bytes; on failure, remove partial files."""
-    out_path = Path(out_dir)
+def export_csvs(bundle: ReportBundle) -> dict[str, bytes]:
+    """The bytes of each fixed-schema CSV export, by its output name."""
     metrics = bundle.metrics
-    # the rows are generators, each run only while its own file is written
+    # the rows are generators, each run only while its own table is encoded
     metric_rows = (
         (v.metric, v.numerator, v.denominator, *_window_dates(v.window), v.rule_id, v.value)
         for v in [*(metrics.values[name] for name in METRIC_NAMES), metrics.ate_sensitivity]
@@ -361,16 +358,4 @@ def export_csvs(bundle: ReportBundle, out_dir: str | Path) -> dict[Path, str]:
         (PROXY_LEDGER_CSV, PROXY_LEDGER_HEADER, proxy_rows),
         (SURFACE_COUNTS_CSV, SURFACE_COUNTS_HEADER, sorted(surface_counts.items())),
     )
-    written: dict[Path, str] = {}
-    try:
-        for name, header, rows in tables:
-            path = out_path / name
-            written[path] = write_file(path, csv_bytes(header, rows))
-    except OSError as exc:
-        for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        raise ReportError(f"csv export failed: {exc}") from exc
-    return written
+    return {name: csv_bytes(header, rows) for name, header, rows in tables}

@@ -19,6 +19,7 @@ from itertools import compress, groupby, repeat
 from operator import itemgetter, mul, sub
 from typing import NamedTuple, Sequence
 
+from .ingest import TokenUsage
 from .metrics import MS_PER_DAY, ObservationWindow
 
 UNKNOWN_ROUTE = "unknown"
@@ -48,30 +49,9 @@ _token_columns = tuple(map(itemgetter, range(3, 7)))
 
 
 @dataclass(frozen=True)
-class TokenTotals:
-    input: int = 0
-    output: int = 0
-    cache_read: int = 0
-    cache_write: int = 0
-
-    # properties written beside the fields (see ``jsonfmt.to_json``)
-    DERIVED_KEYS = ("total", "cdr")
-
-    @property
-    def total(self) -> int:
-        return self.input + self.output + self.cache_read + self.cache_write
-
-    @property
-    def cdr(self) -> float | None:
-        """Cache-read share of all recorded tokens; None when nothing recorded."""
-        total = self.total
-        return self.cache_read / total if total > 0 else None
-
-
-@dataclass(frozen=True)
 class RouteTotals:
     provider_route: str
-    totals: TokenTotals
+    totals: TokenUsage
     completions: int
 
 
@@ -107,9 +87,9 @@ def _token_sums(rows: Sequence[TokenEventRow]) -> list[int]:
     return [sum(map(column, rows)) for column in _token_columns]
 
 
-def aggregate_tokens(rows: Sequence[TokenEventRow]) -> TokenTotals:
+def aggregate_tokens(rows: Sequence[TokenEventRow]) -> TokenUsage:
     """Exact integer token sums over the strict subset's rows."""
-    return TokenTotals(*_token_sums(rows))
+    return TokenUsage(*_token_sums(rows))
 
 
 def per_route(rows: Sequence[TokenEventRow]) -> list[RouteTotals]:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from parem.activetime import Timeline
 from parem.ingest import Event, TokenUsage
-from parem.metrics import ObservationWindow, sorted_timestamps
+from parem.metrics import ObservationWindow
 from parem.pipeline import Analysis, RunConfig
 from parem.tokens import TokenEventRow
 
@@ -53,17 +53,22 @@ def make_completion(
     )
 
 
+def analysis_of(events: list[Event], window: ObservationWindow) -> Analysis:
+    """A run over ``window`` whose de-duplicated records are ``events``."""
+    analysis = Analysis(RunConfig(root=".", window=window))
+    analysis.deduped = list(events), None
+    return analysis
+
+
 def strict_stage(events: list[Event], window: ObservationWindow) -> list[TokenEventRow]:
     """The strict stage of a run over ``window`` whose de-duplicated records
     are ``events``: the events-CSV rows of its completions."""
-    analysis = Analysis(RunConfig(root=".", window=window))
-    analysis.deduped = list(events), None
-    return analysis.strict
+    return analysis_of(events, window).strict
 
 
 def window_timeline(events: list[Event], window: ObservationWindow) -> Timeline:
     """The timeline of ``events`` that a run over ``window`` measures active time on."""
-    return Timeline.between(sorted_timestamps(events), *window.ms_bounds)
+    return analysis_of(events, window).active_time[0]
 
 
 def hash_tree(root: Path) -> str:

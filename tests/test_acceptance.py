@@ -35,7 +35,6 @@ from parem.metrics import (
 from parem.pipeline import Analysis, RunConfig, run_analysis
 from parem.synth import CorpusSpec, generate_corpus
 from parem.tokens import (
-    TokenTotals,
     aggregate_tokens,
     cache_output_association,
     per_route,
@@ -67,7 +66,7 @@ def test_acceptance_1_reference_arithmetic_reproduction():
 
 
 def test_acceptance_2_token_identity():
-    components = TokenTotals(
+    components = TokenUsage(
         input=10_697_394,
         output=754_633,
         cache_read=61_278_669,

@@ -25,10 +25,9 @@ from parem.extraction import (
     parse_memory_sections,
     split_sentences,
 )
-from parem.ingest import WorkspaceInventory
+from parem.ingest import TokenUsage, WorkspaceInventory
 from parem.jsonfmt import from_json, to_json
 from parem.metrics import ObservationWindow, compute_pare_m
-from parem.tokens import TokenTotals
 
 DAY_MS = 86_400_000
 FEB1_MS = 1_769_904_000_000  # 2026-02-01T00:00:00Z
@@ -311,7 +310,7 @@ class TestProxyRates:
             proxies,
             WorkspaceInventory(),
             window,
-            TokenTotals(),
+            TokenUsage(),
             window_timeline(events, window),
         )
         return report.values["OPR"], report.values["GER"]

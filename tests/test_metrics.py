@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from datetime import date, timedelta
 from itertools import accumulate
 
@@ -9,22 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_completion, make_event, window_timeline
-from parem.activetime import Timeline
-from parem.ingest import WorkspaceInventory
+from conftest import analysis_of, make_completion, make_event, window_timeline
+from parem.ingest import TokenUsage, WorkspaceInventory
 from parem.classify import SurfaceCounts
 from parem.metrics import (
     METRIC_NAMES,
     ObservationWindow,
+    RoleCounts,
     compute_pare_m,
     ratio_metric,
     role_counts,
     round_proportion,
     round_rate,
-    sorted_timestamps,
     utc_date,
 )
-from parem.tokens import TokenTotals
 
 REFERENCE_WINDOW = ObservationWindow(date(2026, 1, 31), date(2026, 5, 25))
 DAY_MS = 86_400_000
@@ -61,8 +59,10 @@ class TestCalendarDays:
 
 
 def pare_m(events, window):
+    """The metrics of a run over ``window`` whose de-duplicated records are ``events``."""
+    analysis = analysis_of(events, window)
     return compute_pare_m(
-        events, [], empty_inventory(), window, TokenTotals(), window_timeline(events, window)
+        analysis.windowed, [], empty_inventory(), window, TokenUsage(), analysis.active_time[0]
     )
 
 
@@ -151,7 +151,7 @@ def empty_inventory(surface_counts_map=None) -> WorkspaceInventory:
 class TestComputePareM:
     def test_empty_workspace(self):
         report = compute_pare_m(
-            [], [], empty_inventory(), REFERENCE_WINDOW, TokenTotals(), []
+            [], [], empty_inventory(), REFERENCE_WINDOW, TokenUsage(), []
         )
         assert report.values["DRC"].value == 0
         assert report.values["ADF"].value == 0.0
@@ -163,7 +163,7 @@ class TestComputePareM:
 
     def test_asb_from_inventory(self):
         inventory = empty_inventory({f"surface-{i}": 1 for i in range(10)})
-        report = compute_pare_m([], [], inventory, REFERENCE_WINDOW, TokenTotals(), [])
+        report = compute_pare_m([], [], inventory, REFERENCE_WINDOW, TokenUsage(), [])
         assert report.values["ASB"].value == 10
 
     def test_value_times_denominator_is_numerator(self):
@@ -176,7 +176,7 @@ class TestComputePareM:
             [],
             empty_inventory({"s": 1}),
             REFERENCE_WINDOW,
-            TokenTotals(1, 2, 3, 4),
+            TokenUsage(1, 2, 3, 4),
             window_timeline(events, REFERENCE_WINDOW),
         )
         for name in METRIC_NAMES:
@@ -197,7 +197,7 @@ class TestComputePareM:
             [],
             empty_inventory({"s": 2}),
             REFERENCE_WINDOW,
-            TokenTotals(10, 20, 30, 40),
+            TokenUsage(10, 20, 30, 40),
             window_timeline(events, REFERENCE_WINDOW),
         )
         assert compute_pare_m(*args) == compute_pare_m(*args)
@@ -212,7 +212,7 @@ class TestComputePareM:
             [],
             empty_inventory(),
             REFERENCE_WINDOW,
-            TokenTotals(),
+            TokenUsage(),
             window_timeline(events, REFERENCE_WINDOW),
         )
         # gaps of 45 min: capped at 30 -> 1.5h, at 60 -> 2.25h
@@ -228,7 +228,7 @@ class TestComputePareM:
             [],
             empty_inventory(),
             REFERENCE_WINDOW,
-            TokenTotals(),
+            TokenUsage(),
             window_timeline(events, REFERENCE_WINDOW),
         )
         assert any("lower bound" in a for a in report.annotations)
@@ -240,7 +240,7 @@ def test_ate_numerator_is_the_capped_gap_seconds(start, gaps, random):
     # repeats (zero gaps) and gaps on both sides of each cap, in any order
     stamps = list(accumulate(gaps, initial=start))
     random.shuffle(stamps)
-    report = compute_pare_m([], [], empty_inventory(), REFERENCE_WINDOW, TokenTotals(), stamps)
+    report = compute_pare_m([], [], empty_inventory(), REFERENCE_WINDOW, TokenUsage(), stamps)
     for metric, cap in ((report.values["ATE"], 30), (report.ate_sensitivity, 60)):
         capped_ms = sum(min(gap, cap * 60_000) for gap in gaps)
         assert (metric.numerator, metric.denominator) == (capped_ms / 1000, 3600)
@@ -274,7 +274,7 @@ def test_window_timeline_matches_the_set_comprehension(case, data):
         stamps = stamps + data.draw(st.lists(st.sampled_from(stamps), max_size=10))
     stamps = data.draw(st.permutations(stamps + [None] * data.draw(st.integers(0, 3))))
     events = [make_event(timestamp_ms=ts, line=i) for i, ts in enumerate(stamps)]
-    timeline = Timeline.between(sorted_timestamps(events), *window.ms_bounds)
+    timeline = window_timeline(events, window)
     expected = reference_window_timestamps(events, window)
     assert timeline == expected
     assert timeline.gaps == sorted(b - a for a, b in zip(expected, expected[1:]))
@@ -294,3 +294,28 @@ def test_ms_bounds_filter_matches_utc_date_containment(case):
     inside = [ts for ts in stamps if window.contains(utc_date(ts))]
     assert window_timeline(events, window) == sorted(set(inside))
     assert pare_m(events, window).active_day_count == len({utc_date(ts) for ts in inside})
+
+
+ROLE_NAMES = tuple(f.name for f in fields(RoleCounts))
+
+
+@given(windows_and_timestamps(), st.data())
+@settings(max_examples=100)
+def test_drc_counts_the_untimed_records_and_the_timed_ones_inside_the_window(case, data):
+    # timestamps at and around both window edges, untimed records, any roles
+    window, stamps = case
+    stamps = data.draw(st.permutations(stamps + [None] * data.draw(st.integers(0, 5))))
+    roles = data.draw(
+        st.lists(st.sampled_from(ROLE_NAMES), min_size=len(stamps), max_size=len(stamps))
+    )
+    events = [
+        make_event(role=role, timestamp_ms=ts, line=i)
+        for i, (role, ts) in enumerate(zip(roles, stamps))
+    ]
+    covered = [r for r, ts in zip(roles, stamps) if ts is None or window.contains(utc_date(ts))]
+    analysis = analysis_of(events, window)
+    analysis.read = empty_inventory(), []
+    report = analysis.metrics
+    assert report.values["DRC"].numerator == len(covered)
+    assert astuple(report.role_counts) == tuple(map(covered.count, ROLE_NAMES))
+    assert sum(astuple(report.role_counts)) == report.values["DRC"].numerator

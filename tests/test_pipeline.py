@@ -29,8 +29,9 @@ from parem.pipeline import (
     load_config_file,
     provenance,
     run_analysis,
+    write_outputs,
 )
-from parem.report import EVENTS_TOKENS_CSV
+from parem.report import EVENTS_TOKENS_CSV, METRICS_CSV
 from parem.synth import CorpusSpec, generate_corpus
 
 
@@ -500,6 +501,17 @@ def test_report_json_is_valid_json(corpus, tmp_path):
         "sha256": hashlib.sha256(events).hexdigest(),
     }
     assert events.count(b"\n") == 1 + ground_truth.completions_strict
+
+
+def test_write_outputs_removes_every_file_it_wrote_when_one_write_fails(corpus, tmp_path):
+    root, _ = corpus
+    config = RunConfig(root=str(root), out_dir=str(tmp_path), dedup_ledger=True)
+    analysis = Analysis(config)
+    # report.txt and the figures are written before the directory in the way
+    (tmp_path / METRICS_CSV).mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        write_outputs(analysis.bundle, config, analysis.deduped[0])
+    assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
 
 
 def test_dedup_ledger_reads_back_with_csv_reader(tmp_path):

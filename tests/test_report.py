@@ -1,9 +1,8 @@
 from __future__ import annotations
 
 import csv
-import hashlib
+import io
 import json
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -149,16 +148,14 @@ def test_incomplete_bundle_error_lists_missing():
     assert "token_totals" in message
 
 
-def read_csv(path: Path):
-    with open(path, newline="", encoding="utf-8") as handle:
-        return list(csv.reader(handle))
+def read_csv(data: bytes):
+    return list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
 
 
 class TestExportCsvs:
-    def test_daily_header_exact(self, corpus_bundle, tmp_path):
+    def test_daily_header_exact(self, corpus_bundle):
         bundle, _ = corpus_bundle
-        export_csvs(bundle, tmp_path)
-        rows = read_csv(tmp_path / DAILY_TOKENS_CSV)
+        rows = read_csv(export_csvs(bundle)[DAILY_TOKENS_CSV])
         assert rows[0] == [
             "date",
             "input_tokens",
@@ -168,40 +165,33 @@ class TestExportCsvs:
             "completions",
         ]
 
-    def test_sensitivity_has_default_cap_rows(self, corpus_bundle, tmp_path):
+    def test_sensitivity_has_default_cap_rows(self, corpus_bundle):
         bundle, _ = corpus_bundle
-        export_csvs(bundle, tmp_path)
-        rows = read_csv(tmp_path / SENSITIVITY_CSV)
+        rows = read_csv(export_csvs(bundle)[SENSITIVITY_CSV])
         assert rows[0] == ["cap_minutes", "hours", "cluster_count"]
         assert [row[0] for row in rows[1:]] == ["15", "30", "45", "60", "90"]
 
-    def test_all_files_written(self, corpus_bundle, tmp_path):
+    def test_all_files_written(self, corpus_bundle):
         bundle, _ = corpus_bundle
-        written = export_csvs(bundle, tmp_path)
-        expected = {
-            tmp_path / DAILY_TOKENS_CSV,
-            tmp_path / EVENTS_TOKENS_CSV,
-            tmp_path / SENSITIVITY_CSV,
-            tmp_path / METRICS_CSV,
-            tmp_path / PROXY_LEDGER_CSV,
-            tmp_path / SURFACE_COUNTS_CSV,
-        }
-        assert set(written) == expected
-        for path, digest in written.items():
-            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert list(export_csvs(bundle)) == [
+            DAILY_TOKENS_CSV,
+            EVENTS_TOKENS_CSV,
+            SENSITIVITY_CSV,
+            METRICS_CSV,
+            PROXY_LEDGER_CSV,
+            SURFACE_COUNTS_CSV,
+        ]
 
-    def test_surface_counts_csv(self, corpus_bundle, tmp_path):
+    def test_surface_counts_csv(self, corpus_bundle):
         bundle, ground_truth = corpus_bundle
-        export_csvs(bundle, tmp_path)
-        rows = read_csv(tmp_path / SURFACE_COUNTS_CSV)
+        rows = read_csv(export_csvs(bundle)[SURFACE_COUNTS_CSV])
         assert rows[0] == ["surface", "files"]
         counts = {row[0]: int(row[1]) for row in rows[1:]}
         assert counts == ground_truth.surface_counts
 
-    def test_daily_csv_reimport_reproduces_table(self, corpus_bundle, tmp_path):
+    def test_daily_csv_reimport_reproduces_table(self, corpus_bundle):
         bundle, _ = corpus_bundle
-        export_csvs(bundle, tmp_path)
-        rows = read_csv(tmp_path / DAILY_TOKENS_CSV)[1:]
+        rows = read_csv(export_csvs(bundle)[DAILY_TOKENS_CSV])[1:]
         assert len(rows) == len(bundle.daily_tokens)
         for row, daily in zip(rows, bundle.daily_tokens):
             assert row[0] == daily.date.isoformat()
@@ -213,19 +203,17 @@ class TestExportCsvs:
                 daily.completions,
             ]
 
-    def test_sensitivity_reimport_full_precision(self, corpus_bundle, tmp_path):
+    def test_sensitivity_reimport_full_precision(self, corpus_bundle):
         bundle, _ = corpus_bundle
-        export_csvs(bundle, tmp_path)
-        rows = read_csv(tmp_path / SENSITIVITY_CSV)[1:]
+        rows = read_csv(export_csvs(bundle)[SENSITIVITY_CSV])[1:]
         for row, estimate in zip(rows, bundle.ate_sensitivity):
             assert int(row[0]) == estimate.cap_minutes
             assert float(row[1]) == estimate.hours  # repr round-trips exactly
             assert int(row[2]) == estimate.cluster_count
 
-    def test_metrics_csv_shape(self, corpus_bundle, tmp_path):
+    def test_metrics_csv_shape(self, corpus_bundle):
         bundle, _ = corpus_bundle
-        export_csvs(bundle, tmp_path)
-        rows = read_csv(tmp_path / METRICS_CSV)
+        rows = read_csv(export_csvs(bundle)[METRICS_CSV])
         assert rows[0] == [
             "metric",
             "numerator",
@@ -238,37 +226,21 @@ class TestExportCsvs:
         metrics = [row[0] for row in rows[1:]]
         assert metrics == ["ADF", "DRC", "ATE", "CDR", "OPR", "GER", "ASB", "ATE"]
 
-    def test_proxy_ledger_shape(self, corpus_bundle, tmp_path):
+    def test_proxy_ledger_shape(self, corpus_bundle):
         bundle, ground_truth = corpus_bundle
-        export_csvs(bundle, tmp_path)
-        rows = read_csv(tmp_path / PROXY_LEDGER_CSV)
+        rows = read_csv(export_csvs(bundle)[PROXY_LEDGER_CSV])
         assert rows[0] == ["date", "kind", "class", "terms", "source"]
         kinds = {row[1] for row in rows[1:]}
         assert kinds == {"output", "governance"}
         outputs = sum(1 for row in rows[1:] if row[1] == "output")
         assert outputs == ground_truth.output_proxies
 
-    def test_events_csv_rows_match_strict_subset(self, corpus_bundle, tmp_path):
+    def test_events_csv_rows_match_strict_subset(self, corpus_bundle):
         bundle, ground_truth = corpus_bundle
-        export_csvs(bundle, tmp_path)
-        rows = read_csv(tmp_path / EVENTS_TOKENS_CSV)[1:]
+        rows = read_csv(export_csvs(bundle)[EVENTS_TOKENS_CSV])[1:]
         assert len(rows) == ground_truth.completions_strict
         assert sum(int(row[3]) for row in rows) == ground_truth.token_totals["input"]
 
-    def test_export_determinism(self, corpus_bundle, tmp_path):
+    def test_export_determinism(self, corpus_bundle):
         bundle, _ = corpus_bundle
-        export_csvs(bundle, tmp_path / "one")
-        export_csvs(bundle, tmp_path / "two")
-        for name in (DAILY_TOKENS_CSV, EVENTS_TOKENS_CSV, SENSITIVITY_CSV, METRICS_CSV):
-            assert (tmp_path / "one" / name).read_bytes() == (
-                tmp_path / "two" / name
-            ).read_bytes()
-
-    def test_partial_cleanup_on_failure(self, corpus_bundle, tmp_path):
-        bundle, _ = corpus_bundle
-        # force the later reports/ writes to fail after figures/ succeeded
-        (tmp_path / "reports").write_text("a file in the way", encoding="utf-8")
-        with pytest.raises(ReportError):
-            export_csvs(bundle, tmp_path)
-        figures = list((tmp_path / "figures").glob("*")) if (tmp_path / "figures").exists() else []
-        assert figures == []
+        assert export_csvs(bundle) == export_csvs(bundle)

@@ -9,11 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_completion, strict_stage
+from parem.ingest import TokenUsage
 from parem.metrics import ObservationWindow
 from parem.tokens import (
     AssociationStats,
     TokenEventRow,
-    TokenTotals,
     aggregate_tokens,
     average_ranks,
     cache_output_association,
@@ -59,7 +59,7 @@ def oracle_spearman(xs, ys):
 
 
 def test_published_component_sums():
-    totals = TokenTotals(
+    totals = TokenUsage(
         input=10_697_394,
         output=754_633,
         cache_read=61_278_669,
