@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property, partial
 from itertools import repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Literal, NamedTuple
 
@@ -662,53 +662,50 @@ def discover_workspace(
     conventions: WorkspaceConventions | None = None,
     skip: str | None = None,
 ) -> WorkspaceFiles:
-    """List the tree once and bucket every file; deterministic for a fixed tree.
+    """List the tree once and bucket every regular file; deterministic for a fixed tree.
 
-    ``skip`` is a directory below the root, relative to it, that the walk
-    leaves out, such as an output directory inside the workspace. Directory
-    symlinks are not descended; an unlistable directory below the root adds
-    a warning.
+    ``skip`` is a directory below the root, relative to it, that the listing
+    leaves out, such as an output directory inside the workspace. A link to a
+    file is followed; any other entry but a regular file or a directory (a
+    FIFO, socket, device, dangling link or linked directory) is skipped with a
+    warning. An unlistable directory below the root adds a warning.
     """
     conventions = conventions or WorkspaceConventions()
-    root_path = Path(root)
-    memory: list[str] = []
-    skills: list[str] = []
-    agent_dirs: list[str] = []
-    main_sessions: list[str] = []
-    agent_sessions: list[str] = []
-    artifacts: list[str] = []
-    warnings: list[str] = []
-
-    skipped = os.path.join(root_path, skip) if skip else None
-    # os.walk joins each directory onto the root as given, so the part of a
-    # path below the root starts at one fixed offset
-    cut = len(os.path.join(root_path, ""))
-
-    def unlistable(exc: OSError) -> None:
-        if exc.filename == os.fspath(root_path):
-            raise WorkspaceError(f"workspace root is not a readable directory: {root}") from exc
-        rel = exc.filename[cut:].replace(os.sep, "/")
-        warnings.append(f"unlistable directory: {rel} ({exc.__class__.__name__})")
-
-    for dirpath, dirnames, filenames in os.walk(root_path, onerror=unlistable):
-        dirnames.sort()
+    top = os.fspath(Path(root))
+    memory, skills, agent_dirs, main_sessions, agent_sessions, artifacts, warnings = (
+        [] for _ in range(7)
+    )
+    skipped = os.path.join(top, skip) if skip else None
+    # each path joins names onto the root as given, so its part below the root starts at one offset
+    cut = len(os.path.join(top, ""))
+    pending = [top]
+    for dirpath in pending:  # breadth first: each listing appends its subdirectories
         prefix = dirpath[cut:].replace(os.sep, "/")
-        if prefix == conventions.agent_root:
-            agent_dirs = [f"{prefix}/{name}" for name in dirnames]
-        if skipped is not None:
-            dirnames[:] = [d for d in dirnames if os.path.join(dirpath, d) != skipped]
-        prefix = prefix + "/" if prefix else ""
-        for filename in sorted(filenames):
-            rel = prefix + filename
+        try:
+            with os.scandir(dirpath) as listing:
+                entries = sorted(listing, key=attrgetter("name"))
+        except OSError as exc:
+            if dirpath == top:
+                raise WorkspaceError(f"workspace root is not a readable directory: {root}") from exc
+            warnings.append(f"unlistable directory: {prefix} ({exc.__class__.__name__})")
+            continue
+        for entry in entries:
+            rel = f"{prefix}/{entry.name}" if prefix else entry.name
             parts = rel.split("/")
-            top = parts[0]
-            if top in conventions.memory_dirs or filename in conventions.memory_basenames:
+            if entry.is_dir(follow_symlinks=False):  # the type comes with the listing
+                if prefix == conventions.agent_root:
+                    agent_dirs.append(rel)
+                if entry.path != skipped:
+                    pending.append(entry.path)
+            elif not entry.is_file():
+                warnings.append(f"skipped, neither a regular file nor a directory: {rel}")
+            elif parts[0] in conventions.memory_dirs or entry.name in conventions.memory_basenames:
                 memory.append(rel)
-            elif top in conventions.skill_dirs:
+            elif parts[0] in conventions.skill_dirs:
                 skills.append(rel)
-            elif top in conventions.session_dirs:
+            elif parts[0] in conventions.session_dirs:
                 main_sessions.append(rel)
-            elif top == conventions.agent_root:
+            elif parts[0] == conventions.agent_root:
                 if len(parts) > 2 and parts[2] in conventions.session_dirs:
                     agent_sessions.append(rel)
                 # other agent-internal files are runtime state, not artifacts

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+from parem import extraction, ingest
 from parem.activetime import Timeline
 from parem.ingest import Event, TokenUsage
 from parem.metrics import ObservationWindow
@@ -69,6 +71,20 @@ def strict_stage(events: list[Event], window: ObservationWindow) -> list[TokenEv
 def window_timeline(events: list[Event], window: ObservationWindow) -> Timeline:
     """The timeline of ``events`` that a run over ``window`` measures active time on."""
     return analysis_of(events, window).active_time[0]
+
+
+def deny_reading(monkeypatch, *names: str) -> None:
+    """Make every read of a file with one of these names fail as a read that
+    is not permitted; root ignores file modes, so the error has to be injected."""
+    read_file = ingest.read_file
+
+    def reading(path):
+        if Path(path).name in names:
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        return read_file(path)
+
+    monkeypatch.setattr(ingest, "read_file", reading)
+    monkeypatch.setattr(extraction, "read_file", reading)
 
 
 def hash_tree(root: Path) -> str:

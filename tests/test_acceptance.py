@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines. Oracles here are deliberately naive reference implementations,
+lines. The oracles are the plain references in ``tests/reference.py``,
 independent of the library code paths they check.
 """
 
@@ -14,6 +14,7 @@ from datetime import date
 
 import pytest
 
+import reference
 from conftest import hash_tree, make_completion, strict_stage
 from parem.activetime import active_time
 from parem.dedup import dedup_key, deduplicate
@@ -40,7 +41,6 @@ from parem.tokens import (
     per_route,
 )
 
-MIN_MS = 60_000
 MAY_WINDOW = ObservationWindow(date(2026, 5, 1), date(2026, 5, 25))
 MAY1_MS = 1_777_593_600_000
 
@@ -102,19 +102,6 @@ def test_acceptance_2_token_identity():
     print("ACCEPTANCE 2 PASS: token identity and per-route reconciliation exact on 200 fixtures")
 
 
-def _naive_estimate(stream, cap_minutes):
-    unique = sorted(set(stream))
-    cap_ms = cap_minutes * MIN_MS
-    total = 0
-    clusters = 1 if unique else 0
-    for i in range(1, len(unique)):
-        gap = unique[i] - unique[i - 1]
-        total += min(gap, cap_ms)
-        if gap > cap_ms:
-            clusters += 1
-    return total / 3_600_000, clusters
-
-
 def _random_streams(rnd, count=1000):
     streams = []
     for i in range(count):
@@ -136,9 +123,7 @@ def test_acceptance_3_and_4_capped_gap_oracle_and_sensitivity():
         est30 = active_time(stream, 30)
         est60 = active_time(stream, 60)
 
-        oracle_hours, oracle_clusters = _naive_estimate(stream, 30)
-        assert est30.hours == oracle_hours
-        assert est30.cluster_count == oracle_clusters
+        assert est30 == reference.capped_gap_estimate(stream, 30)
 
         # criterion 4: cap sensitivity mirrors the published 674.1 >= 579.7
         assert est60.hours >= est30.hours
@@ -148,34 +133,8 @@ def test_acceptance_3_and_4_capped_gap_oracle_and_sensitivity():
         assert shifted.hours == est30.hours
         assert shifted.cluster_count == est30.cluster_count
 
-    assert 674.1 >= 579.7
     print("ACCEPTANCE 3 PASS: capped-gap estimator exact against naive oracle on 1000 streams")
     print("ACCEPTANCE 4 PASS: cap sensitivity monotone on all streams")
-
-
-def _oracle_identity(event: Event):
-    if event.event_id is not None:
-        return ("id", event.event_id)
-    if (
-        event.role == "model_completed"
-        and not event.content_prefix
-        and event.tool_name is None
-    ):
-        usage = event.tokens
-        counts = (
-            (usage.input, usage.output, usage.cache_read, usage.cache_write)
-            if usage
-            else None
-        )
-        return ("trajectory", event.timestamp_ms, event.provider_route, event.model, counts)
-    return (
-        "content",
-        event.timestamp_ms,
-        event.role,
-        event.event_type,
-        event.content_prefix or None,
-        event.tool_name,
-    )
 
 
 def _random_event(rnd, location):
@@ -223,15 +182,8 @@ def test_acceptance_5_dedup_properties():
 
         retained, stats = deduplicate(events)
 
-        # brute-force pairwise oracle on raw identity material
-        representatives = []
-        for event in events:
-            if not any(
-                _oracle_identity(event) == _oracle_identity(kept)
-                for kept in representatives
-            ):
-                representatives.append(event)
-        assert len(retained) == len(representatives)
+        # brute-force agreement: one record kept per distinct raw identity
+        assert len(retained) == len(set(map(reference.dedup_identity, events)))
 
         again, again_stats = deduplicate(retained)
         assert again == retained
@@ -320,24 +272,6 @@ def test_acceptance_6_synthetic_round_trip(tmp_path):
     print("ACCEPTANCE 6 PASS: 20 seeded corpora round-trip exactly")
 
 
-def _oracle_pearson(xs, ys):
-    n = len(xs)
-    mx, my = sum(xs) / n, sum(ys) / n
-    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    vx = sum((x - mx) ** 2 for x in xs)
-    vy = sum((y - my) ** 2 for y in ys)
-    if vx == 0 or vy == 0:
-        return None
-    return cov / math.sqrt(vx * vy)
-
-
-def _oracle_rank(values):
-    return [
-        sum(1 for w in values if w < v) + (sum(1 for w in values if w == v) + 1) / 2
-        for v in values
-    ]
-
-
 def test_acceptance_7_association_oracle():
     rnd = random.Random(13)
     for _ in range(100):
@@ -350,8 +284,8 @@ def test_acceptance_7_association_oracle():
         stats = cache_output_association(strict_stage(events, MAY_WINDOW))
         xs = [float(c) for c, _ in pairs]
         ys = [float(o) for _, o in pairs]
-        expected_r = _oracle_pearson([math.log(x) for x in xs], [math.log(y) for y in ys])
-        expected_rho = _oracle_pearson(_oracle_rank(xs), _oracle_rank(ys))
+        expected_r = reference.pearson([math.log(x) for x in xs], [math.log(y) for y in ys])
+        expected_rho = reference.spearman(xs, ys)
         if expected_r is None or expected_rho is None:
             assert stats.reason == "zero_variance"
             continue

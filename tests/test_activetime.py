@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from parem.activetime import (
     DEFAULT_CAPS,
-    ActiveTimeEstimate,
     GapHistogram,
     Timeline,
     active_time,
@@ -15,28 +15,6 @@ from parem.activetime import (
 )
 
 MIN = 60_000  # one minute in ms
-
-
-def naive_capped_hours(timestamps, cap_minutes):
-    """Reference loop: sort unique, sum min(gap, cap)."""
-    unique = sorted(set(timestamps))
-    cap_ms = cap_minutes * MIN
-    total = 0
-    for i in range(1, len(unique)):
-        total += min(unique[i] - unique[i - 1], cap_ms)
-    return total / 3_600_000
-
-
-def naive_cluster_count(timestamps, cap_minutes):
-    unique = sorted(set(timestamps))
-    if not unique:
-        return 0
-    cap_ms = cap_minutes * MIN
-    clusters = 1
-    for i in range(1, len(unique)):
-        if unique[i] - unique[i - 1] > cap_ms:
-            clusters += 1
-    return clusters
 
 
 timestamps_strategy = st.lists(
@@ -114,15 +92,6 @@ def test_nonpositive_cap_rejected():
 
 @given(timestamps_strategy)
 @settings(max_examples=120)
-def test_oracle_equality(stream):
-    for cap in (15, 30, 60):
-        estimate = active_time(stream, cap)
-        assert estimate.hours == naive_capped_hours(stream, cap)
-        assert estimate.cluster_count == naive_cluster_count(stream, cap)
-
-
-@given(timestamps_strategy)
-@settings(max_examples=120)
 def test_monotonicity_in_cap(stream):
     h30, h60 = active_time(stream, 30), active_time(stream, 60)
     assert h60.hours >= h30.hours
@@ -182,27 +151,6 @@ def test_histogram_total_is_unique_count_minus_one(stream):
     assert sum(histogram.counts) == max(0, len(set(stream)) - 1)
 
 
-def test_reference_cap_estimates_are_monotone():
-    # the published pair respects the monotonicity the estimator guarantees
-    assert 674.1 >= 579.7
-
-
-def reference_estimate(timestamps, cap_minutes):
-    """The per-cap scan: walk the sorted unique timestamps once per cap."""
-    unique = sorted(set(timestamps))
-    if not unique:
-        return ActiveTimeEstimate(cap_minutes, 0.0, 0, 0)
-    cap_ms = cap_minutes * MIN
-    total_ms = 0
-    clusters = 1
-    for previous, current in zip(unique, unique[1:]):
-        gap = current - previous
-        total_ms += gap if gap < cap_ms else cap_ms
-        if gap > cap_ms:
-            clusters += 1
-    return ActiveTimeEstimate(cap_minutes, total_ms / 3_600_000, clusters, len(unique))
-
-
 @st.composite
 def streams_and_caps(draw):
     """Unsorted caps, duplicate timestamps, and gaps exactly equal to a cap."""
@@ -219,9 +167,9 @@ def streams_and_caps(draw):
 @settings(max_examples=200)
 def test_cap_sensitivity_matches_per_cap_scan(case):
     stream, caps = case
-    assert cap_sensitivity(stream, caps) == [reference_estimate(stream, cap) for cap in caps]
-    for cap in caps:
-        assert active_time(stream, cap) == reference_estimate(stream, cap)
+    expected = [reference.capped_gap_estimate(stream, cap) for cap in caps]
+    assert cap_sensitivity(stream, caps) == expected
+    assert [active_time(stream, cap) for cap in caps] == expected
 
 
 def reference_histogram(timestamps, bin_width_minutes, clip_minutes):

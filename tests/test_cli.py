@@ -518,7 +518,7 @@ def test_activetime_with_no_timed_record_in_the_window(tmp_path, capsys, lines):
     assert list(estimates.values()) == report["ate_sensitivity"]
 
 
-@pytest.mark.parametrize("fifo", ["memory/pipe.md", "sessions/pipe.jsonl"])
+@pytest.mark.parametrize("fifo", ["memory/pipe.md", "sessions/pipe.jsonl", "manuscripts/pipe.md"])
 def test_a_fifo_in_the_workspace_is_skipped_with_a_warning(tmp_path, fifo):
     ground_truth = generate_corpus(CorpusSpec(seed=3, days=3), tmp_path / "corpus")
     root = tmp_path / "corpus" / "workspace"
@@ -536,9 +536,12 @@ def test_a_fifo_in_the_workspace_is_skipped_with_a_warning(tmp_path, fifo):
     )
     metrics = [(tmp_path / out / "reports" / "metrics.csv").read_bytes() for out in ("plain", "fifo")]
     assert metrics[0] == metrics[1]
-    warnings = [
-        json.loads((tmp_path / out / "reports" / "report.json").read_text())["warnings"]
+    plain, piped = (
+        json.loads((tmp_path / out / "reports" / "report.json").read_text())
         for out in ("plain", "fifo")
-    ]
-    added = [warning for warning in warnings[1] if warning not in warnings[0]]
+    )
+    added = [warning for warning in piped["warnings"] if warning not in plain["warnings"]]
     assert len(added) == 1 and fifo in added[0]
+    # the FIFO is counted nowhere: the scan's inventory differs by its warning alone
+    inventory = plain["inventory"]
+    assert piped["inventory"] == {**inventory, "warnings": [*inventory["warnings"], *added]}

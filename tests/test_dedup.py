@@ -5,52 +5,10 @@ import hashlib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import make_completion, make_event
-from parem.dedup import (
-    KEY_TIERS,
-    _material,
-    dedup_key,
-    deduplicate,
-    ledger_rows,
-)
+from parem.dedup import _material, dedup_key, deduplicate, ledger_rows
 from parem.ingest import Event, TokenUsage
-
-
-def oracle_identity(event: Event):
-    """Identity material as a raw tuple, independent of any hashing."""
-    if event.event_id is not None:
-        return ("id", event.event_id)
-    if (
-        event.role == "model_completed"
-        and not event.content_prefix
-        and event.tool_name is None
-    ):
-        usage = event.tokens
-        counts = (
-            (usage.input, usage.output, usage.cache_read, usage.cache_write)
-            if usage is not None
-            else None
-        )
-        return ("trajectory", event.timestamp_ms, event.provider_route, event.model, counts)
-    return (
-        "content",
-        event.timestamp_ms,
-        event.role,
-        event.event_type,
-        event.content_prefix or None,
-        event.tool_name,
-    )
-
-
-def brute_force_retained(events):
-    """O(n^2) pairwise comparison; no hashing involved."""
-    representatives = []
-    for event in events:
-        if not any(
-            oracle_identity(event) == oracle_identity(kept) for kept in representatives
-        ):
-            representatives.append(event)
-    return representatives
 
 
 def test_explicit_id_tier():
@@ -170,7 +128,6 @@ def test_deduplicate_ten_events_two_shared_pairs():
     events.append(make_event(content_prefix="n1", source="sessions/z.jsonl", line=2))
     retained, stats = deduplicate(events)
     assert len(retained) == 8
-    assert len(brute_force_retained(events)) == 8
     assert stats.input_count == 10
 
 
@@ -219,32 +176,6 @@ event_lists = st.lists(
 )
 
 
-@given(event_lists)
-@settings(max_examples=100)
-def test_idempotence(events):
-    once, _ = deduplicate(events)
-    twice, stats = deduplicate(once)
-    assert twice == once
-    assert sum(stats.removed_by_tier.values()) == 0
-
-
-@given(event_lists, st.randoms())
-@settings(max_examples=100)
-def test_input_order_invariance(events, rnd):
-    shuffled = list(events)
-    rnd.shuffle(shuffled)
-    retained_a, _ = deduplicate(events)
-    retained_b, _ = deduplicate(shuffled)
-    assert retained_a == retained_b
-
-
-@given(event_lists)
-@settings(max_examples=100)
-def test_brute_force_oracle_agreement(events):
-    retained, _ = deduplicate(events)
-    assert len(retained) == len(brute_force_retained(events))
-
-
 @given(event_strategy)
 @settings(max_examples=100)
 def test_tier_ordering(event):
@@ -253,15 +184,6 @@ def test_tier_ordering(event):
         assert key.tier == "explicit_id"
     else:
         assert key.tier in ("content_hash", "trajectory_hash")
-
-
-@given(event_lists)
-@settings(max_examples=100)
-def test_oracle_key_equivalence_classes_match(events):
-    # events are merged exactly when the raw identity material matches
-    keys = {dedup_key(e) for e in events}
-    oracle = {oracle_identity(e) for e in events}
-    assert len(keys) == len(oracle)
 
 
 def test_ledger_rows_sorted_by_source():
@@ -274,51 +196,21 @@ def test_ledger_rows_sorted_by_source():
     assert all(row[0] == "content_hash" for row in rows)
 
 
-def reference_key(event):
-    """The (tier, value) of an event's key, from the oracle identity and the
-    frozen encoding: fields NUL-joined, absence as 0xff, a NUL inside a field
-    as 0xff 0x01, token counts as "input,output,read,write"."""
-    kind, *fields = oracle_identity(event)
-    if kind == "id":
-        return "explicit_id", fields[0]
-    if kind == "trajectory" and fields[3] is not None:
-        fields[3] = ",".join(map(str, fields[3]))
-    material = b"\x00".join(
-        b"\xff" if value is None else str(value).encode().replace(b"\x00", b"\xff\x01")
-        for value in fields
-    )
-    return f"{kind}_hash", hashlib.sha256(material).hexdigest()
-
-
-def digest_keyed_deduplicate(events):
-    """Group by the reference SHA-256 key itself; the canonically first source wins."""
-    retained = {}
-    removed_by_tier = dict.fromkeys(KEY_TIERS, 0)
-    for event in events:
-        key = reference_key(event)
-        existing = retained.get(key)
-        if existing is None:
-            retained[key] = event
-            continue
-        removed_by_tier[key[0]] += 1
-        if (event.source_path, event.line_number) < (existing.source_path, existing.line_number):
-            retained[key] = event
-    output = sorted(retained.values(), key=lambda e: (e.source_path, e.line_number))
-    return output, removed_by_tier
-
-
 @given(event_lists, st.randoms())
 @settings(max_examples=150)
 def test_matches_digest_keyed_reference(events, rnd):
     shuffled = list(events)
     rnd.shuffle(shuffled)
     retained, stats = deduplicate(shuffled)
-    expected, removed_by_tier = digest_keyed_deduplicate(shuffled)
+    expected, removed_by_tier = reference.deduplicate(shuffled)
     assert retained == expected
     assert stats.removed_by_tier == removed_by_tier
     assert stats.retained_count == len(expected)
+    # one record per raw identity: the encoding and its digest merge nothing more
+    assert len(expected) == len(set(map(reference.dedup_identity, events)))
     # the ledger hashes the same key fields the groups are made of
-    assert [row[:2] for row in ledger_rows(retained)] == list(map(reference_key, expected))
+    assert [row[:2] for row in ledger_rows(retained)] == list(map(reference.dedup_key, expected))
+    assert deduplicate(retained)[0] == retained
 
 
 def test_a_nul_inside_a_field_is_not_a_separator():
@@ -363,5 +255,5 @@ def resplit_pairs(draw):
 def test_distinct_fields_give_distinct_material(pair):
     first, second = pair
     assert _material(first)[0] == _material(second)[0] != "explicit_id"
-    same_fields = oracle_identity(first) == oracle_identity(second)
+    same_fields = reference.dedup_identity(first) == reference.dedup_identity(second)
     assert (_material(first) == _material(second)) == same_fields

@@ -667,26 +667,16 @@ def rule_sets(draw) -> KeywordRuleSet:
     )
 
 
-@st.composite
-def sentences_for(draw, rules: KeywordRuleSet) -> str:
+def sentences_for(rules: KeywordRuleSet) -> st.SearchStrategy[str]:
     own_terms = [term for terms in rules.families.values() for term in terms]
     token = st.one_of(
         st.sampled_from(own_terms),
         vocabulary,
         st.sampled_from(EXCLUSION_HITS + FILLER),
     )
-    parts = draw(
-        st.lists(st.tuples(token, st.sampled_from(CASES), st.sampled_from(EDGES)), max_size=6)
-    )
-    return "".join(case(word) + edge for word, case, edge in parts)
-
-
-@given(st.data())
-@settings(max_examples=400, deadline=None)
-def test_matcher_equals_the_per_term_scan(data):
-    rules = data.draw(rule_sets())
-    sentences = data.draw(st.lists(sentences_for(rules), min_size=1, max_size=6))
-    assert rules.matcher.matches(sentences) == reference_matches(rules, sentences)
+    return st.lists(
+        st.tuples(token, st.sampled_from(CASES), st.sampled_from(EDGES)), max_size=6
+    ).map(lambda parts: "".join(case(word) + edge for word, case, edge in parts))
 
 
 def test_fold_hazards_are_every_character_ignorecase_adds():
@@ -795,7 +785,7 @@ def expected_term_searches(rules: KeywordRuleSet, sentences) -> list[tuple[int, 
 
 
 @given(st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_the_word_lookup_decides_which_searches_run(data):
     rules = data.draw(rule_sets())
     sentences = data.draw(st.lists(sentences_for(rules), min_size=1, max_size=6))

@@ -457,6 +457,9 @@ def deny_listing(monkeypatch, denied: Path) -> None:
     monkeypatch.setattr(os, "scandir", listing)
 
 
+SKIPPED = "skipped, neither a regular file nor a directory: "
+
+
 class TestDiscoverWorkspace:
     def test_paths_are_relative_to_the_root(self, tmp_path):
         expected = small_workspace(tmp_path)
@@ -506,10 +509,33 @@ class TestDiscoverWorkspace:
         (tmp_path / "ws" / "agents").symlink_to(tmp_path / "elsewhere")
         # neither its agent directories nor their sessions count
         assert discover_workspace(tmp_path / "ws") == dataclasses.replace(
-            expected, agent_dirs=(), agent_sessions=()
+            expected, agent_dirs=(), agent_sessions=(), warnings=(SKIPPED + "agents",)
         )
         inventory = scan_and_parse(tmp_path / "ws")[0]
         assert (inventory.agent_dirs, inventory.session_files_all) == (0, 1)
+
+    def test_a_symlinked_agent_directory_is_not_an_agent(self, tmp_path):
+        expected = small_workspace(tmp_path / "ws")
+        (tmp_path / "ws" / "agents" / "h").rename(tmp_path / "elsewhere")
+        (tmp_path / "ws" / "agents" / "h").symlink_to(tmp_path / "elsewhere")
+        warnings = (SKIPPED + "agents/h",)
+        assert discover_workspace(tmp_path / "ws") == dataclasses.replace(
+            expected, agent_dirs=(), agent_sessions=(), warnings=warnings
+        )
+        inventory = scan_and_parse(tmp_path / "ws")[0]
+        assert (inventory.agent_dirs, inventory.session_files_all) == (0, 1)
+        assert inventory.warnings == warnings
+
+    def test_only_regular_files_and_links_to_them_are_listed(self, tmp_path):
+        expected = small_workspace(tmp_path)
+        (tmp_path / "manuscripts" / "link.md").symlink_to(tmp_path / "manuscripts" / "draft.md")
+        (tmp_path / "manuscripts" / "gone.md").symlink_to(tmp_path / "missing")
+        os.mkfifo(tmp_path / "skills" / "pipe.md")
+        assert discover_workspace(tmp_path) == dataclasses.replace(
+            expected,
+            artifacts=("manuscripts/draft.md", "manuscripts/link.md", "out/report.json", "stray.txt"),
+            warnings=(SKIPPED + "manuscripts/gone.md", SKIPPED + "skills/pipe.md"),
+        )
 
 
 def test_read_file_refuses_what_is_not_a_regular_file(tmp_path):

@@ -259,29 +259,6 @@ def windows_and_timestamps(draw):
     return window, stamps
 
 
-def reference_window_timestamps(events, window):
-    """The set comprehension the timeline replaced."""
-    lo, hi = window.ms_bounds
-    return sorted({ts for e in events if (ts := e.timestamp_ms) is not None and lo <= ts < hi})
-
-
-@given(windows_and_timestamps(), st.data())
-@settings(max_examples=100)
-def test_window_timeline_matches_the_set_comprehension(case, data):
-    # repeats, untimed records and any order; the window cuts through the data
-    window, stamps = case
-    if stamps:
-        stamps = stamps + data.draw(st.lists(st.sampled_from(stamps), max_size=10))
-    stamps = data.draw(st.permutations(stamps + [None] * data.draw(st.integers(0, 3))))
-    events = [make_event(timestamp_ms=ts, line=i) for i, ts in enumerate(stamps)]
-    timeline = window_timeline(events, window)
-    expected = reference_window_timestamps(events, window)
-    assert timeline == expected
-    assert timeline.gaps == sorted(b - a for a, b in zip(expected, expected[1:]))
-    report = pare_m(events, window)
-    assert report.active_day_count == len({ts // DAY_MS for ts in expected})
-
-
 @given(windows_and_timestamps())
 @settings(max_examples=200)
 def test_ms_bounds_filter_matches_utc_date_containment(case):
@@ -289,10 +266,13 @@ def test_ms_bounds_filter_matches_utc_date_containment(case):
     lo, hi = window.ms_bounds
     for ts in stamps:
         assert (lo <= ts < hi) == window.contains(utc_date(ts))
+    # drawn unsorted around both edges; add repeats and untimed records
+    stamps = [None, *stamps, None, *stamps[::2]]
     events = [make_event(timestamp_ms=ts, line=i) for i, ts in enumerate(stamps)]
-    events.append(make_event(line=len(stamps)))  # untimed
-    inside = [ts for ts in stamps if window.contains(utc_date(ts))]
-    assert window_timeline(events, window) == sorted(set(inside))
+    inside = sorted({ts for ts in stamps if ts is not None and window.contains(utc_date(ts))})
+    timeline = window_timeline(events, window)
+    assert timeline == inside
+    assert timeline.gaps == sorted(b - a for a, b in zip(inside, inside[1:]))
     assert pare_m(events, window).active_day_count == len({utc_date(ts) for ts in inside})
 
 

@@ -4,7 +4,6 @@ foreign or missing cache costs re-parses, never a changed output."""
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import tempfile
 from dataclasses import replace
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hash_tree
+from conftest import deny_reading, hash_tree
 from parem import ingest
 from parem.cli import main
 from parem.ingest import FieldAliases, WorkspaceConventions, parse_session_file, scan_and_parse
@@ -166,11 +165,12 @@ def test_changed_aliases_discard_the_cache(corpora, tmp_path):
     assert json.loads(header)["aliases"] == to_json(aliases)
 
 
-def test_unreadable_files_are_not_cached(tmp_path):
+def test_unreadable_files_are_not_cached(tmp_path, monkeypatch):
     workspace = tmp_path / "ws"
     (workspace / "sessions").mkdir(parents=True)
     (workspace / "sessions" / "a.jsonl").write_text('{"role": "user", "ts": 1}\n')
-    os.symlink(tmp_path / "missing", workspace / "sessions" / "b.jsonl")
+    (workspace / "sessions" / "b.jsonl").write_text('{"role": "user", "ts": 2}\n')
+    deny_reading(monkeypatch, "b.jsonl")
     config = RunConfig(root=str(workspace), out_dir=str(tmp_path / "out"))
     for _ in range(2):
         bundle, _ = run_analysis(config)

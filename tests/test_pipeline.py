@@ -4,7 +4,6 @@ import csv
 import hashlib
 import itertools
 import json
-import os
 import re
 from dataclasses import fields, replace
 from datetime import date
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import hash_tree
+from conftest import deny_reading, hash_tree
 from parem.classify import ClassificationRules
 from parem.extraction import DEFAULT_GOVERNANCE_RULES, DEFAULT_HEADING_PATTERN, KeywordRuleSet
 from parem.ingest import FieldAliases, WorkspaceConventions
@@ -623,12 +622,13 @@ def test_untimed_records_count_in_drc_but_never_reach_active_time(tmp_path):
     assert {estimate.event_count for estimate in sensitivity} == {2}
 
 
-def test_warnings_keep_their_order_whichever_stage_runs_first(tmp_path):
+def test_warnings_keep_their_order_whichever_stage_runs_first(tmp_path, monkeypatch):
     root = tmp_path / "workspace"
     write_trajectory(root, ['{"role": "user", "ts": "2026-05-01T10:00:00Z"}'])
     (root / "memory").mkdir()
-    os.symlink(tmp_path / "missing", root / "trajectories" / "gone.jsonl")
-    os.symlink(tmp_path / "missing", root / "memory" / "gone.md")
+    (root / "trajectories" / "gone.jsonl").write_text("x\n")
+    (root / "memory" / "gone.md").write_text("x\n")
+    deny_reading(monkeypatch, "gone.jsonl", "gone.md")
     config = RunConfig(root=str(root))
     warnings = Analysis(config).bundle.warnings
     assert [w.split(":")[0] for w in warnings] == [

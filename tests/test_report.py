@@ -18,7 +18,6 @@ from parem.report import (
     PROXY_LEDGER_CSV,
     SENSITIVITY_CSV,
     SURFACE_COUNTS_CSV,
-    ReportBundle,
     ReportError,
     _dumps_report,
     export_csvs,
@@ -138,14 +137,6 @@ def test_unknown_format_rejected(empty_bundle):
         render_report(empty_bundle, "pdf")
     with pytest.raises(ReportError):
         render_report(empty_bundle, "structured")
-
-
-def test_incomplete_bundle_error_lists_missing():
-    with pytest.raises(TypeError) as excinfo:
-        ReportBundle()
-    message = str(excinfo.value)
-    assert "provenance" in message
-    assert "token_totals" in message
 
 
 def read_csv(data: bytes):

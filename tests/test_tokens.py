@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 import math
-import random
 from datetime import date
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import make_completion, strict_stage
 from parem.ingest import TokenUsage
 from parem.metrics import ObservationWindow
@@ -26,33 +26,6 @@ from parem.tokens import (
 DAY_MS = 86_400_000
 WINDOW = ObservationWindow(date(2026, 5, 1), date(2026, 5, 25))
 MAY1_MS = 1_777_593_600_000  # 2026-05-01T00:00:00Z, verified in test_ingest
-
-
-# --- independent oracles -------------------------------------------------
-
-
-def oracle_pearson(xs, ys):
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    vx = sum((x - mx) ** 2 for x in xs)
-    vy = sum((y - my) ** 2 for y in ys)
-    return cov / math.sqrt(vx * vy)
-
-
-def oracle_ranks(values):
-    # O(n^2): rank = 1 + how many are smaller + half of the remaining ties
-    ranks = []
-    for v in values:
-        smaller = sum(1 for w in values if w < v)
-        equal = sum(1 for w in values if w == v)
-        ranks.append(smaller + (equal + 1) / 2)
-    return ranks
-
-
-def oracle_spearman(xs, ys):
-    return oracle_pearson(oracle_ranks(xs), oracle_ranks(ys))
 
 
 # --- totals ---------------------------------------------------------------
@@ -254,23 +227,6 @@ def test_reversed_pairs():
     assert stats.spearman_rho == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_brute_force_oracle_agreement():
-    rnd = random.Random(42)
-    for _ in range(100):
-        n = rnd.randint(3, 40)
-        pairs = [(rnd.randint(1, 50), rnd.randint(1, 50)) for _ in range(n)]
-        stats = cache_output_association(completion_pairs(pairs))
-        xs = [p[0] for p in pairs]
-        ys = [p[1] for p in pairs]
-        log_r = oracle_pearson([math.log(x) for x in xs], [math.log(y) for y in ys])
-        rho = oracle_spearman(xs, ys)
-        if stats.pearson_r_log is None:
-            assert len(set(xs)) == 1 or len(set(ys)) == 1
-            continue
-        assert stats.pearson_r_log == pytest.approx(log_r, abs=1e-12)
-        assert stats.spearman_rho == pytest.approx(rho, abs=1e-12)
-
-
 def test_zero_events_excluded_and_counted():
     pairs = [(10, 5), (0, 5), (10, 0), (3, 3)]
     stats = cache_output_association(completion_pairs(pairs))
@@ -365,7 +321,6 @@ def test_pearson_log_invariant_under_positive_rescaling(pairs, scale):
 def test_average_ranks_with_ties():
     assert average_ranks([10, 20, 20, 30]) == [1.0, 2.5, 2.5, 4.0]
     assert average_ranks([5, 5, 5]) == [2.0, 2.0, 2.0]
-    assert oracle_ranks([10, 20, 20, 30]) == [1.0, 2.5, 2.5, 4.0]
 
 
 @pytest.mark.parametrize("offset_ms", [-1, 3 * DAY_MS])
@@ -375,37 +330,7 @@ def test_daily_rows_reject_a_completion_outside_the_window(offset_ms):
         daily_composition([TokenEventRow(MAY1_MS + offset_ms, "a", "m", 1, 2, 3, 4)], window)
 
 
-# --- the rewrites against copies of their old rules, compared exactly -----
-
-
-def reference_average_ranks(values):
-    """Walk the index order sorted by value; each tie run gets its midpoint."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = (i + j + 2) / 2
-        i = j + 1
-    return ranks
-
-
-def reference_pearson(xs, ys):
-    """The generator-expression sums the report's bytes were first made by."""
-    if min(xs) == max(xs) or min(ys) == max(ys):
-        return None
-    n = len(xs)
-    mean_x = math.fsum(xs) / n
-    mean_y = math.fsum(ys) / n
-    cov = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    var_x = math.fsum((x - mean_x) ** 2 for x in xs)
-    var_y = math.fsum((y - mean_y) ** 2 for y in ys)
-    if var_x * var_y == 0.0:
-        return None
-    return max(-1.0, min(1.0, cov / math.sqrt(var_x * var_y)))
+# --- against the plain references, compared exactly -----------------------
 
 
 # few distinct values, so most draws hold ties; floats include -0.0 == 0.0
@@ -420,15 +345,27 @@ tied_values = st.one_of(
 @given(st.lists(tied_values, max_size=40))
 @settings(max_examples=150)
 def test_average_ranks_match_the_run_walk(values):
-    assert average_ranks(values) == reference_average_ranks(values)
+    assert average_ranks(values) == reference.average_ranks(values)
 
 
-@given(st.lists(st.tuples(tied_values, tied_values), min_size=1, max_size=40))
+@given(
+    st.lists(st.tuples(tied_values, tied_values), min_size=1, max_size=40),
+    st.lists(st.tuples(st.integers(1, 50), st.integers(1, 50)), min_size=3, max_size=40),
+)
 @settings(max_examples=150)
-def test_pearson_and_spearman_match_the_old_sums_bit_for_bit(pairs):
+def test_pearson_and_spearman_match_the_old_sums_bit_for_bit(pairs, counts):
     xs = [x for x, _ in pairs]
     ys = [y for _, y in pairs]
-    assert pearson(xs, ys) == reference_pearson(xs, ys)
-    assert spearman(xs, ys) == reference_pearson(
-        reference_average_ranks(xs), reference_average_ranks(ys)
+    assert pearson(xs, ys) == reference.pearson(xs, ys)
+    assert spearman(xs, ys) == reference.spearman(xs, ys)
+    # the association: Pearson on the logs, Spearman on the raw counts
+    reads = [c for c, _ in counts]
+    outputs = [o for _, o in counts]
+    expected = (
+        reference.pearson(list(map(math.log, reads)), list(map(math.log, outputs))),
+        reference.spearman(reads, outputs),
+    )
+    stats = cache_output_association(completion_pairs(counts))
+    assert (stats.pearson_r_log, stats.spearman_rho) == (
+        (None, None) if None in expected else expected
     )
