@@ -110,8 +110,30 @@ def classify_file(path: str, rules: ClassificationRules) -> str:
 
 
 def surface_counts(paths: Iterable[str], rules: ClassificationRules) -> SurfaceCounts:
-    """Count files per surface; order of ``paths`` never affects the result."""
+    """Count files per surface, as ``classify_file`` classifies each; order of
+    ``paths`` never affects the result.
+
+    A prefix rule ends in ``/``, so a path's directory alone decides which
+    prefixes it starts with, and each directory is classified once. Only the
+    equality case, a path naming a rule's directory itself, reads the name.
+    """
+    named: dict[str, tuple[int, str]] = {}  # a prefix without its "/" -> its first rule
+    for index, (prefix, surface) in enumerate(rules.rules):
+        named.setdefault(prefix[:-1], (index, surface))
+    directories: dict[str, tuple[str, int, str]] = {}
     counter: Counter[str] = Counter()
     for path in paths:
-        counter[classify_file(path, rules)] += 1
+        head, slash, name = path.replace("\\", "/").rpartition("/")
+        found = directories.get(head + slash)
+        if found is None:
+            directory = _normalize(head + slash)
+            found = (directory, len(rules.rules), rules.fallback)
+            for index, (prefix, surface) in enumerate(rules.rules):
+                if directory.startswith(prefix):
+                    found = (directory, index, surface)
+                    break
+            directories[head + slash] = found
+        directory, index, surface = found
+        exact = named.get(directory + name)
+        counter[exact[1] if exact is not None and exact[0] < index else surface] += 1
     return SurfaceCounts(counts=dict(counter), fallback=rules.fallback)

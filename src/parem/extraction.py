@@ -11,10 +11,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import date
-from functools import cached_property
+from functools import cached_property, partial
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
 
 from .ingest import read_file
 
@@ -96,14 +96,35 @@ class DatedSection:
         object.__setattr__(self, "sentences", tuple(split_sentences(self.body)))
 
 
-@dataclass(frozen=True)
-class ProxyEvent:
+class ProxyEvent(NamedTuple):
     date: date
     kind: ProxyKind
     matched_terms: tuple[str, ...]
     section_ref: tuple[str, str]  # (source_path, heading)
     governance_class: str | None = None
     family: str | None = None
+
+
+class MatchedSection(NamedTuple):
+    """A dated section reduced to what the extractors read, small enough to
+    cache: per family with a hit, the (sentence index, matched terms) that
+    ``KeywordMatcher.matches`` found under the output and the governance
+    rules, and the output hits' sentences by index, which the repeat
+    suppression reads. When none of them may name an artifact, the
+    suppression reads none, and none are kept."""
+
+    date: date
+    source_path: str
+    heading: str
+    output: dict[str, list]
+    governance: dict[str, list]
+    sentences: dict[int, str]
+
+
+# build a record from a tuple of all its fields, skipping the keyword-argument
+# handling of the named tuple's constructor
+_new_proxy = partial(tuple.__new__, ProxyEvent)
+_new_matched = partial(tuple.__new__, MatchedSection)
 
 
 @dataclass(frozen=True)
@@ -198,8 +219,9 @@ class KeywordMatcher:
     fold: bool
 
     def matches(self, sentences: Sequence[str]) -> dict[str, list[tuple[int, list[str]]]]:
-        """Per family: (sentence index, matched terms) for non-excluded sentences."""
-        matches: dict[str, list[tuple[int, list[str]]]] = {name: [] for name in self.families}
+        """Per family with a hit, in family order: (sentence index, matched
+        terms) for non-excluded sentences."""
+        matches: dict[str, list[tuple[int, list[str]]]] = {}
         terms, words, others, fold = self.terms, self.words, self.others, self.fold
         for index, sentence in enumerate(sentences):
             hits: list[int] = []
@@ -233,7 +255,12 @@ class KeywordMatcher:
                         found.append(term)
                     else:
                         family, found = name, [term]
-                        matches[name].append((index, found))
+                        if name in matches:
+                            matches[name].append((index, found))
+                        else:
+                            matches[name] = [(index, found)]
+        if len(matches) > 1:  # a later sentence may have hit an earlier family
+            return {name: matches[name] for name in self.families if name in matches}
         return matches
 
 
@@ -315,29 +342,38 @@ DEFAULT_GOVERNANCE_RULES = KeywordRuleSet(
 )
 
 
+def unreadable_memory_file(label: str, exc: OSError) -> str:
+    """The warning for a memory file that cannot be read."""
+    return f"unreadable memory file: {label} ({exc.__class__.__name__})"
+
+
 def parse_memory_sections(
-    files: Sequence[str | Path],
+    files: Sequence[str | Path] | Mapping[str, bytes],
     heading_pattern: str = DEFAULT_HEADING_PATTERN,
     root: str | Path | None = None,
 ) -> tuple[list[DatedSection], list[str]]:
     """Split memory files into dated sections.
 
-    Undated text attaches to the preceding dated section; text before the
-    first dated heading is skipped. A file that is unreadable or not a
-    regular file produces a warning and is skipped. Returns (sections, warnings).
+    ``files`` names the files to read, below ``root`` when it is given, or
+    maps each file's label to its bytes, read already. Undated text attaches
+    to the preceding dated section; text before the first dated heading is
+    skipped. A file that is unreadable or not a regular file produces a
+    warning and is skipped. Returns (sections, warnings).
     """
     pattern = compile_heading_pattern(heading_pattern)
     sections: list[DatedSection] = []
     warnings: list[str] = []
     for file_path in files:
-        full = Path(root) / file_path if root is not None else Path(file_path)
         label = str(file_path)
-        try:
-            text = read_file(full).decode("utf-8", errors="replace")
-        except OSError as exc:
-            warnings.append(f"unreadable memory file: {label} ({exc.__class__.__name__})")
-            continue
-        lines = text.splitlines()
+        if isinstance(files, Mapping):
+            data = files[file_path]
+        else:
+            try:
+                data = read_file(Path(root) / file_path if root is not None else file_path)
+            except OSError as exc:
+                warnings.append(unreadable_memory_file(label, exc))
+                continue
+        lines = data.decode("utf-8", errors="replace").splitlines()
         starts: list[tuple[int, date]] = []  # (line number, date) of each dated heading
         for number, line in enumerate(lines):
             match = pattern.match(line)
@@ -402,14 +438,19 @@ def _clusters(
     return [(tuple(members), tuple(dict.fromkeys(terms))) for members, terms in clusters]
 
 
+def _may_name_artifact(sentence: str) -> bool:
+    """False when the sentence has no backtick and no ``.`` before its last
+    two characters (every extension has two or more), so no artifact token."""
+    return "`" in sentence or "." in sentence[:-2]
+
+
 def _artifact_tokens(sentences: Sequence[str], indices: Iterable[int]) -> set[str]:
     """Lower-cased backticked names and filename-like tokens of the sentences;
-    a sentence with no backtick and no ``.`` before its last two characters
-    (every extension has two or more) is not searched."""
+    a sentence that ``_may_name_artifact`` rules out is not searched."""
     tokens: set[str] = set()
     for index in indices:
         sentence = sentences[index]
-        if "`" in sentence or "." in sentence[:-2]:
+        if _may_name_artifact(sentence):
             for match in _ARTIFACT_TOKEN.finditer(sentence):
                 tokens.add((match.group(1) or match.group(2)).lower())
     return tokens
@@ -418,33 +459,85 @@ def _artifact_tokens(sentences: Sequence[str], indices: Iterable[int]) -> set[st
 _section_order = attrgetter("date", "source_path", "heading")
 
 
+def match_sections(
+    sections: Iterable[DatedSection],
+    output_rules: KeywordRuleSet = DEFAULT_OUTPUT_RULES,
+    governance_rules: KeywordRuleSet = DEFAULT_GOVERNANCE_RULES,
+) -> list[MatchedSection]:
+    """Each section matched against both rule sets, in the order given."""
+    output, governance = output_rules.matcher.matches, governance_rules.matcher.matches
+    matched = []
+    for section in sections:
+        sentences = section.sentences
+        hits = output(sentences)
+        said = {index: sentences[index] for found in hits.values() for index, _ in found}
+        if said and not any(map(_may_name_artifact, said.values())):
+            said = {}  # the repeat suppression reads none of them
+        matched.append(
+            _new_matched(
+                (section.date, section.source_path, section.heading, hits, governance(sentences), said)
+            )
+        )
+    return matched
+
+
+def encode_matched(matched: Sequence[MatchedSection]) -> list:
+    """One file's matched sections as JSON data: ``[[<section>, ...]]``, each
+    section ``[<date>, <heading>, <output hits>, <governance hits>,
+    [[<index>, <sentence>], ...]]``; the file's path is the cache line's."""
+    return [
+        [
+            [s.date.isoformat(), s.heading, s.output, s.governance, list(s.sentences.items())]
+            for s in matched
+        ]
+    ]
+
+
+def decode_matched(payload: list, source_path: str) -> list[MatchedSection]:
+    """The inverse of ``encode_matched`` for the file at ``source_path``."""
+    (rows,) = payload
+    return [
+        _new_matched(
+            (date.fromisoformat(day), source_path, heading, output, governance, dict(sentences))
+        )
+        for day, heading, output, governance, sentences in rows
+    ]
+
+
 def extract_output_proxies(
-    sections: Sequence[DatedSection],
+    sections: Sequence[DatedSection | MatchedSection],
     rules: KeywordRuleSet = DEFAULT_OUTPUT_RULES,
     granularity: Granularity = "section",
     repeat_horizon_days: int = 7,
 ) -> list[ProxyEvent]:
     """Output-proxy events, one per keyword-family match cluster.
 
-    Repeated logs of a named artifact within the horizon are suppressed
-    unless the sentence signals a materially new version. Artifacts are
-    recognized by backticked names or filename-like tokens; this is an
-    approximation of the repeat exclusion and is configurable off with
-    ``repeat_horizon_days=0``.
+    A ``DatedSection`` is matched here; a ``MatchedSection`` carries the hits
+    that ``rules`` found in it already. Repeated logs of a named artifact
+    within the horizon are suppressed unless the sentence signals a
+    materially new version. Artifacts are recognized by backticked names or
+    filename-like tokens; this is an approximation of the repeat exclusion
+    and is configurable off with ``repeat_horizon_days=0``.
     """
     matcher = rules.matcher
     last_logged: dict[tuple[str, str], date] = {}
     proxies: list[ProxyEvent] = []
 
     for section in sorted(sections, key=_section_order):
-        sentences = section.sentences
+        if type(section) is MatchedSection:
+            found, sentences = section.output, section.sentences
+        else:
+            sentences = section.sentences
+            found = matcher.matches(sentences)
         day = section.date
         ref = (section.source_path, section.heading)
-        for family, hits in matcher.matches(sentences).items():
-            if not hits:
-                continue
+        for family, hits in found.items():
             for members, terms in _clusters(hits, granularity):
-                if repeat_horizon_days > 0 and (tokens := _artifact_tokens(sentences, members)):
+                if (
+                    repeat_horizon_days > 0
+                    and sentences
+                    and (tokens := _artifact_tokens(sentences, members))
+                ):
                     # suppressed when every token was logged within the
                     # horizon and the cluster names no new version
                     recent = True
@@ -457,43 +550,60 @@ def extract_output_proxies(
                         " ".join(sentences[i] for i in members)
                     ):
                         continue
-                proxies.append(ProxyEvent(day, "output", terms, ref, None, family))
+                proxies.append(_new_proxy((day, "output", terms, ref, None, family)))
     return proxies
 
 
 def extract_governance_events(
-    sections: Sequence[DatedSection],
+    sections: Sequence[DatedSection | MatchedSection],
     rules: KeywordRuleSet = DEFAULT_GOVERNANCE_RULES,
     granularity: Granularity = "section",
 ) -> list[ProxyEvent]:
     """Governance events, one per match cluster across all governance families.
 
-    A cluster matched by several class families takes the highest-priority
-    class; matches from families without a class mapping leave the class
-    absent.
+    A ``DatedSection`` is matched here; a ``MatchedSection`` carries the hits
+    that ``rules`` found in it already. A cluster matched by several class
+    families takes the highest-priority class; matches from families without
+    a class mapping leave the class absent.
     """
     matcher = rules.matcher
     proxies: list[ProxyEvent] = []
 
     for section in sorted(sections, key=_section_order):
+        found = (
+            section.governance
+            if type(section) is MatchedSection
+            else matcher.matches(section.sentences)
+        )
+        if not found:
+            continue
+        ref = (section.source_path, section.heading)
+        if len(found) == 1:
+            ((family, hits),) = found.items()
+            if len(hits) == 1:  # one matched sentence: one cluster of one family
+                terms = tuple(dict.fromkeys(hits[0][1]))
+                governance_class = rules.family_classes.get(family)
+                proxies.append(
+                    _new_proxy((section.date, "governance", terms, ref, governance_class, None))
+                )
+                continue
         # per matched sentence: its terms and its families, in family order
         terms_at: dict[int, list[str]] = {}
         families_at: dict[int, list[str]] = {}
-        for family, hits in matcher.matches(section.sentences).items():
+        for family, hits in found.items():
             for index, terms in hits:
                 if index in terms_at:
-                    terms_at[index] += terms
+                    terms_at[index] = terms_at[index] + terms
                     families_at[index].append(family)
                 else:
                     terms_at[index] = terms
                     families_at[index] = [family]
-        if not terms_at:
-            continue
-        ref = (section.source_path, section.heading)
         for members, terms in _clusters(sorted(terms_at.items()), granularity):
             families = [family for index in members for family in families_at[index]]
             governance_class = _priority_class(families, rules)
-            proxies.append(ProxyEvent(section.date, "governance", terms, ref, governance_class))
+            proxies.append(
+                _new_proxy((section.date, "governance", terms, ref, governance_class, None))
+            )
     return proxies
 
 

@@ -23,7 +23,7 @@ from functools import cached_property, partial
 from itertools import repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Literal, NamedTuple
+from typing import Callable, Literal, NamedTuple
 
 from . import __version__
 from .classify import ClassificationRules, SurfaceCounts, surface_counts
@@ -499,22 +499,36 @@ _NONE = repeat(None)
 _CHECK_WIDTH = len('"00000000",')
 
 
-class ParseCache:
-    """Per-file parse results of the previous run, and the sink for this run's.
+class FileCodec(NamedTuple):
+    """What a ``FileCache`` keeps for one kind of file, and how.
 
-    The cache file holds a header line, then one line per parsed session
-    file, in sorted path order::
+    ``header`` names the format and every setting the results depend on.
+    ``compute(data, rel, *context)`` finds a file's results from its bytes,
+    ``encode`` turns them into a JSON list, and ``decode(payload, rel,
+    *context)`` turns that list back, raising ``ValueError`` or
+    ``TypeError`` on one of the wrong shape.
+    """
 
-        ["<path>","<sha256 of the file>","<crc32>",<lines>,[<columns>]]
+    header: dict
+    compute: Callable
+    encode: Callable
+    decode: Callable
 
-    ``lines`` is the file's non-empty line count and the columns are its
-    events' fields in ``_CACHED_FIELDS`` order, a column that is null
-    throughout stored as one null; the crc32 covers the text after it, up to
-    the newline. The header names the format, the parem version and the
-    field aliases; a different header discards the whole file. A line whose
-    checksum or shape does not hold is a miss, so a damaged cache costs a
-    re-parse, never a changed result. The cache is JSON, so reading one
-    cannot run code.
+
+class FileCache:
+    """Per-file results of the previous run, and the sink for this run's.
+
+    The cache file holds a header line, then one line per file, in sorted
+    path order::
+
+        ["<path>","<sha256 of the file>","<crc32>",<payload>...]
+
+    where the payload is the codec's encoding of the file's results and the
+    crc32 covers the text after it, up to the newline. The header names the
+    codec's header fields and the parem version; a different header discards
+    the whole file. A line whose checksum or shape does not hold is a miss, so
+    a damaged cache costs a recomputation, never a changed result. The cache
+    is JSON, so reading one cannot run code.
 
     Lookups must come in sorted path order: the previous file is read in
     step with them, and this run's lines stream to a temporary file that
@@ -522,12 +536,11 @@ class ParseCache:
     no path every lookup misses and nothing is written.
     """
 
-    def __init__(self, path: Path | None, aliases: FieldAliases) -> None:
+    def __init__(self, path: Path | None, codec: FileCodec) -> None:
         self._path = path
-        self._aliases = aliases
-        self._header = _compact(
-            {"aliases": to_json(aliases), "format": PARSE_CACHE_FORMAT, "parem": __version__}
-        ) + "\n"
+        self._codec = codec
+        header = dict(sorted({**codec.header, "parem": __version__}.items()))
+        self._header = _compact(header) + "\n"
         self._prior = None
         self._pending: str | None = None
         self._sink = None
@@ -547,7 +560,7 @@ class ParseCache:
     def _temporary(self) -> Path:
         return self._path.with_name(self._path.name + ".tmp")
 
-    def __enter__(self) -> "ParseCache":
+    def __enter__(self) -> "FileCache":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -560,28 +573,33 @@ class ParseCache:
             else:
                 self._temporary.unlink(missing_ok=True)
 
-    def parse(
-        self, rel: str, data: bytes, agent_scope: AgentScope
-    ) -> tuple[list[Event], FileParseStats]:
-        """The file's events and stats: from the cache when its bytes are
-        unchanged, else from ``parse_session_file``."""
+    def get(self, rel: str, data: bytes, *context):
+        """The file's results: from the cache when its bytes are unchanged,
+        else from the codec's ``compute``."""
         key = _compact([rel, hashlib.sha256(data).hexdigest()])[:-1] + ","
         line = self._take(rel)
         if line is not None and line.startswith(key):
-            found = _decode_line(line, len(key), rel, agent_scope)
+            found = self._decode(line, len(key), rel, context)
             if found is not None:
                 self._store(line.encode())
                 return found
-        events, stats = parse_session_file(data, rel, self._aliases, agent_scope)
+        result = self._codec.compute(data, rel, *context)
         if self._sink is not None:
-            columns = [
-                None if column and column[0] is None and column.count(None) == len(column)
-                else column
-                for column in (_cached_columns(tuple(zip(*events))) if events else _NO_EVENTS)
-            ]
-            rest = _compact([stats.total_lines, columns])[1:].encode()
+            rest = _compact(self._codec.encode(result))[1:].encode()
             self._store(b'%s"%08x",%s\n' % (key.encode(), zlib.crc32(rest), rest))
-        return events, stats
+        return result
+
+    def _decode(self, line: str, start: int, rel: str, context: tuple):
+        """A cache line's results, or None when the line is damaged."""
+        rest = line[start + _CHECK_WIDTH : -1]
+        try:
+            if not line.endswith("\n") or int(line[start + 1 : start + 9], 16) != zlib.crc32(
+                rest.encode()
+            ):
+                return None
+            return self._codec.decode(json.loads("[" + rest), rel, *context)
+        except (ValueError, TypeError):
+            return None
 
     def _take(self, rel: str) -> str | None:
         """The previous run's line for ``rel``, skipping lines of paths before it."""
@@ -606,27 +624,44 @@ class ParseCache:
             self._sink.write(line)
 
 
-def _decode_line(
-    line: str, start: int, rel: str, agent_scope: AgentScope
-) -> tuple[list[Event], FileParseStats] | None:
-    """A cache line's events and stats, or None when the line is damaged."""
-    rest = line[start + _CHECK_WIDTH : -1]
-    try:
-        if not line.endswith("\n") or int(line[start + 1 : start + 9], 16) != zlib.crc32(
-            rest.encode()
-        ):
-            return None
-        total, columns = json.loads("[" + rest)
-        roles, lines, ids, stamps, types, tools, routes, models, tokens, prefixes = (
-            _NONE if column is None else column for column in columns
-        )
-        count = len(roles)
-        if any(column is not None and len(column) != count for column in columns):
-            return None
-        if tokens is not _NONE:
-            tokens = [None if usage is None else _new_usage(usage) for usage in tokens]
-    except (ValueError, TypeError):
-        return None
+def _parse_codec(aliases: FieldAliases) -> FileCodec:
+    """The parse cache's codec: a session file's events and stats, as
+    ``[<lines>,[<columns>]]``.
+
+    ``lines`` is the file's non-empty line count and the columns are its
+    events' fields in ``_CACHED_FIELDS`` order, a column that is null
+    throughout stored as one null. The context of a lookup is the file's
+    agent scope.
+    """
+    return FileCodec(
+        {"aliases": to_json(aliases), "format": PARSE_CACHE_FORMAT},
+        lambda data, rel, scope: parse_session_file(data, rel, aliases, scope),
+        _encode_parse,
+        _decode_parse,
+    )
+
+
+def _encode_parse(parsed: tuple[list[Event], FileParseStats]) -> list:
+    events, stats = parsed
+    columns = [
+        None if column and column[0] is None and column.count(None) == len(column) else column
+        for column in (_cached_columns(tuple(zip(*events))) if events else _NO_EVENTS)
+    ]
+    return [stats.total_lines, columns]
+
+
+def _decode_parse(
+    payload: list, rel: str, agent_scope: AgentScope
+) -> tuple[list[Event], FileParseStats]:
+    total, columns = payload
+    roles, lines, ids, stamps, types, tools, routes, models, tokens, prefixes = (
+        _NONE if column is None else column for column in columns
+    )
+    count = len(roles)
+    if any(column is not None and len(column) != count for column in columns):
+        raise ValueError("columns of unequal length")
+    if tokens is not _NONE:
+        tokens = [None if usage is None else _new_usage(usage) for usage in tokens]
     rows = zip(
         roles,
         repeat(rel),
@@ -754,7 +789,7 @@ def scan_and_parse(
     artifacts that ``rules.is_generated`` names (build outputs, lock files)
     are dropped before surface counting. With a ``cache_path``, a
     file whose bytes the previous run's cache there holds is not parsed
-    again (see ``ParseCache``); the results are the same either way.
+    again (see ``FileCache``); the results are the same either way.
     """
     rules = rules or ClassificationRules()
     conventions = conventions or WorkspaceConventions()
@@ -767,14 +802,14 @@ def scan_and_parse(
     warnings = list(files.warnings)
     events: list[Event] = []
     recoverable: dict[AgentScope, int] = {"main": 0, "other_agent": 0}
-    with ParseCache(cache_path, aliases) as cache:
+    with FileCache(cache_path, _parse_codec(aliases)) as cache:
         for rel in sorted(scopes):
             try:
                 data = read_file(root_path / rel)
             except OSError:
                 warnings.append(f"unreadable or truncated session file: {rel}")
                 continue
-            parsed, stats = cache.parse(rel, data, scopes[rel])
+            parsed, stats = cache.get(rel, data, scopes[rel])
             recoverable[scopes[rel]] += 1 if stats.recoverable else 0
             events.extend(parsed)
 

@@ -36,20 +36,27 @@ from .extraction import (
     DEFAULT_GOVERNANCE_RULES,
     DEFAULT_HEADING_PATTERN,
     DEFAULT_OUTPUT_RULES,
-    DatedSection,
     KeywordRuleSet,
+    MatchedSection,
     ProxyEvent,
     compile_heading_pattern,
+    decode_matched,
+    encode_matched,
     extract_governance_events,
     extract_output_proxies,
+    match_sections,
     parse_memory_sections,
+    unreadable_memory_file,
 )
 from .ingest import (
     Event,
     FieldAliases,
+    FileCache,
+    FileCodec,
     TokenUsage,
     WorkspaceConventions,
     WorkspaceInventory,
+    read_file,
     scan_and_parse,
 )
 from .jsonfmt import to_json
@@ -88,6 +95,8 @@ REPORT_TEXT = "reports/report.txt"
 REPORT_JSON = "reports/report.json"
 DEDUP_LEDGER_CSV = "reports/dedup-ledger.csv"
 PARSE_CACHE = "cache/parse.jsonl"
+MEMORY_CACHE = "cache/memory.jsonl"
+MEMORY_CACHE_FORMAT = "parem-memory-cache/1"
 
 # config sections that may hold an inline mapping or a path to a JSON ruleset
 # file (resolved relative to the config file); provenance digests each one
@@ -151,11 +160,19 @@ class Analysis:
     as far as that stage and no further, and no stage runs twice. A stage
     with warnings returns its own, and ``bundle`` joins them in graph order,
     whichever stage was asked for first.
+
+    With ``cached``, ``read`` and ``extraction`` keep their per-file results
+    in the output directory (``PARSE_CACHE`` and ``MEMORY_CACHE``) and take
+    back those of the previous run for each file whose bytes are unchanged;
+    the results are the same either way.
     """
 
-    def __init__(self, config: RunConfig, cache_path: Path | None = None) -> None:
+    def __init__(self, config: RunConfig, cached: bool = False) -> None:
         self.config = config
-        self.cache_path = cache_path
+        self.cached = cached
+
+    def _cache(self, name: str) -> Path | None:
+        return Path(self.config.out_dir, name) if self.cached else None
 
     @cached_property
     def read(self) -> tuple[WorkspaceInventory, list[Event]]:
@@ -173,7 +190,7 @@ class Analysis:
             config.aliases,
             skip=skip,
             exclude_generated=config.exclude_generated,
-            cache_path=self.cache_path,
+            cache_path=self._cache(PARSE_CACHE),
         )
 
     @cached_property
@@ -258,14 +275,27 @@ class Analysis:
     @cached_property
     def extraction(
         self,
-    ) -> tuple[list[DatedSection], list[ProxyEvent], list[ProxyEvent], list[str]]:
-        """The window's dated memory sections, the output and governance
-        proxies found in them, and the warnings from reading the memory files."""
+    ) -> tuple[list[MatchedSection], list[ProxyEvent], list[ProxyEvent], list[str]]:
+        """The window's dated memory sections, matched against both rule sets,
+        the output and governance proxies replayed from those matches, and the
+        warnings from reading the memory files.
+
+        Each file is split and matched on its own (``_memory_codec``), or its
+        matches are taken from the memory cache; the window, the order, the
+        clusters and the repeat suppression are applied afresh on every run."""
         config = self.config
         window = self.window[0]
-        sections, warnings = parse_memory_sections(
-            self.read[0].memory_paths, config.heading_pattern, root=config.root
-        )
+        root = Path(config.root)
+        sections: list[MatchedSection] = []
+        warnings: list[str] = []
+        with FileCache(self._cache(MEMORY_CACHE), _memory_codec(config)) as cache:
+            for rel in self.read[0].memory_paths:
+                try:
+                    data = read_file(root / rel)
+                except OSError as exc:
+                    warnings.append(unreadable_memory_file(rel, exc))
+                    continue
+                sections += cache.get(rel, data)
         in_window = [s for s in sections if window.contains(s.date)]
         output_proxies = extract_output_proxies(
             in_window,
@@ -314,6 +344,24 @@ class Analysis:
             dated_section_count=len(sections),
             warnings=[*inventory.warnings, *window_warnings, *memory_warnings],
         )
+
+
+def _memory_codec(config: RunConfig) -> FileCodec:
+    """The memory cache's codec: a memory file's sections, split with the
+    config's heading pattern and matched against its two rule sets (see
+    ``encode_matched``), under a header that names all three."""
+
+    def compute(data: bytes, rel: str) -> list[MatchedSection]:
+        sections, _ = parse_memory_sections({rel: data}, config.heading_pattern)
+        return match_sections(sections, config.output_rules, config.governance_rules)
+
+    header = {
+        "format": MEMORY_CACHE_FORMAT,
+        "heading_pattern": config.heading_pattern,
+        "output_rules": _sha256_json(to_json(config.output_rules)),
+        "governance_rules": _sha256_json(to_json(config.governance_rules)),
+    }
+    return FileCodec(header, compute, encode_matched, decode_matched)
 
 
 def _timestamps(events: list[Event]):
@@ -372,11 +420,13 @@ def write_outputs(
 def run_analysis(config: RunConfig) -> tuple[ReportBundle, list[Path]]:
     """Full pipeline: scan, parse, de-duplicate, analyze, report, export.
 
-    The per-file parse results are cached in the output directory
-    (``PARSE_CACHE``), so a rerun parses only new or changed session files.
-    The cache is not among the written outputs and never changes them.
+    Two per-file caches in the output directory serve a rerun: the parse
+    results of each session file (``PARSE_CACHE``) and the rule matches of
+    each memory file's sections (``MEMORY_CACHE``), so a rerun parses and
+    matches only new or changed files. The caches are not among the written
+    outputs and never change them.
     """
-    analysis = Analysis(config, Path(config.out_dir) / PARSE_CACHE)
+    analysis = Analysis(config, cached=True)
     bundle = analysis.bundle
     deduped = analysis.deduped[0] if config.dedup_ledger else None
     del analysis  # free the records and stage results before writing: lower peak memory

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from parem import extraction, ingest
+from parem import extraction, ingest, pipeline
 from parem.activetime import Timeline
 from parem.ingest import Event, TokenUsage
 from parem.metrics import ObservationWindow
@@ -83,8 +83,8 @@ def deny_reading(monkeypatch, *names: str) -> None:
             raise PermissionError(errno.EACCES, "Permission denied", str(path))
         return read_file(path)
 
-    monkeypatch.setattr(ingest, "read_file", reading)
-    monkeypatch.setattr(extraction, "read_file", reading)
+    for module in (ingest, extraction, pipeline):
+        monkeypatch.setattr(module, "read_file", reading)
 
 
 def hash_tree(root: Path) -> str:

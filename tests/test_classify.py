@@ -173,3 +173,20 @@ def test_dot_directories_keep_their_dot():
     assert classify_file("github/workflows/a.yml", ci) == UNCLASSIFIED
     for path in ("./scripts/a.py", "/scripts/a.py", ".//scripts/a.py", "scripts\\a.py"):
         assert classify_file(path, ci) == "scripts", path
+
+
+@given(
+    st.lists(st.text("ab./\\", max_size=8), max_size=30),
+    st.lists(st.tuples(st.text("ab./\\", max_size=5), st.sampled_from("xyz")), max_size=5),
+)
+@settings(max_examples=200)
+def test_surface_counts_classify_each_path_as_classify_file_does(paths, rules):
+    # short paths over a small alphabet draw the equality case (a path that
+    # names a rule's directory itself), leading "./" and "/", and backslashes
+    rules = ClassificationRules(rules=tuple(rules))
+    paths += [prefix[:-1] for prefix, _ in rules.rules]
+    expected = {}
+    for path in paths:
+        surface = classify_file(path, rules)
+        expected[surface] = expected.get(surface, 0) + 1
+    assert surface_counts(paths, rules).counts == expected

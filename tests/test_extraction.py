@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import re
 import sys
 from datetime import date, timedelta
@@ -20,8 +21,11 @@ from parem.extraction import (
     KeywordRuleSet,
     ProxyEvent,
     _artifact_tokens,
+    decode_matched,
+    encode_matched,
     extract_governance_events,
     extract_output_proxies,
+    match_sections,
     parse_memory_sections,
     split_sentences,
 )
@@ -800,7 +804,8 @@ def test_the_word_lookup_decides_which_searches_run(data):
             for position, (family, term, p) in enumerate(matcher.terms)
         ),
     )
-    assert spied.matches(sentences) == reference_matches(rules, sentences)
+    expected = {family: hits for family, hits in reference_matches(rules, sentences).items() if hits}
+    assert spied.matches(sentences) == expected
     # exclusions run on exactly the sentences that hold some term
     unexcluded = reference_matches(dataclasses.replace(rules, exclusions=()), sentences)
     with_terms = {sentences[i] for hits in unexcluded.values() for i, _ in hits}
@@ -856,9 +861,23 @@ def section_lists(draw) -> list[DatedSection]:
 )
 @settings(max_examples=200, deadline=None)
 def test_extractors_equal_the_reference(sections, rules, granularity, horizon):
-    assert extract_output_proxies(
-        sections, rules, granularity=granularity, repeat_horizon_days=horizon
-    ) == reference_output_proxies(sections, rules, granularity, horizon)
-    assert extract_governance_events(
-        sections, rules, granularity=granularity
-    ) == reference_governance_events(sections, rules, granularity)
+    output = reference_output_proxies(sections, rules, granularity, horizon)
+    governance = reference_governance_events(sections, rules, granularity)
+    # the sections themselves, their matches, and the matches read back from
+    # the JSON a memory cache line holds, one file at a time
+    matched = match_sections(sections, rules, rules)
+    cached = [
+        record
+        for path in ("m/a.md", "m/b.md")
+        for record in decode_matched(
+            json.loads(json.dumps(encode_matched([m for m in matched if m.source_path == path]))),
+            path,
+        )
+    ]
+    for given_sections in (sections, matched, cached):
+        assert extract_output_proxies(
+            given_sections, rules, granularity=granularity, repeat_horizon_days=horizon
+        ) == output
+        assert extract_governance_events(given_sections, rules, granularity=granularity) == (
+            governance
+        )

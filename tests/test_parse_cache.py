@@ -1,5 +1,6 @@
-"""The per-file parse cache: a warm run equals a cold one, and a damaged,
-foreign or missing cache costs re-parses, never a changed output."""
+"""The per-file caches, of session parses and of memory-section matches: a
+warm run equals a cold one, and a damaged, foreign or missing cache costs
+re-parses and re-matches, never a changed output."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import json
 import shutil
 import tempfile
 from dataclasses import replace
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -14,11 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import deny_reading, hash_tree
-from parem import ingest
+from parem import ingest, pipeline
 from parem.cli import main
+from parem.extraction import DEFAULT_OUTPUT_RULES
 from parem.ingest import FieldAliases, WorkspaceConventions, parse_session_file, scan_and_parse
 from parem.jsonfmt import to_json
-from parem.pipeline import PARSE_CACHE, Analysis, RunConfig, run_analysis
+from parem.metrics import ObservationWindow
+from parem.pipeline import MEMORY_CACHE, PARSE_CACHE, Analysis, RunConfig, run_analysis
 from parem.synth import CorpusSpec, generate_corpus
 
 
@@ -46,6 +50,20 @@ def parses(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def splits(monkeypatch):
+    """The relative paths of the memory files split and matched, in call order."""
+    calls: list[str] = []
+    original = pipeline.parse_memory_sections
+
+    def counting(files, *args, **kwargs):
+        calls.extend(map(str, files))
+        return original(files, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "parse_memory_sections", counting)
+    return calls
+
+
 def cold_tree(config: RunConfig, out: Path) -> str:
     run_analysis(replace(config, out_dir=str(out)))
     return hash_tree(out)
@@ -53,17 +71,20 @@ def cold_tree(config: RunConfig, out: Path) -> str:
 
 @pytest.mark.parametrize("seed", [7, 4242])
 @pytest.mark.parametrize("options", [{}, {"scope": "all-agent", "dedup_ledger": True}])
-def test_warm_rerun_equals_cold_run(corpora, tmp_path, parses, seed, options):
+def test_warm_rerun_equals_cold_run(corpora, tmp_path, parses, splits, seed, options):
     config = RunConfig(root=str(corpora[seed]), out_dir=str(tmp_path / "out"), **options)
     _, written = run_analysis(config)
     cold = hash_tree(tmp_path / "out")
     assert parses, "the cold run parses every session file"
-    assert (tmp_path / "out" / PARSE_CACHE).is_file()
-    assert tmp_path / "out" / PARSE_CACHE not in written
+    assert splits, "the cold run matches every memory file"
+    for name in (PARSE_CACHE, MEMORY_CACHE):
+        assert (tmp_path / "out" / name).is_file()
+        assert tmp_path / "out" / name not in written
 
     parses.clear()
+    splits.clear()
     run_analysis(config)
-    assert parses == []
+    assert parses == [] and splits == []
     assert hash_tree(tmp_path / "out") == cold
 
 
@@ -87,16 +108,19 @@ def test_a_rerun_parses_only_new_or_changed_files(corpora, tmp_path, parses):
 def test_two_cold_runs_write_identical_caches(corpora, tmp_path):
     for name in ("a", "b"):
         run_analysis(RunConfig(root=str(corpora[7]), out_dir=str(tmp_path / name)))
-    first = (tmp_path / "a" / PARSE_CACHE).read_bytes()
-    assert first == (tmp_path / "b" / PARSE_CACHE).read_bytes()
-    header, *lines = first.decode("ascii").splitlines()
-    assert json.loads(header)["format"] == ingest.PARSE_CACHE_FORMAT
-    paths = [json.loads(line)[0] for line in lines]
-    assert paths == sorted(paths) and len(paths) == len(set(paths))
+    caches = ((PARSE_CACHE, ingest.PARSE_CACHE_FORMAT), (MEMORY_CACHE, pipeline.MEMORY_CACHE_FORMAT))
+    for cache, format in caches:
+        first = (tmp_path / "a" / cache).read_bytes()
+        assert first == (tmp_path / "b" / cache).read_bytes()
+        header, *lines = first.decode("ascii").splitlines()
+        assert json.loads(header)["format"] == format
+        paths = [json.loads(line)[0] for line in lines]
+        assert paths == sorted(paths) and len(paths) == len(set(paths))
     assert not list((tmp_path / "a" / "cache").glob("*.tmp"))
 
 
 def test_in_memory_build_and_stage_commands_write_no_cache(corpora, tmp_path, monkeypatch):
+    # neither the parse cache nor the memory cache, nor their directory
     Analysis(RunConfig(root=str(corpora[7]), out_dir=str(tmp_path / "out"))).bundle
     assert not (tmp_path / "out").exists()
     monkeypatch.chdir(tmp_path)
@@ -121,7 +145,7 @@ DAMAGE = {
     "corrupt line": _damage_line,
     "changed value": _change_a_digit,
     "truncated file": lambda text: text[: len(text) // 2],
-    "wrong header": lambda text: text.replace(ingest.PARSE_CACHE_FORMAT, "parem-parse-cache/0", 1),
+    "wrong header": lambda text: text.replace('"format":"parem-', '"format":"old-parem-', 1),
     "lines out of order": lambda text: text.splitlines(True)[0]
     + "".join(reversed(text.splitlines(True)[1:])),
     "empty file": lambda text: "",
@@ -132,13 +156,15 @@ DAMAGE = {
 @pytest.mark.parametrize("damage", sorted(DAMAGE))
 def test_a_damaged_cache_gives_the_cold_outputs(corpora, tmp_path, damage):
     config = RunConfig(root=str(corpora[7]), out_dir=str(tmp_path / "warm"))
-    run_analysis(config)
-    cache = tmp_path / "warm" / PARSE_CACHE
-    text = cache.read_text(encoding="ascii")
-    cache.write_bytes(DAMAGE[damage](text).encode("utf-8", "surrogateescape"))
+    cold = cold_tree(config, tmp_path / "cold")
+    for name in (PARSE_CACHE, MEMORY_CACHE):
+        run_analysis(config)
+        cache = tmp_path / "warm" / name
+        text = cache.read_text(encoding="ascii")
+        cache.write_bytes(DAMAGE[damage](text).encode("utf-8", "surrogateescape"))
 
-    run_analysis(config)
-    assert hash_tree(tmp_path / "warm") == cold_tree(config, tmp_path / "cold")
+        run_analysis(config)
+        assert hash_tree(tmp_path / "warm") == cold, name
 
 
 def test_a_damaged_line_reparses_only_its_file(corpora, tmp_path, parses):
@@ -149,6 +175,59 @@ def test_a_damaged_line_reparses_only_its_file(corpora, tmp_path, parses):
     parses.clear()
     run_analysis(config)
     assert len(parses) == 1
+
+
+def test_a_changed_memory_file_is_the_only_one_matched_again(corpora, tmp_path, splits):
+    workspace = tmp_path / "ws"
+    shutil.copytree(corpora[7], workspace)
+    config = RunConfig(root=str(workspace), out_dir=str(tmp_path / "out"))
+    run_analysis(config)
+    edited = sorted((workspace / "memory").iterdir())[1]
+    with open(edited, "a", encoding="utf-8") as handle:
+        handle.write(f"\n## {edited.stem} late\nDrafted `late.md`. Verified the build.\n")
+    splits.clear()
+    run_analysis(config)
+    assert splits == [f"memory/{edited.name}"]
+    assert hash_tree(tmp_path / "out") == cold_tree(config, tmp_path / "cold")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"window": ObservationWindow(date(2024, 1, 2), date(2024, 1, 3))},
+        {"granularity": "sentence"},
+        {"repeat_horizon_days": 0},
+    ],
+)
+def test_settings_applied_after_matching_reuse_the_memory_cache(
+    corpora, tmp_path, splits, change
+):
+    run_analysis(RunConfig(root=str(corpora[7]), out_dir=str(tmp_path / "warm")))
+    config = RunConfig(root=str(corpora[7]), out_dir=str(tmp_path / "warm"), **change)
+    splits.clear()
+    run_analysis(config)
+    assert splits == []
+    assert hash_tree(tmp_path / "warm") == cold_tree(config, tmp_path / "cold")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"heading_pattern": r"^#{2}\s.*?(\d{4}-\d{2}-\d{2})"},
+        {"output_rules": replace(DEFAULT_OUTPUT_RULES, exclusions=())},
+    ],
+)
+def test_a_changed_rule_set_or_heading_pattern_discards_the_memory_cache(
+    corpora, tmp_path, splits, change
+):
+    run_analysis(RunConfig(root=str(corpora[7]), out_dir=str(tmp_path / "warm")))
+    config = RunConfig(root=str(corpora[7]), out_dir=str(tmp_path / "warm"), **change)
+    splits.clear()
+    run_analysis(config)
+    assert sorted(splits) == sorted(
+        f"memory/{p.name}" for p in (corpora[7] / "memory").iterdir()
+    )
+    assert hash_tree(tmp_path / "warm") == cold_tree(config, tmp_path / "cold")
 
 
 def test_changed_aliases_discard_the_cache(corpora, tmp_path):
@@ -168,19 +247,26 @@ def test_changed_aliases_discard_the_cache(corpora, tmp_path):
 def test_unreadable_files_are_not_cached(tmp_path, monkeypatch):
     workspace = tmp_path / "ws"
     (workspace / "sessions").mkdir(parents=True)
+    (workspace / "memory").mkdir()
     (workspace / "sessions" / "a.jsonl").write_text('{"role": "user", "ts": 1}\n')
     (workspace / "sessions" / "b.jsonl").write_text('{"role": "user", "ts": 2}\n')
-    deny_reading(monkeypatch, "b.jsonl")
+    for name in ("a.md", "b.md"):
+        (workspace / "memory" / name).write_text("## 1970-01-01\nDrafted the plan.\n")
+    deny_reading(monkeypatch, "b.jsonl", "b.md")
     config = RunConfig(root=str(workspace), out_dir=str(tmp_path / "out"))
     for _ in range(2):
         bundle, _ = run_analysis(config)
         assert "unreadable or truncated session file: sessions/b.jsonl" in bundle.warnings
+        assert "unreadable memory file: memory/b.md (PermissionError)" in bundle.warnings
         assert bundle.inventory.recoverable_main == 1
-    lines = (tmp_path / "out" / PARSE_CACHE).read_text(encoding="ascii").splitlines()
-    assert [json.loads(line)[0] for line in lines[1:]] == ["sessions/a.jsonl"]
+        assert len(bundle.output_proxies) == 1
+    for name, cached in ((PARSE_CACHE, "sessions/a.jsonl"), (MEMORY_CACHE, "memory/a.md")):
+        lines = (tmp_path / "out" / name).read_text(encoding="ascii").splitlines()
+        assert [json.loads(line)[0] for line in lines[1:]] == [cached]
 
 
-# Session files of a small workspace, and the edits made to it between runs.
+# Session and memory files of a small workspace, and the edits made to it
+# between runs.
 PATHS = (
     "sessions/a.jsonl",
     "sessions/b.jsonl",
@@ -188,6 +274,8 @@ PATHS = (
     "trajectories/c.jsonl",
     "agents/x/sessions/a.jsonl",
     "agents/x/trajectories/b.jsonl",
+    "memory/2024-01-01.md",
+    "memory/b.md",
 )
 DAY_MS = 86_400_000
 records = st.fixed_dictionaries(
@@ -203,10 +291,31 @@ lines = st.one_of(
     records,
     st.sampled_from(["", "not json", "{}", "[1]", '{"role": "user"', '\ufeff{"role": "user"}']),
 )
+# dated sections inside and outside the window the records span, whose
+# sentences hit both rule sets and name artifacts again across files
+sections = st.lists(
+    st.tuples(
+        st.sampled_from(["2024-01-01", "2024-01-03", "2024-01-05", "2024-02-01"]),
+        st.lists(
+            st.sampled_from(
+                [
+                    "Drafted `a.md`.",
+                    "Drafted `a.md` new version.",
+                    "Verified the build. Fixed wrong totals.",
+                    "Planned to deploy the app.",
+                    "quiet day",
+                ]
+            ),
+            max_size=3,
+        ),
+    ),
+    max_size=3,
+).map(lambda parts: "".join(f"## {day} log\n" + "\n".join(body) + "\n" for day, body in parts))
 contents = st.one_of(
     st.tuples(st.lists(lines, max_size=6), st.sampled_from(["\n", "\r\n", "\r"])).map(
         lambda parts: parts[1].join(parts[0]).encode("utf-8")
     ),
+    sections.map(str.encode),
     st.binary(max_size=40),
 )
 edits = st.one_of(
