@@ -14,9 +14,11 @@ from .dedup import DedupKey, DedupStats, dedup_key, deduplicate
 from .extraction import (
     DatedSection,
     KeywordRuleSet,
+    MatchedSection,
     ProxyEvent,
     extract_governance_events,
     extract_output_proxies,
+    match_sections,
     parse_memory_sections,
 )
 from .ingest import (

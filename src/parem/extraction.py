@@ -13,10 +13,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property, partial
 from operator import attrgetter
-from pathlib import Path
 from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
-
-from .ingest import read_file
 
 ProxyKind = Literal["output", "governance"]
 Granularity = Literal["section", "sentence"]
@@ -82,18 +79,11 @@ def _normalize_term(term: str) -> str:
     return " ".join(term.split())
 
 
-@dataclass(frozen=True)
-class DatedSection:
+class DatedSection(NamedTuple):
     date: date
     heading: str
     body: str
     source_path: str
-    # the body's sentences, split once when the section is built and shared
-    # by every extractor
-    sentences: tuple[str, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sentences", tuple(split_sentences(self.body)))
 
 
 class ProxyEvent(NamedTuple):
@@ -342,37 +332,19 @@ DEFAULT_GOVERNANCE_RULES = KeywordRuleSet(
 )
 
 
-def unreadable_memory_file(label: str, exc: OSError) -> str:
-    """The warning for a memory file that cannot be read."""
-    return f"unreadable memory file: {label} ({exc.__class__.__name__})"
-
-
 def parse_memory_sections(
-    files: Sequence[str | Path] | Mapping[str, bytes],
-    heading_pattern: str = DEFAULT_HEADING_PATTERN,
-    root: str | Path | None = None,
+    files: Mapping[str, bytes], heading_pattern: str = DEFAULT_HEADING_PATTERN
 ) -> tuple[list[DatedSection], list[str]]:
-    """Split memory files into dated sections.
+    """Split memory files, each file's label mapped to its bytes, into dated sections.
 
-    ``files`` names the files to read, below ``root`` when it is given, or
-    maps each file's label to its bytes, read already. Undated text attaches
-    to the preceding dated section; text before the first dated heading is
-    skipped. A file that is unreadable or not a regular file produces a
-    warning and is skipped. Returns (sections, warnings).
+    Undated text attaches to the preceding dated section; text before the
+    first dated heading is skipped. Returns (sections, warnings). The
+    warnings are always empty, since the bytes are read already; the pair
+    stays because ``perfbench/spans.py`` counts the sections in it.
     """
     pattern = compile_heading_pattern(heading_pattern)
     sections: list[DatedSection] = []
-    warnings: list[str] = []
-    for file_path in files:
-        label = str(file_path)
-        if isinstance(files, Mapping):
-            data = files[file_path]
-        else:
-            try:
-                data = read_file(Path(root) / file_path if root is not None else file_path)
-            except OSError as exc:
-                warnings.append(unreadable_memory_file(label, exc))
-                continue
+    for label, data in files.items():
         lines = data.decode("utf-8", errors="replace").splitlines()
         starts: list[tuple[int, date]] = []  # (line number, date) of each dated heading
         for number, line in enumerate(lines):
@@ -385,7 +357,7 @@ def parse_memory_sections(
         for (number, day), (end, _) in zip(starts, [*starts[1:], (len(lines), None)]):
             body = "\n".join(lines[number + 1 : end])
             sections.append(DatedSection(day, lines[number].strip(), body, label))
-    return sections, warnings
+    return sections, []
 
 
 def split_sentences(body: str) -> list[str]:
@@ -464,20 +436,17 @@ def match_sections(
     output_rules: KeywordRuleSet = DEFAULT_OUTPUT_RULES,
     governance_rules: KeywordRuleSet = DEFAULT_GOVERNANCE_RULES,
 ) -> list[MatchedSection]:
-    """Each section matched against both rule sets, in the order given."""
+    """Each section matched against both rule sets, in the order given: the
+    one place a body is split into sentences and the rules are matched."""
     output, governance = output_rules.matcher.matches, governance_rules.matcher.matches
     matched = []
-    for section in sections:
-        sentences = section.sentences
+    for day, heading, body, path in sections:
+        sentences = split_sentences(body)
         hits = output(sentences)
         said = {index: sentences[index] for found in hits.values() for index, _ in found}
         if said and not any(map(_may_name_artifact, said.values())):
             said = {}  # the repeat suppression reads none of them
-        matched.append(
-            _new_matched(
-                (section.date, section.source_path, section.heading, hits, governance(sentences), said)
-            )
-        )
+        matched.append(_new_matched((day, path, heading, hits, governance(sentences), said)))
     return matched
 
 
@@ -505,30 +474,24 @@ def decode_matched(payload: list, source_path: str) -> list[MatchedSection]:
 
 
 def extract_output_proxies(
-    sections: Sequence[DatedSection | MatchedSection],
-    rules: KeywordRuleSet = DEFAULT_OUTPUT_RULES,
+    sections: Sequence[MatchedSection],
+    *,
     granularity: Granularity = "section",
     repeat_horizon_days: int = 7,
 ) -> list[ProxyEvent]:
-    """Output-proxy events, one per keyword-family match cluster.
+    """Output-proxy events, one per keyword-family cluster of output hits.
 
-    A ``DatedSection`` is matched here; a ``MatchedSection`` carries the hits
-    that ``rules`` found in it already. Repeated logs of a named artifact
-    within the horizon are suppressed unless the sentence signals a
-    materially new version. Artifacts are recognized by backticked names or
-    filename-like tokens; this is an approximation of the repeat exclusion
-    and is configurable off with ``repeat_horizon_days=0``.
+    Repeated logs of a named artifact within the horizon are suppressed
+    unless the sentence signals a materially new version. Artifacts are
+    recognized by backticked names or filename-like tokens; this is an
+    approximation of the repeat exclusion and is configurable off with
+    ``repeat_horizon_days=0``.
     """
-    matcher = rules.matcher
     last_logged: dict[tuple[str, str], date] = {}
     proxies: list[ProxyEvent] = []
 
     for section in sorted(sections, key=_section_order):
-        if type(section) is MatchedSection:
-            found, sentences = section.output, section.sentences
-        else:
-            sentences = section.sentences
-            found = matcher.matches(sentences)
+        found, sentences = section.output, section.sentences
         day = section.date
         ref = (section.source_path, section.heading)
         for family, hits in found.items():
@@ -555,26 +518,20 @@ def extract_output_proxies(
 
 
 def extract_governance_events(
-    sections: Sequence[DatedSection | MatchedSection],
+    sections: Sequence[MatchedSection],
     rules: KeywordRuleSet = DEFAULT_GOVERNANCE_RULES,
     granularity: Granularity = "section",
 ) -> list[ProxyEvent]:
-    """Governance events, one per match cluster across all governance families.
+    """Governance events, one per cluster of governance hits across families.
 
-    A ``DatedSection`` is matched here; a ``MatchedSection`` carries the hits
-    that ``rules`` found in it already. A cluster matched by several class
-    families takes the highest-priority class; matches from families without
-    a class mapping leave the class absent.
+    ``rules`` is the set that found the hits. A cluster matched by several
+    class families takes the highest-priority class; matches from families
+    without a class mapping leave the class absent.
     """
-    matcher = rules.matcher
     proxies: list[ProxyEvent] = []
 
     for section in sorted(sections, key=_section_order):
-        found = (
-            section.governance
-            if type(section) is MatchedSection
-            else matcher.matches(section.sentences)
-        )
+        found = section.governance
         if not found:
             continue
         ref = (section.source_path, section.heading)

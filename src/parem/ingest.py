@@ -23,7 +23,7 @@ from functools import cached_property, partial
 from itertools import repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Literal, NamedTuple
+from typing import Callable, Literal, NamedTuple, get_args
 
 from . import __version__
 from .classify import ClassificationRules, SurfaceCounts, surface_counts
@@ -57,6 +57,8 @@ _ROLE_SYNONYMS: dict[str, Role] = {
     "model.completed": "model_completed",
     "model-completed": "model_completed",
 }
+# each role to its one shared string, the one a parse gives
+_ROLES: dict[str, Role] = {role: role for role in get_args(Role)}
 
 _scan_once = json.JSONDecoder().scan_once
 
@@ -503,10 +505,10 @@ class FileCodec(NamedTuple):
     """What a ``FileCache`` keeps for one kind of file, and how.
 
     ``header`` names the format and every setting the results depend on.
-    ``compute(data, rel, *context)`` finds a file's results from its bytes,
-    ``encode`` turns them into a JSON list, and ``decode(payload, rel,
-    *context)`` turns that list back, raising ``ValueError`` or
-    ``TypeError`` on one of the wrong shape.
+    ``compute(data, rel)`` finds a file's results from its bytes, ``encode``
+    turns them into a JSON list, and ``decode(payload, rel)`` turns that
+    list back, raising ``ValueError`` or ``TypeError`` on one of the wrong
+    shape.
     """
 
     header: dict
@@ -573,23 +575,23 @@ class FileCache:
             else:
                 self._temporary.unlink(missing_ok=True)
 
-    def get(self, rel: str, data: bytes, *context):
+    def get(self, rel: str, data: bytes):
         """The file's results: from the cache when its bytes are unchanged,
         else from the codec's ``compute``."""
         key = _compact([rel, hashlib.sha256(data).hexdigest()])[:-1] + ","
         line = self._take(rel)
         if line is not None and line.startswith(key):
-            found = self._decode(line, len(key), rel, context)
+            found = self._decode(line, len(key), rel)
             if found is not None:
                 self._store(line.encode())
                 return found
-        result = self._codec.compute(data, rel, *context)
+        result = self._codec.compute(data, rel)
         if self._sink is not None:
             rest = _compact(self._codec.encode(result))[1:].encode()
             self._store(b'%s"%08x",%s\n' % (key.encode(), zlib.crc32(rest), rest))
         return result
 
-    def _decode(self, line: str, start: int, rel: str, context: tuple):
+    def _decode(self, line: str, start: int, rel: str):
         """A cache line's results, or None when the line is damaged."""
         rest = line[start + _CHECK_WIDTH : -1]
         try:
@@ -597,7 +599,7 @@ class FileCache:
                 rest.encode()
             ):
                 return None
-            return self._codec.decode(json.loads("[" + rest), rel, *context)
+            return self._codec.decode(json.loads("[" + rest), rel)
         except (ValueError, TypeError):
             return None
 
@@ -624,20 +626,20 @@ class FileCache:
             self._sink.write(line)
 
 
-def _parse_codec(aliases: FieldAliases) -> FileCodec:
+def _parse_codec(aliases: FieldAliases, scopes: dict[str, AgentScope]) -> FileCodec:
     """The parse cache's codec: a session file's events and stats, as
     ``[<lines>,[<columns>]]``.
 
     ``lines`` is the file's non-empty line count and the columns are its
     events' fields in ``_CACHED_FIELDS`` order, a column that is null
-    throughout stored as one null. The context of a lookup is the file's
-    agent scope.
+    throughout stored as one null. Each file's records take its agent scope
+    from ``scopes``, which is not cached.
     """
     return FileCodec(
         {"aliases": to_json(aliases), "format": PARSE_CACHE_FORMAT},
-        lambda data, rel, scope: parse_session_file(data, rel, aliases, scope),
+        lambda data, rel: parse_session_file(data, rel, aliases, scopes[rel]),
         _encode_parse,
-        _decode_parse,
+        lambda payload, rel: _decode_parse(payload, rel, scopes[rel]),
     )
 
 
@@ -660,6 +662,9 @@ def _decode_parse(
     count = len(roles)
     if any(column is not None and len(column) != count for column in columns):
         raise ValueError("columns of unequal length")
+    roles = list(map(_ROLES.get, roles))  # the parser's strings, not one per record
+    if None in roles:
+        raise ValueError("a role outside the six")
     if tokens is not _NONE:
         tokens = [None if usage is None else _new_usage(usage) for usage in tokens]
     rows = zip(
@@ -802,14 +807,14 @@ def scan_and_parse(
     warnings = list(files.warnings)
     events: list[Event] = []
     recoverable: dict[AgentScope, int] = {"main": 0, "other_agent": 0}
-    with FileCache(cache_path, _parse_codec(aliases)) as cache:
+    with FileCache(cache_path, _parse_codec(aliases, scopes)) as cache:
         for rel in sorted(scopes):
             try:
                 data = read_file(root_path / rel)
             except OSError:
                 warnings.append(f"unreadable or truncated session file: {rel}")
                 continue
-            parsed, stats = cache.get(rel, data, scopes[rel])
+            parsed, stats = cache.get(rel, data)
             recoverable[scopes[rel]] += 1 if stats.recoverable else 0
             events.extend(parsed)
 

@@ -46,7 +46,6 @@ from .extraction import (
     extract_output_proxies,
     match_sections,
     parse_memory_sections,
-    unreadable_memory_file,
 )
 from .ingest import (
     Event,
@@ -278,11 +277,11 @@ class Analysis:
     ) -> tuple[list[MatchedSection], list[ProxyEvent], list[ProxyEvent], list[str]]:
         """The window's dated memory sections, matched against both rule sets,
         the output and governance proxies replayed from those matches, and the
-        warnings from reading the memory files.
-
-        Each file is split and matched on its own (``_memory_codec``), or its
-        matches are taken from the memory cache; the window, the order, the
-        clusters and the repeat suppression are applied afresh on every run."""
+        warnings for the memory files that cannot be read, this being their
+        one reader. Each file is split and matched on its own
+        (``_memory_codec``), or its matches are taken from the memory cache;
+        the window, the order, the clusters and the repeat suppression are
+        applied afresh on every run."""
         config = self.config
         window = self.window[0]
         root = Path(config.root)
@@ -293,18 +292,16 @@ class Analysis:
                 try:
                     data = read_file(root / rel)
                 except OSError as exc:
-                    warnings.append(unreadable_memory_file(rel, exc))
+                    warnings.append(f"unreadable memory file: {rel} ({exc.__class__.__name__})")
                     continue
                 sections += cache.get(rel, data)
         in_window = [s for s in sections if window.contains(s.date)]
+        granularity = config.granularity
         output_proxies = extract_output_proxies(
-            in_window,
-            config.output_rules,
-            granularity=config.granularity,
-            repeat_horizon_days=config.repeat_horizon_days,
+            in_window, granularity=granularity, repeat_horizon_days=config.repeat_horizon_days
         )
         governance_proxies = extract_governance_events(
-            in_window, config.governance_rules, granularity=config.granularity
+            in_window, config.governance_rules, granularity=granularity
         )
         return in_window, output_proxies, governance_proxies, warnings
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from parem import extraction, ingest, pipeline
+from parem import ingest, pipeline
 from parem.activetime import Timeline
 from parem.ingest import Event, TokenUsage
 from parem.metrics import ObservationWindow
@@ -83,7 +83,7 @@ def deny_reading(monkeypatch, *names: str) -> None:
             raise PermissionError(errno.EACCES, "Permission denied", str(path))
         return read_file(path)
 
-    for module in (ingest, extraction, pipeline):
+    for module in (ingest, pipeline):
         monkeypatch.setattr(module, "read_file", reading)
 
 

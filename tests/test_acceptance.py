@@ -24,6 +24,7 @@ from parem.extraction import (
     DatedSection,
     extract_governance_events,
     extract_output_proxies,
+    match_sections,
 )
 from parem.ingest import Event, TokenUsage
 from parem.jsonfmt import to_json
@@ -309,14 +310,17 @@ def test_acceptance_8_extraction_determinism_and_soundness():
     def section(body, heading="## 2026-02-03"):
         return DatedSection(day, heading, body, "memory/m.md")
 
+    def outputs_of(body):
+        return extract_output_proxies(match_sections([section(body)]))
+
     for family, terms in DEFAULT_OUTPUT_RULES.families.items():
         for term in terms:
-            proxies = extract_output_proxies([section(f"Logged {term} for the records.")])
+            proxies = outputs_of(f"Logged {term} for the records.")
             assert len(proxies) == 1, (family, term)
             assert proxies[0].matched_terms == (term,)
 
-    assert extract_output_proxies([section("Auto-generated build artifacts were refreshed.")]) == []
-    assert extract_output_proxies([section("Planned to deploy the app tomorrow.")]) == []
+    assert outputs_of("Auto-generated build artifacts were refreshed.") == []
+    assert outputs_of("Planned to deploy the app tomorrow.") == []
 
     class_bodies = {
         "verification": "Checked the citation list for entry {n}.",
@@ -335,13 +339,14 @@ def test_acceptance_8_extraction_determinism_and_soundness():
                 section(class_bodies[name].format(n=n), heading=f"## 2026-02-03 s{k}")
             )
             k += 1
-    governance = extract_governance_events(sections, DEFAULT_GOVERNANCE_RULES)
+    matched = match_sections(sections)
+    governance = extract_governance_events(matched, DEFAULT_GOVERNANCE_RULES)
     recovered: dict[str, int] = {}
     for proxy in governance:
         recovered[proxy.governance_class] = recovered.get(proxy.governance_class, 0) + 1
     assert recovered == planted
 
-    assert extract_governance_events(sections) == extract_governance_events(sections)
+    assert extract_governance_events(matched) == extract_governance_events(match_sections(sections))
 
     print("ACCEPTANCE 8 PASS: every keyword family member extracts exactly once, exclusions sound")
 

@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` wraps functions by name and reports a per-layer
 metric as null when its function is gone or no longer called through that
 name, so a renamed or bypassed function shows up here, not only in a
-benchmark run.
+benchmark run. The extraction counts are also checked against the synthetic
+corpus's ground truth.
 """
 
 from __future__ import annotations
@@ -45,3 +46,9 @@ def test_a_traced_run_reports_every_layer(tmp_path):
     result = json.loads(completed.stdout.splitlines()[-1])
     assert result["reasons"] == {}
     assert [name for name, value in result["layers"].items() if value is None] == []
+    # the extraction counts are the corpus's ground truth, so a wrapped function
+    # whose result the tracer miscounts fails here, not only a missing one
+    layers = result["layers"]
+    assert layers["extraction.sections"] == truth.dated_sections
+    assert layers["extraction.output_proxies"] == truth.output_proxies
+    assert layers["extraction.governance_events"] == sum(truth.governance_by_class.values())

@@ -46,45 +46,50 @@ def section(body: str, day: str = "2026-02-03", heading: str | None = None) -> D
     )
 
 
+def outputs_of(sections, rules=DEFAULT_OUTPUT_RULES, **options) -> list[ProxyEvent]:
+    """The output proxies of the sections, matched against ``rules``."""
+    return extract_output_proxies(match_sections(sections, output_rules=rules), **options)
+
+
+def governance_of(sections, rules=DEFAULT_GOVERNANCE_RULES, **options) -> list[ProxyEvent]:
+    """The governance events of the sections, matched against ``rules``."""
+    matched = match_sections(sections, governance_rules=rules)
+    return extract_governance_events(matched, rules, **options)
+
+
+def memory(text: str) -> dict[str, bytes]:
+    """One memory file, as parse_memory_sections takes it: label to bytes."""
+    return {"m.md": text.encode("utf-8")}
+
+
 class TestParseMemorySections:
-    def test_three_dated_headings(self, tmp_path):
-        path = tmp_path / "m.md"
-        path.write_text(
-            "## 2026-02-01\nfirst body\n## 2026-02-02\nsecond\n## 2026-02-03\nthird\n",
-            encoding="utf-8",
-        )
-        sections, warnings = parse_memory_sections([path])
+    def test_three_dated_headings(self):
+        text = "## 2026-02-01\nfirst body\n## 2026-02-02\nsecond\n## 2026-02-03\nthird\n"
+        sections, warnings = parse_memory_sections(memory(text))
         assert len(sections) == 3
         assert warnings == []
         assert sections[0].date == date(2026, 2, 1)
         assert sections[0].body.strip() == "first body"
 
-    def test_no_dated_headings(self, tmp_path):
-        path = tmp_path / "m.md"
-        path.write_text("# index\njust notes, no dates\n", encoding="utf-8")
-        sections, _ = parse_memory_sections([path])
+    def test_no_dated_headings(self):
+        sections, _ = parse_memory_sections(memory("# index\njust notes, no dates\n"))
         assert sections == []
 
-    def test_undated_text_attaches_to_preceding(self, tmp_path):
-        path = tmp_path / "m.md"
-        path.write_text(
-            "intro skipped\n## 2026-02-01\nline a\n### subheading\nline b\n",
-            encoding="utf-8",
-        )
-        sections, _ = parse_memory_sections([path])
+    def test_undated_text_attaches_to_preceding(self):
+        text = "intro skipped\n## 2026-02-01\nline a\n### subheading\nline b\n"
+        sections, _ = parse_memory_sections(memory(text))
         assert len(sections) == 1
         assert "line a" in sections[0].body
         assert "line b" in sections[0].body
         assert "intro skipped" not in sections[0].body
 
-    def test_invalid_date_in_heading_is_body(self, tmp_path):
-        path = tmp_path / "m.md"
-        path.write_text("## 2026-02-01\nok\n## 2026-13-45 impossible\nstill body\n", encoding="utf-8")
-        sections, _ = parse_memory_sections([path])
+    def test_invalid_date_in_heading_is_body(self):
+        text = "## 2026-02-01\nok\n## 2026-13-45 impossible\nstill body\n"
+        sections, _ = parse_memory_sections(memory(text))
         assert len(sections) == 1
         assert "impossible" in sections[0].body
 
-    def test_generator_known_count(self, tmp_path):
+    def test_generator_known_count(self):
         lines = []
         expected = 0
         for day in range(1, 10):
@@ -92,28 +97,19 @@ class TestParseMemorySections:
                 lines.append(f"## 2026-03-{day:02d} entry {k}")
                 lines.append(f"body {day}-{k}")
                 expected += 1
-        path = tmp_path / "m.md"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        sections, _ = parse_memory_sections([path])
+        sections, _ = parse_memory_sections(memory("\n".join(lines) + "\n"))
         assert len(sections) == expected
 
-    def test_unreadable_file_warns_and_skips(self, tmp_path):
-        sections, warnings = parse_memory_sections([tmp_path / "missing.md"])
-        assert sections == []
-        assert len(warnings) == 1
-
-    def test_heading_whose_optional_date_group_is_unset_is_body(self, tmp_path):
-        path = tmp_path / "m.md"
-        path.write_text("## 2026-02-01\nok\n## notes\nmore\n", encoding="utf-8")
-        sections, _ = parse_memory_sections([path], heading_pattern=r"^#+\s(\d{4}-\d{2}-\d{2})?")
+    def test_heading_whose_optional_date_group_is_unset_is_body(self):
+        sections, _ = parse_memory_sections(
+            memory("## 2026-02-01\nok\n## notes\nmore\n"),
+            heading_pattern=r"^#+\s(\d{4}-\d{2}-\d{2})?",
+        )
         assert [(s.date, s.body) for s in sections] == [(date(2026, 2, 1), "ok\n## notes\nmore")]
 
-    def test_same_date_twice_yields_two_sections(self, tmp_path):
-        path = tmp_path / "m.md"
-        path.write_text("## 2026-02-01 a\nx\n## 2026-02-01 b\ny\n", encoding="utf-8")
-        sections, _ = parse_memory_sections([path])
+    def test_same_date_twice_yields_two_sections(self):
+        sections, _ = parse_memory_sections(memory("## 2026-02-01 a\nx\n## 2026-02-01 b\ny\n"))
         assert len(sections) == 2
-
 
 
 MEMORY_PIECES = [b"\n", b"\r", b"\r\n", "\u2028".encode(), b"\xef\xbb\xbf", b"\xff", b"\xe2\x80"]
@@ -129,9 +125,9 @@ def test_memory_files_read_as_read_text_reads_them(tmp_path_factory, pieces):
     # the reference run gets, in place of the file's bytes, an object whose
     # decode gives the text read_text reads
     text = mock.Mock(decode=lambda *args, **kwargs: path.read_text("utf-8", errors="replace"))
-    with mock.patch.object(extraction, "read_file", lambda _: text):
-        expected = parse_memory_sections([path])
-    assert parse_memory_sections([path]) == expected
+    expected = parse_memory_sections({"m.md": text})
+    assert parse_memory_sections({"m.md": path.read_bytes()}) == expected
+
 
 ALL_OUTPUT_TERMS = [
     term for terms in DEFAULT_OUTPUT_RULES.families.values() for term in terms
@@ -140,51 +136,51 @@ ALL_OUTPUT_TERMS = [
 
 class TestOutputProxies:
     def test_drafted_methods_section(self):
-        proxies = extract_output_proxies([section("drafted the methods section")])
+        proxies = outputs_of([section("drafted the methods section")])
         assert len(proxies) == 1
         assert proxies[0].matched_terms == ("drafted",)
         assert proxies[0].kind == "output"
 
     def test_section_without_family_terms(self):
-        proxies = extract_output_proxies([section("quiet day, regular meetings")])
+        proxies = outputs_of([section("quiet day, regular meetings")])
         assert proxies == []
 
     @pytest.mark.parametrize("term", ALL_OUTPUT_TERMS)
     def test_each_family_member_in_isolation(self, term):
-        proxies = extract_output_proxies([section(f"Logged {term} for the records.")])
+        proxies = outputs_of([section(f"Logged {term} for the records.")])
         assert len(proxies) == 1
         assert proxies[0].matched_terms == (term,)
 
     def test_exclusion_only_section_yields_zero(self):
-        proxies = extract_output_proxies(
+        proxies = outputs_of(
             [section("Auto-generated build artifacts were refreshed.")]
         )
         assert proxies == []
 
     def test_planning_language_excluded(self):
-        proxies = extract_output_proxies([section("Planned to deploy the app tomorrow.")])
+        proxies = outputs_of([section("Planned to deploy the app tomorrow.")])
         assert proxies == []
 
     def test_exclusion_is_per_sentence(self):
         body = "Planned to deploy the app.\n\nDrafted the summary."
-        proxies = extract_output_proxies([section(body)])
+        proxies = outputs_of([section(body)])
         assert len(proxies) == 1
         assert proxies[0].matched_terms == ("drafted",)
 
     def test_consecutive_matches_collapse_at_section_granularity(self):
         body = "Drafted the intro. Drafted the outro."
-        proxies = extract_output_proxies([section(body)], granularity="section")
+        proxies = outputs_of([section(body)], granularity="section")
         assert len(proxies) == 1
-        sentence_level = extract_output_proxies([section(body)], granularity="sentence")
+        sentence_level = outputs_of([section(body)], granularity="sentence")
         assert len(sentence_level) == 2
 
     def test_nonconsecutive_matches_form_two_clusters(self):
         body = "Drafted the intro.\nNothing else happened here.\nDrafted the outro."
-        proxies = extract_output_proxies([section(body)], granularity="section")
+        proxies = outputs_of([section(body)], granularity="section")
         assert len(proxies) == 2
 
     def test_two_families_two_events(self):
-        proxies = extract_output_proxies([section("Drafted and merged the changes.")])
+        proxies = outputs_of([section("Drafted and merged the changes.")])
         families = sorted(p.family for p in proxies)
         assert families == ["authorship", "engineering"]
 
@@ -195,15 +191,15 @@ class TestOutputProxies:
         rules = dataclasses.replace(defaults, families=backwards)
         assert list(rules.families) == sorted(backwards) == list(defaults.families)
         body = "Drafted the manuscript and verified the protocol checklist."
-        assert extract_output_proxies([section(body)], rules) == extract_output_proxies(
+        assert outputs_of([section(body)], rules) == outputs_of(
             [section(body)], defaults
         )
-        assert extract_governance_events([section(body)], rules) == extract_governance_events(
+        assert governance_of([section(body)], rules) == governance_of(
             [section(body)], defaults
         )
-        proxies = extract_output_proxies([section(body)])
+        proxies = outputs_of([section(body)])
         assert [p.family for p in proxies] == ["artifact", "authorship", "verification"]
-        (event,) = extract_governance_events([section(body)])
+        (event,) = governance_of([section(body)])
         assert event.matched_terms == ("protocol", "checklist", "verified")
 
     def test_repeat_same_artifact_suppressed_within_horizon(self):
@@ -211,7 +207,7 @@ class TestOutputProxies:
             section("Drafted `report.md` today.", day="2026-02-03"),
             section("Drafted `report.md` again.", day="2026-02-05"),
         ]
-        proxies = extract_output_proxies(sections, repeat_horizon_days=7)
+        proxies = outputs_of(sections, repeat_horizon_days=7)
         assert len(proxies) == 1
 
     def test_repeat_beyond_horizon_kept(self):
@@ -219,7 +215,7 @@ class TestOutputProxies:
             section("Drafted `report.md` today.", day="2026-02-03"),
             section("Drafted `report.md` again.", day="2026-03-20"),
         ]
-        proxies = extract_output_proxies(sections, repeat_horizon_days=7)
+        proxies = outputs_of(sections, repeat_horizon_days=7)
         assert len(proxies) == 2
 
     def test_repeat_with_new_version_kept(self):
@@ -227,7 +223,7 @@ class TestOutputProxies:
             section("Drafted `report.md` today.", day="2026-02-03"),
             section("Drafted `report.md` v2 with major rework.", day="2026-02-04"),
         ]
-        proxies = extract_output_proxies(sections, repeat_horizon_days=7)
+        proxies = outputs_of(sections, repeat_horizon_days=7)
         assert len(proxies) == 2
 
     def test_repeat_filter_off(self):
@@ -235,7 +231,7 @@ class TestOutputProxies:
             section("Drafted `report.md` today.", day="2026-02-03"),
             section("Drafted `report.md` again.", day="2026-02-04"),
         ]
-        proxies = extract_output_proxies(sections, repeat_horizon_days=0)
+        proxies = outputs_of(sections, repeat_horizon_days=0)
         assert len(proxies) == 2
 
     def test_determinism(self):
@@ -243,18 +239,18 @@ class TestOutputProxies:
             section("Drafted the plan. Verified the build."),
             section("Published the notes.", day="2026-02-04"),
         ]
-        assert extract_output_proxies(sections) == extract_output_proxies(sections)
+        assert outputs_of(sections) == outputs_of(sections)
 
     def test_traceability(self):
         sections = [section("Drafted the plan.")]
-        for proxy in extract_output_proxies(sections):
+        for proxy in outputs_of(sections):
             assert proxy.matched_terms
             assert proxy.section_ref == ("memory/notes.md", "## 2026-02-03")
 
 
 class TestGovernanceEvents:
     def test_smoke_test_rule_takes_verification_priority(self):
-        proxies = extract_governance_events(
+        proxies = governance_of(
             [section("added deployment smoke test rule")]
         )
         assert len(proxies) == 1
@@ -263,7 +259,7 @@ class TestGovernanceEvents:
         assert "rule" in proxies[0].matched_terms
 
     def test_clean_section(self):
-        proxies = extract_governance_events([section("routine sync, nothing else")])
+        proxies = governance_of([section("routine sync, nothing else")])
         assert proxies == []
 
     def test_each_class_recovered(self):
@@ -278,7 +274,7 @@ class TestGovernanceEvents:
             section(body, heading=f"## 2026-02-03 {name}")
             for name, body in bodies.items()
         ]
-        proxies = extract_governance_events(sections)
+        proxies = governance_of(sections)
         classes = sorted(p.governance_class for p in proxies)
         assert classes == sorted(bodies)
 
@@ -288,13 +284,13 @@ class TestGovernanceEvents:
             family_classes={},
             version="test/1",
         )
-        proxies = extract_governance_events([section("governance note recorded")], rules)
+        proxies = governance_of([section("governance note recorded")], rules)
         assert len(proxies) == 1
         assert proxies[0].governance_class is None
 
     def test_one_event_per_cluster_across_families(self):
         body = "Corrected the score and added a rule."
-        proxies = extract_governance_events([section(body)])
+        proxies = governance_of([section(body)])
         assert len(proxies) == 1
         assert proxies[0].governance_class == "correction"  # beats protocol
 
@@ -326,8 +322,8 @@ class TestProxyRates:
         assert round(ger, 2) == 9.26
 
     def test_rates_from_proxies(self):
-        out = extract_output_proxies([section("Drafted the plan.")])
-        gov = extract_governance_events([section("Checked the build.")])
+        out = outputs_of([section("Drafted the plan.")])
+        gov = governance_of([section("Checked the build.")])
         opr, ger = self.rates(out + gov, 2)
         assert (opr.numerator, opr.denominator, opr.value) == (1, 2, 0.5)
         assert (ger.numerator, ger.denominator, ger.value) == (1, 2, 0.5)
@@ -338,7 +334,7 @@ class TestProxyRates:
         assert (ger.value, ger.reason) == (0.0, None)
 
     def test_zero_days_undefined(self):
-        gov = extract_governance_events([section("Checked the build.")])
+        gov = governance_of([section("Checked the build.")])
         opr, ger = self.rates(gov, 0)
         assert (opr.value, opr.reason) == (None, "zero_denominator")
         assert (ger.numerator, ger.value, ger.reason) == (1, None, "zero_denominator")
@@ -389,19 +385,19 @@ def test_ruleset_round_trip():
 
 
 def test_case_insensitive_by_default():
-    proxies = extract_output_proxies([section("DRAFTED THE SUMMARY.")])
+    proxies = outputs_of([section("DRAFTED THE SUMMARY.")])
     assert len(proxies) == 1
 
 
 def test_multiword_phrase_whitespace_normalized():
-    proxies = extract_output_proxies([section("ran the smoke   test suite")])
+    proxies = outputs_of([section("ran the smoke   test suite")])
     assert len(proxies) == 1
     assert proxies[0].matched_terms == ("smoke test",)
 
 
 def test_word_boundary_not_substring():
     # "artifacts" must not match the term "artifact"
-    proxies = extract_output_proxies([section("artifacts piled up")])
+    proxies = outputs_of([section("artifacts piled up")])
     assert proxies == []
 
 
@@ -429,8 +425,8 @@ def test_adding_keyword_never_decreases_matches(rows):
     wider_rules = KeywordRuleSet(
         families={"authorship": ("drafted", "merged", "published")}, version="test/2"
     )
-    base = extract_output_proxies(sections, base_rules, granularity="sentence")
-    wider = extract_output_proxies(sections, wider_rules, granularity="sentence")
+    base = outputs_of(sections, base_rules, granularity="sentence")
+    wider = outputs_of(sections, wider_rules, granularity="sentence")
     assert len(wider) >= len(base)
 
 
@@ -441,7 +437,7 @@ def test_output_sorted_by_date_source_heading(days):
         section("Drafted the plan.", day=d, heading=f"## {d} h{i}")
         for i, d in enumerate(days)
     ]
-    proxies = extract_output_proxies(sections, repeat_horizon_days=0)
+    proxies = outputs_of(sections, repeat_horizon_days=0)
     keys = [(p.date, p.section_ref[0], p.section_ref[1]) for p in proxies]
     assert keys == sorted(keys)
 
@@ -469,13 +465,12 @@ def test_from_mapping_rejects_bare_strings():
         from_json(KeywordRuleSet, {"families": {"x": 5}})
 
 
-def test_heading_pattern_without_a_group_is_rejected(tmp_path):
-    path = tmp_path / "m.md"
-    path.write_text("## 2026-02-01\nbody\n", encoding="utf-8")
+def test_heading_pattern_without_a_group_is_rejected():
+    files = memory("## 2026-02-01\nbody\n")
     with pytest.raises(ValueError, match="no capture group"):
-        parse_memory_sections([path], heading_pattern=r"^#+\s.*\d{4}-\d{2}-\d{2}")
+        parse_memory_sections(files, heading_pattern=r"^#+\s.*\d{4}-\d{2}-\d{2}")
     with pytest.raises(ValueError, match="does not compile"):
-        parse_memory_sections([path], heading_pattern=r"^#+\s(\d{4}")
+        parse_memory_sections(files, heading_pattern=r"^#+\s(\d{4}")
 
 
 # --- the compiled matcher against the per-term scan it replaces ---------------
@@ -822,8 +817,9 @@ def test_one_matcher_per_rule_set_and_one_split_per_section(monkeypatch):
         extraction, "split_sentences", lambda body: calls.append(body) or original(body)
     )
     sections = [section("Drafted the plan. Checked it."), section("Fixed wrong dates.")]
-    extract_output_proxies(sections)
-    extract_governance_events(sections)
+    matched = match_sections(sections)
+    extract_output_proxies(matched)
+    extract_governance_events(matched)
     assert len(calls) == len(sections)
 
 
@@ -856,16 +852,18 @@ def section_lists(draw) -> list[DatedSection]:
 @given(
     section_lists(),
     rule_sets(),
+    rule_sets(),
     st.sampled_from(["section", "sentence"]),
     st.sampled_from([0, 7]),
 )
 @settings(max_examples=200, deadline=None)
-def test_extractors_equal_the_reference(sections, rules, granularity, horizon):
+def test_extractors_equal_the_reference(sections, rules, governance_rules, granularity, horizon):
     output = reference_output_proxies(sections, rules, granularity, horizon)
-    governance = reference_governance_events(sections, rules, granularity)
-    # the sections themselves, their matches, and the matches read back from
-    # the JSON a memory cache line holds, one file at a time
-    matched = match_sections(sections, rules, rules)
+    governance = reference_governance_events(sections, governance_rules, granularity)
+    # the sections' matches, and the matches read back from the JSON a memory
+    # cache line holds, one file at a time; two rule sets, so that replaying
+    # one set's hits as the other's shows
+    matched = match_sections(sections, rules, governance_rules)
     cached = [
         record
         for path in ("m/a.md", "m/b.md")
@@ -874,10 +872,10 @@ def test_extractors_equal_the_reference(sections, rules, granularity, horizon):
             path,
         )
     ]
-    for given_sections in (sections, matched, cached):
+    for given_sections in (matched, cached):
         assert extract_output_proxies(
-            given_sections, rules, granularity=granularity, repeat_horizon_days=horizon
+            given_sections, granularity=granularity, repeat_horizon_days=horizon
         ) == output
-        assert extract_governance_events(given_sections, rules, granularity=granularity) == (
-            governance
-        )
+        assert extract_governance_events(
+            given_sections, governance_rules, granularity=granularity
+        ) == governance

@@ -177,6 +177,23 @@ def test_a_damaged_line_reparses_only_its_file(corpora, tmp_path, parses):
     assert len(parses) == 1
 
 
+def test_a_warm_run_shares_the_role_strings_of_a_parse(corpora, tmp_path):
+    config = RunConfig(root=str(corpora[7]), out_dir=str(tmp_path / "out"))
+    run_analysis(config)
+    _, events = Analysis(config, cached=True).read
+    assert len(events) > 6
+    assert len({id(event.role) for event in events}) <= 6
+
+
+def test_a_cached_role_outside_the_six_is_a_damaged_line():
+    parsed = parse_session_file(b'{"role": "user", "ts": 1}\n', "s.jsonl", FieldAliases(), "main")
+    payload = json.loads(json.dumps(ingest._encode_parse(parsed)))
+    assert ingest._decode_parse(payload, "s.jsonl", "main") == parsed
+    payload[1][0] = ["usr"]
+    with pytest.raises(ValueError):
+        ingest._decode_parse(payload, "s.jsonl", "main")
+
+
 def test_a_changed_memory_file_is_the_only_one_matched_again(corpora, tmp_path, splits):
     workspace = tmp_path / "ws"
     shutil.copytree(corpora[7], workspace)

@@ -642,3 +642,16 @@ def test_warnings_keep_their_order_whichever_stage_runs_first(tmp_path, monkeypa
     assert analysis.extraction[3] == warnings[2:]
     assert analysis.window[1] == warnings[1:2]
     assert analysis.bundle.warnings == warnings
+
+
+def test_an_unreadable_memory_file_warns_and_is_skipped(tmp_path, monkeypatch):
+    root = tmp_path / "workspace"
+    (root / "memory").mkdir(parents=True)
+    for name in ("a.md", "b.md"):
+        (root / "memory" / name).write_text("## 2026-02-03\nDrafted the plan.\n")
+    deny_reading(monkeypatch, "b.md")
+    window = ObservationWindow(date(2026, 2, 1), date(2026, 2, 28))
+    sections, outputs, _, warnings = Analysis(RunConfig(root=str(root), window=window)).extraction
+    assert [section.source_path for section in sections] == ["memory/a.md"]
+    assert len(outputs) == 1
+    assert warnings == ["unreadable memory file: memory/b.md (PermissionError)"]
