@@ -9,7 +9,7 @@ from .activetime import (
     cap_sensitivity,
     gap_histogram,
 )
-from .classify import ClassificationRules, SurfaceCounts, classify_file, surface_counts
+from .classify import ClassificationRules, SurfaceCounts, surface_counts
 from .dedup import DedupKey, DedupStats, dedup_key, deduplicate
 from .extraction import (
     DatedSection,

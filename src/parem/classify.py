@@ -100,18 +100,10 @@ def _normalize(path: str) -> str:
     return _LEADING_DOT_SLASHES.sub("", path.replace("\\", "/"))
 
 
-def classify_file(path: str, rules: ClassificationRules) -> str:
-    """Return the surface for ``path``: first matching prefix rule, else fallback."""
-    normalized = _normalize(path)
-    for prefix, surface in rules.rules:
-        if normalized.startswith(prefix) or normalized == prefix[:-1]:
-            return surface
-    return rules.fallback
-
-
 def surface_counts(paths: Iterable[str], rules: ClassificationRules) -> SurfaceCounts:
-    """Count files per surface, as ``classify_file`` classifies each; order of
-    ``paths`` never affects the result.
+    """Count files per surface. A path's surface is that of the first rule
+    (the longest prefix) that it starts with or whose directory it names,
+    else the fallback; order of ``paths`` never affects the result.
 
     A prefix rule ends in ``/``, so a path's directory alone decides which
     prefixes it starts with, and each directory is classified once. Only the

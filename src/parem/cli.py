@@ -30,7 +30,7 @@ def _extraction_counts(analysis: Analysis) -> dict:
         "dated_sections": len(sections),
         "output_proxies": len(outputs),
         "governance_proxies": len(governance),
-        "governance_by_class": governance_by_class(governance),
+        "governance_by_class": governance_by_class(p.governance_class for p in governance),
         "warnings": warnings,
     }
 
@@ -151,10 +151,11 @@ def _print_json(data: object) -> None:
 def cmd_scan(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     inventory = Analysis(config).read[0]
+    data = to_json(inventory)
     if args.json:
-        _print_json(inventory)
+        _print_json(data)
         return 0
-    for line in inventory_lines(inventory):
+    for line in inventory_lines(data):
         print(line)
     print(f"artifact-surface breadth: {inventory.surfaces.asb}")
     for warning in inventory.warnings:

@@ -462,14 +462,23 @@ def encode_matched(matched: Sequence[MatchedSection]) -> list:
     ]
 
 
-def decode_matched(payload: list, source_path: str) -> list[MatchedSection]:
-    """The inverse of ``encode_matched`` for the file at ``source_path``."""
+def decode_matched(payload: list, path: str, terms: Mapping[str, str]) -> list[MatchedSection]:
+    """The inverse of ``encode_matched`` for the file at ``path``, rebuilding
+    the hits of ``payload`` in place: each hit the tuple a match makes, and
+    each term the rule sets' own string, looked up in ``terms`` (each term of
+    both sets mapped to itself). A term outside ``terms`` raises ``ValueError``."""
     (rows,) = payload
+    term = terms.__getitem__
+    try:
+        for row in rows:
+            for found in row[2:4]:  # the output and the governance hits
+                for family, hits in found.items():
+                    found[family] = [(index, list(map(term, words))) for index, words in hits]
+    except (KeyError, AttributeError):
+        raise ValueError("a term outside the rule sets, or hits that are not an object") from None
     return [
-        _new_matched(
-            (date.fromisoformat(day), source_path, heading, output, governance, dict(sentences))
-        )
-        for day, heading, output, governance, sentences in rows
+        _new_matched((date.fromisoformat(day), path, heading, out, gov, dict(said)))
+        for day, heading, out, gov, said in rows
     ]
 
 

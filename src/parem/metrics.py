@@ -141,18 +141,6 @@ def ate_metric(hours: float, window: ObservationWindow, rule: str) -> MetricValu
     return MetricValue("ATE", round(hours * 3600, 3), 3600, window, RULE_IDS[rule], hours)
 
 
-def round_proportion(value: float) -> float:
-    return round(value, 3)
-
-
-def round_rate(value: float) -> float:
-    return round(value, 2)
-
-
-def round_hours(value: float) -> float:
-    return round(value, 1)
-
-
 def compute_pare_m(
     events: Sequence[Event],
     proxies: Sequence["ProxyEvent"],

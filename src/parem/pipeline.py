@@ -63,11 +63,13 @@ from .metrics import MetricReport, ObservationWindow, compute_pare_m, utc_date
 from .report import (
     DEDUP_LEDGER_HEADER,
     EVENTS_TOKENS_CSV,
+    RULESET_SECTIONS,
     Provenance,
     ReportBundle,
     csv_bytes,
     export_csvs,
     render_report,
+    report_document,
     write_file,
 )
 from .tokens import (
@@ -96,10 +98,6 @@ DEDUP_LEDGER_CSV = "reports/dedup-ledger.csv"
 PARSE_CACHE = "cache/parse.jsonl"
 MEMORY_CACHE = "cache/memory.jsonl"
 MEMORY_CACHE_FORMAT = "parem-memory-cache/1"
-
-# config sections that may hold an inline mapping or a path to a JSON ruleset
-# file (resolved relative to the config file); provenance digests each one
-RULESET_SECTIONS = ("classification", "output_rules", "governance_rules", "aliases", "conventions")
 
 
 @dataclass(frozen=True)
@@ -346,7 +344,8 @@ class Analysis:
 def _memory_codec(config: RunConfig) -> FileCodec:
     """The memory cache's codec: a memory file's sections, split with the
     config's heading pattern and matched against its two rule sets (see
-    ``encode_matched``), under a header that names all three."""
+    ``encode_matched``), under a header that names all three; a decoded term
+    is the rule sets' own string."""
 
     def compute(data: bytes, rel: str) -> list[MatchedSection]:
         sections, _ = parse_memory_sections({rel: data}, config.heading_pattern)
@@ -358,7 +357,9 @@ def _memory_codec(config: RunConfig) -> FileCodec:
         "output_rules": _sha256_json(to_json(config.output_rules)),
         "governance_rules": _sha256_json(to_json(config.governance_rules)),
     }
-    return FileCodec(header, compute, encode_matched, decode_matched)
+    rule_sets = (config.output_rules, config.governance_rules)
+    terms = {t: t for rules in rule_sets for words in rules.families.values() for t in words}
+    return FileCodec(header, compute, encode_matched, partial(decode_matched, terms=terms))
 
 
 def _timestamps(events: list[Event]):
@@ -391,13 +392,18 @@ def write_outputs(
     config: RunConfig,
     deduped_events: list[Event] | None = None,
 ) -> list[Path]:
-    """Write the report text, the CSVs, the report JSON (which points to the
-    events CSV by the digest of its bytes) and the dedup ledger, in that
-    order; on failure, remove every file this call wrote or began."""
-    files = {REPORT_TEXT: render_report(bundle, "text").encode("utf-8"), **export_csvs(bundle)}
-    events_sha256 = hashlib.sha256(files[EVENTS_TOKENS_CSV]).hexdigest()
-    files[REPORT_JSON] = render_report(bundle, "structured", events_sha256).encode("utf-8")
-    if config.dedup_ledger and deduped_events is not None:
+    """Write the report text, the CSVs, the report JSON and the dedup ledger,
+    in that order; on failure, remove every file this call wrote or began.
+    Both reports render from one ``report_document``, which points to the
+    events CSV by the digest of its bytes. A config that asks for the dedup
+    ledger needs ``deduped_events``: without them nothing is written."""
+    if config.dedup_ledger and deduped_events is None:
+        raise ValueError("the dedup ledger needs the de-duplicated records")
+    csvs = export_csvs(bundle)
+    document = report_document(bundle, hashlib.sha256(csvs[EVENTS_TOKENS_CSV]).hexdigest())
+    files = {REPORT_TEXT: render_report(document, "text").encode("utf-8"), **csvs}
+    files[REPORT_JSON] = render_report(document, "structured").encode("utf-8")
+    if config.dedup_ledger:
         files[DEDUP_LEDGER_CSV] = csv_bytes(DEDUP_LEDGER_HEADER, ledger_rows(deduped_events))
     written: list[Path] = []
     try:

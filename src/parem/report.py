@@ -1,10 +1,12 @@
 """Report bundle assembly, deterministic rendering, and CSV exports.
 
-Every number in a rendered report is copied from a bundle field; nothing is
-computed at render time, and identical bundles render to identical bytes.
-CSV exports carry full precision; the text report uses the reporting
-precisions (3 d.p. proportions, 2 d.p. rates, 0.1 h hours). Every CSV is
-encoded by ``csv_bytes`` and every output file written by ``write_file``.
+Both reports render from one plain-data document (``report_document``): the
+structured report is that document, and every number in the text report is
+one of its values or the length of one of its lists, so nothing is computed
+at render time and identical bundles render to identical bytes. CSV exports
+carry full precision; the text report prints each metric at the decimal
+places ``METRIC_DECIMALS`` gives it. Every CSV is encoded by ``csv_bytes``
+and every output file written by ``write_file``.
 """
 
 from __future__ import annotations
@@ -17,20 +19,14 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .activetime import ActiveTimeEstimate, GapHistogram
 from .dedup import DedupStats
 from .extraction import ProxyEvent
 from .ingest import TokenUsage, WorkspaceInventory
 from .jsonfmt import to_json
-from .metrics import (
-    METRIC_NAMES,
-    MetricReport,
-    round_hours,
-    round_proportion,
-    round_rate,
-)
+from .metrics import METRIC_NAMES, MetricReport
 from .tokens import AssociationStats, DailyTokens, RouteTotals, TokenEventRow
 
 # names the structured report's schema; it changes whenever the schema does
@@ -74,6 +70,13 @@ PROXY_LEDGER_HEADER = ["date", "kind", "class", "terms", "source"]
 SURFACE_COUNTS_HEADER = ["surface", "files"]
 DEDUP_LEDGER_HEADER = ["tier", "key", "source", "line"]
 
+# config sections that may hold an inline mapping or a path to a JSON ruleset
+# file (resolved relative to the config file); provenance digests each one,
+# and the text report lists them in this order
+RULESET_SECTIONS = ("classification", "output_rules", "governance_rules", "aliases", "conventions")
+# the decimal places of each metric's printed value; the counts DRC and ASB print as integers
+METRIC_DECIMALS = {"ADF": 3, "ATE": 1, "CDR": 3, "OPR": 2, "GER": 2}
+
 # the CSV columns a record holds, in the order of its table's header
 _daily_row = attrgetter(*(f.name for f in fields(DailyTokens)))
 _sensitivity_row = attrgetter("cap_minutes", "hours", "cluster_count")
@@ -81,8 +84,7 @@ _window_dates = attrgetter("start_date", "end_date")
 
 
 class ReportError(Exception):
-    """Raised for an unknown report format, or a structured report without
-    the events CSV's digest."""
+    """Raised for an unknown report format."""
 
 
 @dataclass(frozen=True)
@@ -139,18 +141,15 @@ def _dumps_report(data: dict[str, object]) -> str:
     return "{\n" + ",\n".join(fields) + "\n}"
 
 
-def _format_metric(value: float | None, kind: str, reason: str | None) -> str:
+def format_metric(record: Mapping) -> str:
+    """A metric record of the report document as the text report prints its
+    value: at its metric's ``METRIC_DECIMALS``, as an integer for a count,
+    or ``undefined (<reason>)``."""
+    value = record["value"]
     if value is None:
-        return f"undefined ({reason})"
-    if kind == "proportion":
-        return f"{round_proportion(value):.3f}"
-    if kind == "rate":
-        return f"{round_rate(value):.2f}"
-    if kind == "hours":
-        return f"{round_hours(value):.1f}"
-    if kind == "count":
-        return str(int(value))
-    return repr(value)
+        return f"undefined ({record['reason']})"
+    places = METRIC_DECIMALS.get(record["metric"])
+    return str(int(value)) if places is None else f"{value:.{places}f}"
 
 
 def _format_number(value: float) -> str:
@@ -158,163 +157,137 @@ def _format_number(value: float) -> str:
     return str(int(value)) if value == int(value) else repr(value)
 
 
-_METRIC_KIND = {
-    "ADF": "proportion",
-    "DRC": "count",
-    "ATE": "hours",
-    "CDR": "proportion",
-    "OPR": "rate",
-    "GER": "rate",
-    "ASB": "count",
-}
-
-
-def inventory_lines(inventory: WorkspaceInventory) -> list[str]:
-    """The inventory's file counts, one line each, as the report and ``scan`` print them."""
+def inventory_lines(inventory: Mapping) -> list[str]:
+    """The lines that the report and ``scan`` print for an inventory's ``to_json`` data."""
     lines = [
-        f"memory files: {inventory.memory_files}",
-        f"agent directories: {inventory.agent_dirs}",
-        f"skill files: {inventory.skill_files}",
-        f"session files (main): {inventory.session_files_main} "
-        f"({inventory.recoverable_main} recoverable)",
-        f"session files (all agents): {inventory.session_files_all} "
-        f"({inventory.recoverable_all} recoverable)",
+        f"memory files: {inventory['memory_files']}",
+        f"agent directories: {inventory['agent_dirs']}",
+        f"skill files: {inventory['skill_files']}",
+        f"session files (main): {inventory['session_files_main']} "
+        f"({inventory['recoverable_main']} recoverable)",
+        f"session files (all agents): {inventory['session_files_all']} "
+        f"({inventory['recoverable_all']} recoverable)",
     ]
-    for surface, count in sorted(inventory.surfaces.counts.items()):
-        lines.append(f"surface {surface}: {count}")
-    return lines
+    counts = sorted(inventory["surfaces"]["counts"].items())
+    return lines + [f"surface {surface}: {count}" for surface, count in counts]
 
 
-def governance_by_class(proxies: Iterable[ProxyEvent]) -> dict[str, int]:
-    """Governance proxies per class, an unclassified one under ``unclassified``."""
-    return dict(Counter(proxy.governance_class or "unclassified" for proxy in proxies))
+def governance_by_class(classes: Iterable[str | None]) -> dict[str, int]:
+    """Governance proxies per class, from their classes; ``None`` counts as ``unclassified``."""
+    return dict(Counter(name or "unclassified" for name in classes))
 
 
-def render_report(
-    bundle: ReportBundle, format: str = "text", events_sha256: str | None = None
-) -> str:
-    """Render the bundle deterministically as text or structured JSON.
+def report_document(bundle: ReportBundle, events_sha256: str) -> dict:
+    """The structured report as plain data, which both reports render from:
+    every bundle field as ``to_json`` writes it but the token events, a
+    pointer to the events CSV (its path, its rows and ``events_sha256``, the
+    SHA-256 of the bytes ``export_csvs`` encodes for it) and the ``format``."""
+    document = {name: to_json(getattr(bundle, name)) for name in _STRUCTURED_FIELDS}
+    rows = len(bundle.token_events)
+    document["token_events"] = {"path": EVENTS_TOKENS_CSV, "rows": rows, "sha256": events_sha256}
+    document["format"] = REPORT_FORMAT
+    return document
 
-    The structured report holds every bundle field but the token events,
-    which it points to in the events CSV: that file's path, its row count
-    and ``events_sha256``, the SHA-256 of the bytes ``export_csvs``
-    encodes for it. Each record of its lists takes one line (``_dumps_report``).
+
+def render_report(document: Mapping, format: str = "text") -> str:
+    """Render a ``report_document`` deterministically as text or structured JSON.
+
+    The structured report is the document, each record of its lists on one
+    line (``_dumps_report``). The text report reads only the document, so it
+    renders the same from the document read back from ``report.json``.
     """
     if format == "structured":
-        if events_sha256 is None:
-            raise ReportError("a structured report needs the events CSV's SHA-256")
-        data = {name: to_json(getattr(bundle, name)) for name in _STRUCTURED_FIELDS}
-        data["token_events"] = {
-            "path": EVENTS_TOKENS_CSV,
-            "rows": len(bundle.token_events),
-            "sha256": events_sha256,
-        }
-        data["format"] = REPORT_FORMAT
-        return _dumps_report(data) + "\n"
+        return _dumps_report(document) + "\n"
     if format != "text":
         raise ReportError(f"unknown report format: {format!r}")
 
-    lines: list[str] = []
-    provenance = bundle.provenance
-    metrics = bundle.metrics
-    lines.append("workspace measurement report (pare-m v0.1)")
-    lines.append("=" * 44)
-    lines.append(f"tool version: {provenance.tool_version}")
-    lines.append(f"window: {provenance.window_start} .. {provenance.window_end}")
-    lines.append(f"scope: {provenance.config['scope']}")
-    lines.append(f"config sha256: {provenance.config_sha256}")
-    for name, digest in provenance.ruleset_sha256.items():
-        lines.append(f"ruleset {name}: {provenance.config[name]['version']} sha256 {digest}")
-    lines.append("")
+    provenance, metrics = document["provenance"], document["metrics"]
+    config, digests = provenance["config"], provenance["ruleset_sha256"]
+    lines = [
+        "workspace measurement report (pare-m v0.1)",
+        "=" * 44,
+        f"tool version: {provenance['tool_version']}",
+        f"window: {provenance['window_start']} .. {provenance['window_end']}",
+        f"scope: {config['scope']}",
+        f"config sha256: {provenance['config_sha256']}",
+        *(f"ruleset {n}: {config[n]['version']} sha256 {digests[n]}" for n in RULESET_SECTIONS),
+        "",
+    ]
 
-    lines.append("metrics")
-    lines.append("-" * 44)
+    def section(title: str, body: Iterable[str]) -> None:
+        lines.extend((title, "-" * 44, *body, ""))
+
+    def dominance(totals: Mapping) -> str:
+        cdr = totals["cdr"]
+        return "undefined" if cdr is None else f"{cdr:.{METRIC_DECIMALS['CDR']}f}"
+
+    body = []
     for name in METRIC_NAMES:
-        value = metrics.values[name]
-        rendered = _format_metric(value.value, _METRIC_KIND[name], value.reason)
-        lines.append(
-            f"{name}: {rendered}  "
-            f"[{_format_number(value.numerator)} / {_format_number(value.denominator)}]  "
-            f"rule={value.rule_id}"
+        value = metrics["values"][name]
+        body.append(
+            f"{name}: {format_metric(value)}  "
+            f"[{_format_number(value['numerator'])} / {_format_number(value['denominator'])}]  "
+            f"rule={value['rule_id']}"
         )
-    sensitivity = metrics.ate_sensitivity
-    lines.append(
-        f"ATE sensitivity: {_format_metric(sensitivity.value, 'hours', sensitivity.reason)} h  "
-        f"rule={sensitivity.rule_id}"
+    sensitivity = metrics["ate_sensitivity"]
+    body.append(f"ATE sensitivity: {format_metric(sensitivity)} h  rule={sensitivity['rule_id']}")
+    section("metrics", body + [f"note: {annotation}" for annotation in metrics["annotations"]])
+
+    dedup, hours = document["dedup_stats"], METRIC_DECIMALS["ATE"]
+    body = [
+        f"active days: {metrics['active_day_count']}",
+        f"de-duplicated records: {dedup['retained_count']}",
+        f"records before de-duplication: {dedup['input_count']}",
+    ]
+    body += [f"role {role}: {count}" for role, count in sorted(metrics["role_counts"].items())]
+    for estimate in document["ate_sensitivity"]:
+        body.append(
+            f"active time @{estimate['cap_minutes']} min cap: "
+            f"{estimate['hours']:.{hours}f} h across {estimate['cluster_count']} clusters"
+        )
+    section("utilization", body)
+    section("inventory", inventory_lines(document["inventory"]))
+
+    governance = document["governance_proxies"]
+    classes = governance_by_class(proxy["governance_class"] for proxy in governance)
+    section(
+        "outputs and governance",
+        [
+            f"dated memory sections: {document['dated_section_count']}",
+            f"output proxies: {len(document['output_proxies'])}",
+            f"governance proxies: {len(governance)}",
+            *(f"governance class {name}: {count}" for name, count in sorted(classes.items())),
+        ],
     )
-    for annotation in metrics.annotations:
-        lines.append(f"note: {annotation}")
-    lines.append("")
 
-    lines.append("utilization")
-    lines.append("-" * 44)
-    lines.append(f"active days: {metrics.active_day_count}")
-    lines.append(f"de-duplicated records: {bundle.dedup_stats.retained_count}")
-    lines.append(f"records before de-duplication: {bundle.dedup_stats.input_count}")
-    for role, count in sorted(to_json(metrics.role_counts).items()):
-        lines.append(f"role {role}: {count}")
-    for estimate in bundle.ate_sensitivity:
-        lines.append(
-            f"active time @{estimate.cap_minutes} min cap: "
-            f"{round_hours(estimate.hours):.1f} h across {estimate.cluster_count} clusters"
+    totals, association = document["token_totals"], document["association"]
+    body = [
+        f"total recorded tokens: {totals['total']}",
+        f"input tokens: {totals['input']}",
+        f"output tokens: {totals['output']}",
+        f"cache-read tokens: {totals['cache_read']}",
+        f"cache-write tokens: {totals['cache_write']}",
+        f"cache dominance: {dominance(totals)}",
+    ]
+    for route in document["route_totals"]:
+        body.append(
+            f"route {route['provider_route']}: {route['totals']['total']} tokens, "
+            f"{route['completions']} completions, cache dominance {dominance(route['totals'])}"
         )
-    lines.append("")
-
-    lines.append("inventory")
-    lines.append("-" * 44)
-    lines.extend(inventory_lines(bundle.inventory))
-    lines.append("")
-
-    lines.append("outputs and governance")
-    lines.append("-" * 44)
-    lines.append(f"dated memory sections: {bundle.dated_section_count}")
-    lines.append(f"output proxies: {len(bundle.output_proxies)}")
-    lines.append(f"governance proxies: {len(bundle.governance_proxies)}")
-    for name, count in sorted(governance_by_class(bundle.governance_proxies).items()):
-        lines.append(f"governance class {name}: {count}")
-    lines.append("")
-
-    lines.append("token telemetry")
-    lines.append("-" * 44)
-    totals = bundle.token_totals
-    lines.append(f"total recorded tokens: {totals.total}")
-    lines.append(f"input tokens: {totals.input}")
-    lines.append(f"output tokens: {totals.output}")
-    lines.append(f"cache-read tokens: {totals.cache_read}")
-    lines.append(f"cache-write tokens: {totals.cache_write}")
-    cdr_text = (
-        f"{round_proportion(totals.cdr):.3f}" if totals.cdr is not None else "undefined"
-    )
-    lines.append(f"cache dominance: {cdr_text}")
-    for route in bundle.route_totals:
-        route_cdr = route.totals.cdr
-        route_cdr_text = (
-            f"{round_proportion(route_cdr):.3f}" if route_cdr is not None else "undefined"
-        )
-        lines.append(
-            f"route {route.provider_route}: {route.totals.total} tokens, "
-            f"{route.completions} completions, cache dominance {route_cdr_text}"
-        )
-    association = bundle.association
-    if association.reason is not None:
-        lines.append(f"cache/output association: undefined ({association.reason})")
+    if association["reason"] is not None:
+        body.append(f"cache/output association: undefined ({association['reason']})")
     else:
-        lines.append(
+        body.append(
             "cache/output association: "
-            f"pearson(log) {association.pearson_r_log:.2f}, "
-            f"spearman {association.spearman_rho:.2f} "
-            f"over {association.n_events} completions "
-            f"({association.excluded_zero_events} zero-count excluded)"
+            f"pearson(log) {association['pearson_r_log']:.2f}, "
+            f"spearman {association['spearman_rho']:.2f} "
+            f"over {association['n_events']} completions "
+            f"({association['excluded_zero_events']} zero-count excluded)"
         )
-    lines.append("")
+    section("token telemetry", body)
 
-    if bundle.warnings:
-        lines.append("warnings")
-        lines.append("-" * 44)
-        for warning in bundle.warnings:
-            lines.append(f"- {warning}")
-        lines.append("")
-
+    if document["warnings"]:
+        section("warnings", [f"- {warning}" for warning in document["warnings"]])
     return "\n".join(lines) + "\n"
 
 

@@ -14,14 +14,18 @@ against them exactly.
   ``math.fsum`` sums the report's bytes were first made by
   (``test_tokens.test_average_ranks_match_the_run_walk`` and
   ``test_pearson_and_spearman_match_the_old_sums_bit_for_bit``).
+- ``classify_file``: one path's surface, by a scan of the prefix rules
+  (``test_classify.test_surface_counts_classify_each_path_as_classify_file_does``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import re
 
 from parem.activetime import ActiveTimeEstimate
+from parem.classify import ClassificationRules
 from parem.dedup import KEY_TIERS
 from parem.ingest import Event
 
@@ -135,3 +139,14 @@ def pearson(xs, ys) -> float | None:
 
 def spearman(xs, ys) -> float | None:
     return pearson(average_ranks(xs), average_ranks(ys))
+
+
+def classify_file(path: str, rules: ClassificationRules) -> str:
+    """The surface of the first rule, longest prefix first, that the path
+    starts with or whose directory it names, after forward slashes and
+    without leading ``./`` and ``/``; else the fallback."""
+    normalized = re.sub(r"^(?:\./|/)+", "", path.replace("\\", "/"))
+    for prefix, surface in rules.rules:
+        if normalized.startswith(prefix) or normalized == prefix[:-1]:
+            return surface
+    return rules.fallback

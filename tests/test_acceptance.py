@@ -28,13 +28,9 @@ from parem.extraction import (
 )
 from parem.ingest import Event, TokenUsage
 from parem.jsonfmt import to_json
-from parem.metrics import (
-    ObservationWindow,
-    ratio_metric,
-    round_proportion,
-    round_rate,
-)
+from parem.metrics import ObservationWindow, ratio_metric
 from parem.pipeline import Analysis, RunConfig, run_analysis
+from parem.report import format_metric
 from parem.synth import CorpusSpec, generate_corpus
 from parem.tokens import (
     aggregate_tokens,
@@ -50,17 +46,18 @@ def test_acceptance_1_reference_arithmetic_reproduction():
     window = ObservationWindow(date(2026, 1, 31), date(2026, 5, 25))
     assert window.calendar_days == 115
 
+    # each metric as the text report prints it, from its record in the report
     adf = ratio_metric("ADF", 96, 115, window)
-    assert f"{round_proportion(adf.value):.3f}" == "0.835"
+    assert format_metric(to_json(adf)) == "0.835"
 
     opr = ratio_metric("OPR", 482, 96, window)
-    assert f"{round_rate(opr.value):.2f}" == "5.02"
+    assert format_metric(to_json(opr)) == "5.02"
 
     ger = ratio_metric("GER", 889, 96, window)
-    assert f"{round_rate(ger.value):.2f}" == "9.26"
+    assert format_metric(to_json(ger)) == "9.26"
 
     cdr = ratio_metric("CDR", 61_278_669, 73_950_305, window)
-    assert f"{round_proportion(cdr.value):.3f}" == "0.829"
+    assert format_metric(to_json(cdr)) == "0.829"
     assert f"{cdr.value * 100:.1f}%" == "82.9%"
 
     print("ACCEPTANCE 1 PASS: reference-arithmetic reproduction exact at printed precision")

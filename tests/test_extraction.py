@@ -864,12 +864,14 @@ def test_extractors_equal_the_reference(sections, rules, governance_rules, granu
     # cache line holds, one file at a time; two rule sets, so that replaying
     # one set's hits as the other's shows
     matched = match_sections(sections, rules, governance_rules)
+    terms = {t: t for r in (rules, governance_rules) for ts in r.families.values() for t in ts}
     cached = [
         record
         for path in ("m/a.md", "m/b.md")
         for record in decode_matched(
             json.loads(json.dumps(encode_matched([m for m in matched if m.source_path == path]))),
             path,
+            terms,
         )
     ]
     for given_sections in (matched, cached):

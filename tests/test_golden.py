@@ -7,12 +7,14 @@ which ones moved; any other change must leave them as they are.
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from parem.metrics import ObservationWindow
-from parem.pipeline import RunConfig, run_analysis
+from parem.pipeline import REPORT_JSON, REPORT_TEXT, RunConfig, run_analysis
+from parem.report import render_report
 from parem.synth import CorpusSpec, generate_corpus
 
 GOLDEN = {
@@ -65,3 +67,6 @@ def test_outputs_match_the_golden_hashes(corpus, tmp_path, name):
         for path in written
     }
     assert digests == GOLDEN[name]
+    # the text report is a view of the structured one
+    document = json.loads((tmp_path / REPORT_JSON).read_bytes())
+    assert render_report(document, "text").encode("utf-8") == (tmp_path / REPORT_TEXT).read_bytes()

@@ -194,6 +194,47 @@ def test_a_cached_role_outside_the_six_is_a_damaged_line():
         ingest._decode_parse(payload, "s.jsonl", "main")
 
 
+def test_a_memory_cache_line_decodes_to_the_fresh_matches(corpora):
+    codec = pipeline._memory_codec(RunConfig(root=str(corpora[7])))
+    paths = sorted((corpora[7] / "memory").glob("*.md"))
+    assert paths
+    for path in paths:
+        rel = path.relative_to(corpora[7]).as_posix()
+        matched = codec.compute(path.read_bytes(), rel)
+        assert codec.decode(json.loads(json.dumps(codec.encode(matched))), rel) == matched
+
+
+def test_a_warm_run_shares_the_term_strings_of_the_rule_sets(corpora, tmp_path):
+    config = RunConfig(root=str(corpora[7]), out_dir=str(tmp_path / "out"))
+    run_analysis(config)
+    sections = Analysis(config, cached=True).extraction[0]
+    terms = [
+        term
+        for section in sections
+        for found in (section.output, section.governance)
+        for hits in found.values()
+        for _, words in hits
+        for term in words
+    ]
+    assert len(terms) > len(set(terms))
+    # each decoded term is a rule set's own string object, not a copy
+    rules = (config.output_rules, config.governance_rules)
+    rule_terms = {id(term) for r in rules for words in r.families.values() for term in words}
+    assert {id(term) for term in terms} <= rule_terms
+
+
+def test_a_cached_term_outside_the_rule_sets_is_a_damaged_line():
+    codec = pipeline._memory_codec(RunConfig(root="."))
+    data = b"## 2026-05-01 notes\nDrafted the plan. Fixed the build.\n"
+    matched = codec.compute(data, "memory/a.md")
+    text = json.dumps(codec.encode(matched))
+    assert codec.decode(json.loads(text), "memory/a.md") == matched
+    payload = json.loads(text)
+    payload[0][0][2]["authorship"][0][1] = ["drafteds"]
+    with pytest.raises(ValueError):
+        codec.decode(payload, "memory/a.md")
+
+
 def test_a_changed_memory_file_is_the_only_one_matched_again(corpora, tmp_path, splits):
     workspace = tmp_path / "ws"
     shutil.copytree(corpora[7], workspace)

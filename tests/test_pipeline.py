@@ -513,6 +513,14 @@ def test_write_outputs_removes_every_file_it_wrote_when_one_write_fails(corpus, 
     assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
 
 
+def test_write_outputs_refuses_a_dedup_ledger_without_its_records(corpus, tmp_path):
+    root, _ = corpus
+    config = RunConfig(root=str(root), out_dir=str(tmp_path / "out"), dedup_ledger=True)
+    with pytest.raises(ValueError):
+        write_outputs(Analysis(config).bundle, config)
+    assert not (tmp_path / "out").exists()
+
+
 def test_dedup_ledger_reads_back_with_csv_reader(tmp_path):
     # ids and a file name that hold the characters CSV has to quote
     ids = ["x,1", 'say "hi"', "two\nlines", "plain"]

@@ -3,14 +3,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parem.jsonfmt import to_json
-from parem.metrics import ObservationWindow
-from parem.pipeline import Analysis, RunConfig
+from parem.metrics import METRIC_NAMES, ObservationWindow
+from parem.pipeline import REPORT_JSON, REPORT_TEXT, Analysis, RunConfig, run_analysis
 from parem.report import (
     DAILY_TOKENS_CSV,
     EVENTS_TOKENS_CSV,
@@ -21,7 +23,9 @@ from parem.report import (
     ReportError,
     _dumps_report,
     export_csvs,
+    format_metric,
     render_report,
+    report_document,
 )
 from parem.synth import CorpusSpec, generate_corpus
 
@@ -47,17 +51,19 @@ def empty_bundle(tmp_path):
 EVENTS_SHA256 = "e" * 64
 
 
+def render(bundle, format: str) -> str:
+    return render_report(report_document(bundle, EVENTS_SHA256), format)
+
+
 def test_render_deterministic(corpus_bundle):
     bundle, _ = corpus_bundle
-    assert render_report(bundle, "text") == render_report(bundle, "text")
-    assert render_report(bundle, "structured", EVENTS_SHA256) == render_report(
-        bundle, "structured", EVENTS_SHA256
-    )
+    assert render(bundle, "text") == render(bundle, "text")
+    assert render(bundle, "structured") == render(bundle, "structured")
 
 
 def test_structured_parses_to_the_bundle(corpus_bundle, empty_bundle):
     for bundle in (corpus_bundle[0], empty_bundle):
-        rendered = render_report(bundle, "structured", EVENTS_SHA256)
+        rendered = render(bundle, "structured")
         expected = to_json(bundle)
         expected["token_events"] = {
             "path": EVENTS_TOKENS_CSV,
@@ -117,26 +123,69 @@ def test_report_writer_puts_each_list_item_on_one_line(data):
 
 def test_render_text_reflects_ground_truth(corpus_bundle):
     bundle, ground_truth = corpus_bundle
-    text = render_report(bundle, "text")
+    text = render(bundle, "text")
     assert f"de-duplicated records: {ground_truth.drc}" in text
     assert f"active days: {ground_truth.active_days}" in text
     assert f"output proxies: {ground_truth.output_proxies}" in text
 
 
 def test_empty_workspace_report_has_reason_codes(empty_bundle):
-    text = render_report(empty_bundle, "text")
+    text = render(empty_bundle, "text")
     assert "undefined (zero_denominator)" in text
     assert "de-duplicated records: 0" in text
-    structured = json.loads(render_report(empty_bundle, "structured", EVENTS_SHA256))
+    structured = json.loads(render(empty_bundle, "structured"))
     assert structured["metrics"]["values"]["OPR"]["value"] is None
     assert structured["metrics"]["values"]["OPR"]["reason"] == "zero_denominator"
 
 
 def test_unknown_format_rejected(empty_bundle):
     with pytest.raises(ReportError):
-        render_report(empty_bundle, "pdf")
-    with pytest.raises(ReportError):
-        render_report(empty_bundle, "structured")
+        render(empty_bundle, "pdf")
+
+
+def test_the_text_report_renders_from_the_json_report(tmp_path):
+    # an empty workspace: undefined values and the degenerate window's warning
+    (tmp_path / "empty").mkdir()
+    configs = [RunConfig(root=str(tmp_path / "empty"), out_dir=str(tmp_path / "out-empty"))]
+    # a window that starts before the first record, which the report notes as
+    # a lower bound, and a dangling link, which the scan warns about
+    truth = generate_corpus(CorpusSpec(seed=21, days=8), tmp_path / "corpus")
+    root = tmp_path / "corpus" / "workspace"
+    (root / "memory" / "gone.md").symlink_to("missing.md")
+    window = ObservationWindow(truth.window_start - timedelta(days=2), truth.window_end)
+    configs.append(RunConfig(root=str(root), out_dir=str(tmp_path / "out"), window=window))
+    texts = []
+    for config in configs:
+        run_analysis(config)
+        structured = Path(config.out_dir, REPORT_JSON).read_bytes()
+        texts.append(Path(config.out_dir, REPORT_TEXT).read_bytes())
+        document = json.loads(structured)
+        assert render_report(document, "text").encode("utf-8") == texts[-1]
+        assert render_report(document, "structured").encode("utf-8") == structured
+    assert b"undefined (zero_denominator)" in texts[0]
+    assert b"\nnote: " in texts[1] and b"\nwarnings\n" in texts[1]
+
+
+# the rule before ``METRIC_DECIMALS``: round to the metric's places, then print
+# at them; the counts print as integers
+ROUNDED_PLACES = {"ADF": 3, "ATE": 1, "CDR": 3, "OPR": 2, "GER": 2}
+# values half-way between two printed ones, where the two rules could part
+half_way = st.builds(
+    lambda n, places: (n + 0.5) / 10**places, st.integers(-(10**9), 10**9), st.integers(1, 3)
+)
+
+
+@given(
+    st.sampled_from(METRIC_NAMES),
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False), half_way),
+)
+@settings(max_examples=500)
+def test_format_metric_prints_what_round_then_format_printed(metric, value):
+    places = ROUNDED_PLACES.get(metric)
+    expected = str(int(value)) if places is None else f"{round(value, places):.{places}f}"
+    assert format_metric({"metric": metric, "value": value, "reason": None}) == expected
+    undefined = {"metric": metric, "value": None, "reason": "zero_denominator"}
+    assert format_metric(undefined) == "undefined (zero_denominator)"
 
 
 def read_csv(data: bytes):
