@@ -30,7 +30,6 @@ from .classify import ClassificationRules, SurfaceCounts, surface_counts
 from .jsonfmt import to_json
 
 Role = Literal["user", "assistant", "tool_result", "tool_call", "model_completed", "other"]
-AgentScope = Literal["main", "other_agent"]
 
 CONTENT_PREFIX_CHARS = 64
 
@@ -99,7 +98,6 @@ class Event(NamedTuple):
     role: Role
     source_path: str
     line_number: int
-    agent_scope: AgentScope = "main"
     event_id: str | None = None
     timestamp_ms: int | None = None
     event_type: str | None = None
@@ -118,12 +116,9 @@ _new_usage = partial(tuple.__new__, TokenUsage)
 
 @dataclass(frozen=True, slots=True)
 class FileParseStats:
-    total_lines: int
-    parsed_lines: int
+    """A file's non-empty line count; its parsed lines are its records."""
 
-    @property
-    def recoverable(self) -> bool:
-        return self.parsed_lines >= 1
+    total_lines: int
 
 
 @dataclass(frozen=True)
@@ -380,13 +375,7 @@ class CompiledAliases:
             counts = [_coerce_count(count) for count in counts]
         return TokenUsage._make(counts)
 
-    def parse(
-        self,
-        payload: dict,
-        source_path: str,
-        line_number: int,
-        agent_scope: AgentScope,
-    ) -> Event | None:
+    def parse(self, payload: dict, source_path: str, line_number: int) -> Event | None:
         """Turn one parsed line into an Event, or None when nothing is recognized."""
         values = self.resolve(payload)
         if values.count(None) == len(values):
@@ -410,7 +399,6 @@ class CompiledAliases:
                 role,
                 source_path,
                 line_number,
-                agent_scope,
                 str(raw_id) if raw_id is not None else None,
                 normalize_timestamp(raw_ts),
                 raw_type if isinstance(raw_type, str) else None,
@@ -451,7 +439,6 @@ def parse_session_file(
     data: bytes,
     source_path: str,
     aliases: FieldAliases | None = None,
-    agent_scope: AgentScope = "main",
 ) -> tuple[list[Event], FileParseStats]:
     """Parse one JSONL-like file's bytes tolerantly, preserving file order.
 
@@ -479,22 +466,21 @@ def parse_session_file(
         if end != len(text) or not isinstance(payload, dict):
             continue
         try:
-            event = compiled.parse(payload, source_path, line_number, agent_scope)
+            event = compiled.parse(payload, source_path, line_number)
         except RecursionError:  # content nested too deeply to serialize
             continue
         if event is not None:
             if "\\u" in text:
                 event = _replace_lone_surrogates(event)
             events.append(event)
-    return events, FileParseStats(total, len(events))
+    return events, FileParseStats(total)
 
 
 PARSE_CACHE_FORMAT = "parem-parse-cache/1"
 
 _compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
-# the Event fields a cache line stores; source_path and agent_scope follow
-# from the file's path
-_CACHED_FIELDS = tuple(f for f in Event._fields if f not in ("source_path", "agent_scope"))
+# the Event fields a cache line stores; source_path is the file's path
+_CACHED_FIELDS = tuple(f for f in Event._fields if f != "source_path")
 _cached_columns = itemgetter(*(Event._fields.index(f) for f in _CACHED_FIELDS))
 _NO_EVENTS = ((),) * len(_CACHED_FIELDS)
 _NONE = repeat(None)
@@ -626,20 +612,19 @@ class FileCache:
             self._sink.write(line)
 
 
-def _parse_codec(aliases: FieldAliases, scopes: dict[str, AgentScope]) -> FileCodec:
+def _parse_codec(aliases: FieldAliases) -> FileCodec:
     """The parse cache's codec: a session file's events and stats, as
     ``[<lines>,[<columns>]]``.
 
     ``lines`` is the file's non-empty line count and the columns are its
     events' fields in ``_CACHED_FIELDS`` order, a column that is null
-    throughout stored as one null. Each file's records take its agent scope
-    from ``scopes``, which is not cached.
+    throughout stored as one null.
     """
     return FileCodec(
         {"aliases": to_json(aliases), "format": PARSE_CACHE_FORMAT},
-        lambda data, rel: parse_session_file(data, rel, aliases, scopes[rel]),
+        lambda data, rel: parse_session_file(data, rel, aliases),
         _encode_parse,
-        lambda payload, rel: _decode_parse(payload, rel, scopes[rel]),
+        _decode_parse,
     )
 
 
@@ -652,9 +637,7 @@ def _encode_parse(parsed: tuple[list[Event], FileParseStats]) -> list:
     return [stats.total_lines, columns]
 
 
-def _decode_parse(
-    payload: list, rel: str, agent_scope: AgentScope
-) -> tuple[list[Event], FileParseStats]:
+def _decode_parse(payload: list, rel: str) -> tuple[list[Event], FileParseStats]:
     total, columns = payload
     roles, lines, ids, stamps, types, tools, routes, models, tokens, prefixes = (
         _NONE if column is None else column for column in columns
@@ -668,20 +651,9 @@ def _decode_parse(
     if tokens is not _NONE:
         tokens = [None if usage is None else _new_usage(usage) for usage in tokens]
     rows = zip(
-        roles,
-        repeat(rel),
-        lines,
-        repeat(agent_scope),
-        ids,
-        stamps,
-        types,
-        tools,
-        routes,
-        models,
-        tokens,
-        prefixes,
+        roles, repeat(rel), lines, ids, stamps, types, tools, routes, models, tokens, prefixes
     )
-    return list(map(_new_event, rows)), FileParseStats(total, count)
+    return list(map(_new_event, rows)), FileParseStats(total)
 
 
 @dataclass(frozen=True)
@@ -801,22 +773,23 @@ def scan_and_parse(
     aliases = aliases or FieldAliases()
     files = discover_workspace(root, conventions, skip)
     root_path = Path(root)
-    scopes: dict[str, AgentScope] = dict.fromkeys(files.main_sessions, "main")
-    scopes.update(dict.fromkeys(files.agent_sessions, "other_agent"))
+    main = frozenset(files.main_sessions)
 
     warnings = list(files.warnings)
     events: list[Event] = []
-    recoverable: dict[AgentScope, int] = {"main": 0, "other_agent": 0}
-    with FileCache(cache_path, _parse_codec(aliases, scopes)) as cache:
-        for rel in sorted(scopes):
+    recoverable_main = recoverable_all = 0
+    with FileCache(cache_path, _parse_codec(aliases)) as cache:
+        for rel in sorted(main.union(files.agent_sessions)):
             try:
                 data = read_file(root_path / rel)
             except OSError:
                 warnings.append(f"unreadable or truncated session file: {rel}")
                 continue
-            parsed, stats = cache.get(rel, data)
-            recoverable[scopes[rel]] += 1 if stats.recoverable else 0
-            events.extend(parsed)
+            parsed = cache.get(rel, data)[0]
+            if parsed:
+                recoverable_all += 1
+                recoverable_main += rel in main
+            events += parsed
 
     artifacts = files.artifacts
     if exclude_generated:
@@ -826,9 +799,9 @@ def scan_and_parse(
         agent_dirs=len(files.agent_dirs),
         skill_files=len(files.skills),
         session_files_main=len(files.main_sessions),
-        recoverable_main=recoverable["main"],
+        recoverable_main=recoverable_main,
         session_files_all=len(files.main_sessions) + len(files.agent_sessions),
-        recoverable_all=recoverable["main"] + recoverable["other_agent"],
+        recoverable_all=recoverable_all,
         surfaces=surface_counts(artifacts, rules),
         memory_paths=files.memory,
         main_session_paths=files.main_sessions,

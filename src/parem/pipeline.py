@@ -192,10 +192,13 @@ class Analysis:
 
     @cached_property
     def deduped(self) -> tuple[list[Event], DedupStats]:
-        """The records of the run's scope, de-duplicated, and the counts."""
-        events = self.read[1]
+        """The records of the run's scope, de-duplicated, and the counts. A
+        record's scope is its file's: under ``main``, the records of the
+        files that discovery put among the main sessions."""
+        inventory, events = self.read
         if self.config.scope == "main":
-            events = [e for e in events if e.agent_scope == "main"]
+            main = frozenset(inventory.main_session_paths)
+            events = [e for e in events if e.source_path in main]
         return deduplicate(events)
 
     @cached_property
@@ -389,26 +392,24 @@ def provenance(config: RunConfig, window: ObservationWindow) -> Provenance:
 
 def write_outputs(
     bundle: ReportBundle,
-    config: RunConfig,
+    out_dir: str | Path,
     deduped_events: list[Event] | None = None,
 ) -> list[Path]:
-    """Write the report text, the CSVs, the report JSON and the dedup ledger,
-    in that order; on failure, remove every file this call wrote or began.
+    """Write the report text, the CSVs, the report JSON and, when
+    ``deduped_events`` are given, their dedup ledger, in that order, under
+    ``out_dir``; on failure, remove every file this call wrote or began.
     Both reports render from one ``report_document``, which points to the
-    events CSV by the digest of its bytes. A config that asks for the dedup
-    ledger needs ``deduped_events``: without them nothing is written."""
-    if config.dedup_ledger and deduped_events is None:
-        raise ValueError("the dedup ledger needs the de-duplicated records")
+    events CSV by the digest of its bytes."""
     csvs = export_csvs(bundle)
     document = report_document(bundle, hashlib.sha256(csvs[EVENTS_TOKENS_CSV]).hexdigest())
     files = {REPORT_TEXT: render_report(document, "text").encode("utf-8"), **csvs}
     files[REPORT_JSON] = render_report(document, "structured").encode("utf-8")
-    if config.dedup_ledger:
+    if deduped_events is not None:
         files[DEDUP_LEDGER_CSV] = csv_bytes(DEDUP_LEDGER_HEADER, ledger_rows(deduped_events))
     written: list[Path] = []
     try:
         for name, data in files.items():
-            written.append(path := Path(config.out_dir, name))
+            written.append(path := Path(out_dir, name))
             write_file(path, data)
     except Exception:
         for path in written:
@@ -433,7 +434,7 @@ def run_analysis(config: RunConfig) -> tuple[ReportBundle, list[Path]]:
     bundle = analysis.bundle
     deduped = analysis.deduped[0] if config.dedup_ledger else None
     del analysis  # free the records and stage results before writing: lower peak memory
-    return bundle, write_outputs(bundle, config, deduped)
+    return bundle, write_outputs(bundle, config.out_dir, deduped)
 
 
 def load_config_file(path: str | Path) -> dict:

@@ -66,7 +66,7 @@ METRICS_HEADER = [
     "rule_id",
     "value",
 ]
-PROXY_LEDGER_HEADER = ["date", "kind", "class", "terms", "source"]
+PROXY_LEDGER_HEADER = ["date", "kind", "class", "family", "terms", "path", "heading"]
 SURFACE_COUNTS_HEADER = ["surface", "files"]
 DEDUP_LEDGER_HEADER = ["tier", "key", "source", "line"]
 
@@ -319,7 +319,7 @@ def export_csvs(bundle: ReportBundle) -> dict[str, bytes]:
         for v in [*(metrics.values[name] for name in METRIC_NAMES), metrics.ate_sensitivity]
     )
     proxy_rows = (
-        (p.date, p.kind, p.governance_class, "|".join(p.matched_terms), "#".join(p.section_ref))
+        (p.date, p.kind, p.governance_class, p.family, "|".join(p.matched_terms), *p.section_ref)
         for p in chain(bundle.output_proxies, bundle.governance_proxies)
     )
     surface_counts = bundle.inventory.surfaces.counts

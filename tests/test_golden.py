@@ -24,7 +24,7 @@ GOLDEN = {
         "figures/figure-1-token-telemetry-daily.csv": "732a15fc21fdd4a35a315a5ea06fef3e621c81de3021ea7121f7c85ce6e85c3c",
         "figures/figure-1-token-telemetry-events.csv": "ca4ebcda2082aeda9dfee63408f3a84348aff5940f001706ee3a00dba51c2cd1",
         "reports/metrics.csv": "592e7e7e757d5252cb2a12dad6d91392a438a64b1db792385e12110c7b1328b2",
-        "reports/proxy-ledger.csv": "31863732b5c99020df978865a6160b332b1d5c73f4f238ada31069ab6942885a",
+        "reports/proxy-ledger.csv": "5f7a37e70ce2d230026d6e03b61fb7ee131f2d9bfbd49ebf099c49fc4bfbeb65",
         "reports/report.json": "7596eb77631470ee50f55fd6031ed6c89d672169fe7d06939d144f0022b9a343",
         "reports/report.txt": "e5c203411cf4785a68dfad644ca68f2a9d98384d45b86f11f53255b2ece8420f",
         "reports/surface-counts.csv": "51666d7c509c73e049f40808172ec15470833143654272f0926ed5a8f0e20d93",
@@ -36,7 +36,7 @@ GOLDEN = {
         "figures/figure-1-token-telemetry-events.csv": "ca4ebcda2082aeda9dfee63408f3a84348aff5940f001706ee3a00dba51c2cd1",
         "reports/dedup-ledger.csv": "e858e55575a09c1eff7da534017f018366db3c05625fec2809fa1a977127a64b",
         "reports/metrics.csv": "75e84d8e56133946b9c2049db9e1e7396355098083079044f12f33967c2f6ca2",
-        "reports/proxy-ledger.csv": "31863732b5c99020df978865a6160b332b1d5c73f4f238ada31069ab6942885a",
+        "reports/proxy-ledger.csv": "5f7a37e70ce2d230026d6e03b61fb7ee131f2d9bfbd49ebf099c49fc4bfbeb65",
         "reports/report.json": "7d38005699d8d06ad46927491fbfef488826b05fc7fc83a08d38954195744a07",
         "reports/report.txt": "f98100037bd9d19972fad390577b2306f42d45a88c739e9b52ff912b83e017d6",
         "reports/surface-counts.csv": "51666d7c509c73e049f40808172ec15470833143654272f0926ed5a8f0e20d93",

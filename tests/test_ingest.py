@@ -126,9 +126,7 @@ class TestParseSessionFile:
         )
         events, stats = parse_file(path)
         assert len(events) == 3
-        assert stats.recoverable
         assert stats.total_lines == 3
-        assert stats.parsed_lines == 3
         assert [e.role for e in events] == ["user", "assistant", "tool_call"]
 
     def test_empty_file(self, tmp_path):
@@ -136,7 +134,7 @@ class TestParseSessionFile:
         path.write_text("", encoding="utf-8")
         events, stats = parse_file(path)
         assert events == []
-        assert not stats.recoverable
+        assert stats.total_lines == 0
 
     def test_trajectory_records_with_token_counts(self, tmp_path):
         # hand-built fixture: known token totals mixed with free text
@@ -179,7 +177,6 @@ class TestParseSessionFile:
         events, stats = parse_file(path)
         assert len(events) == 2
         assert stats.total_lines == 4
-        assert stats.parsed_lines == 2
         assert all(e.role == "model_completed" for e in events)
         assert sum(e.tokens.input for e in events) == 150
         assert sum(e.tokens.output for e in events) == 30
@@ -200,7 +197,6 @@ class TestParseSessionFile:
         )
         events, stats = parse_file(path)
         assert stats.total_lines == 5
-        assert stats.parsed_lines == 3
         assert len(events) == 3
 
     def test_json_without_recognized_fields_is_skipped(self, tmp_path):
@@ -209,7 +205,6 @@ class TestParseSessionFile:
         events, stats = parse_file(path)
         assert events == []
         assert stats.total_lines == 3
-        assert not stats.recoverable
 
     def test_order_deterministic(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -279,7 +274,6 @@ class TestParseSessionFile:
         assert len(events) == 1
         assert events[0].content_prefix == "survived"
         assert stats.total_lines == 3
-        assert stats.recoverable
 
     def test_role_and_type_both_present(self, tmp_path):
         path = tmp_path / "rt.jsonl"
@@ -309,14 +303,16 @@ class TestParseSessionFile:
 )
 @settings(max_examples=60)
 def test_recoverable_iff_one_line_parsed(tmp_path_factory, lines):
-    path = tmp_path_factory.mktemp("mix") / "f.jsonl"
+    root = tmp_path_factory.mktemp("mix")
+    path = root / "sessions" / "f.jsonl"
+    path.parent.mkdir()
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     events, stats = parse_file(path)
     valid = sum(1 for line in lines if '"role"' in line)
-    assert stats.parsed_lines == valid
-    assert len(events) == stats.parsed_lines
-    assert stats.recoverable == (valid >= 1)
+    assert len(events) == valid
     assert stats.total_lines == len([line for line in lines if line.strip()])
+    inventory = scan_and_parse(root)[0]
+    assert inventory.recoverable_main == inventory.recoverable_all == (valid >= 1)
 
 
 def test_raw_record_per_nonempty_line(tmp_path):
@@ -327,7 +323,6 @@ def test_raw_record_per_nonempty_line(tmp_path):
     events, stats = parse_file(path)
     assert [e.line_number for e in events] == [1, 5]
     assert stats.total_lines == 3
-    assert stats.parsed_lines == 2
 
 
 class TestScanWorkspace:
@@ -706,7 +701,7 @@ def reference_prefix(value, limit=CONTENT_PREFIX_CHARS):
     return re.sub(r"\s+", " ", text).strip()[:limit]
 
 
-def reference_parse(payload, aliases, source_path, line_number, agent_scope):
+def reference_parse(payload, aliases, source_path, line_number):
     """CompiledAliases.parse as a per-field scan and a normalized role lookup."""
     values = reference_resolve(payload, aliases)
     if all(value is None for value in values):
@@ -726,7 +721,6 @@ def reference_parse(payload, aliases, source_path, line_number, agent_scope):
         role,
         source_path,
         line_number,
-        agent_scope,
         str(raw_id) if raw_id is not None else None,
         reference_timestamp(raw_ts),
         text[3],
@@ -889,10 +883,10 @@ parse_payloads = st.fixed_dictionaries(
 @settings(max_examples=500)
 def test_parse_fast_paths_equal_the_plain_rules(payload):
     aliases = FieldAliases()
-    expected = reference_parse(payload, aliases, "sessions/s.jsonl", 7, "other_agent")
+    expected = reference_parse(payload, aliases, "sessions/s.jsonl", 7)
     compiled = CompiledAliases(aliases)
     for _ in range(2):  # a new plan, then the cached one
-        assert compiled.parse(payload, "sessions/s.jsonl", 7, "other_agent") == expected
+        assert compiled.parse(payload, "sessions/s.jsonl", 7) == expected
 
 
 # --- no line can abort a parse ------------------------------------------------
@@ -913,7 +907,7 @@ def test_pathological_numbers_and_nesting_are_tolerated(tmp_path):
     )
     events, stats = parse_file(path)
     assert stats.total_lines == 6
-    assert stats.parsed_lines == 4
+    assert len(events) == 4
     assert [e.timestamp_ms for e in events] == [None, None, None, None]
     assert events[2].tokens == TokenUsage(input=7)
 
@@ -1025,7 +1019,7 @@ def test_line_fuzz_never_raises(tmp_path_factory, lines):
     events, stats = parse_file(path)
     numbered = list(enumerate(text_lines(data), start=1))
     assert stats.total_lines == sum(1 for _, line in numbered if line.strip())
-    assert len(events) == stats.parsed_lines <= stats.total_lines
+    assert len(events) <= stats.total_lines
     # a line is an event exactly when json.loads reads it as a dict with a
     # recognized field; near the recursion limit the parser, a few frames
     # deeper than this test, may refuse a line json.loads accepted here

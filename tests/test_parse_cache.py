@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import deny_reading, hash_tree
 from parem import ingest, pipeline
 from parem.cli import main
+from parem.dedup import deduplicate
 from parem.extraction import DEFAULT_OUTPUT_RULES
 from parem.ingest import FieldAliases, WorkspaceConventions, parse_session_file, scan_and_parse
 from parem.jsonfmt import to_json
@@ -186,12 +187,12 @@ def test_a_warm_run_shares_the_role_strings_of_a_parse(corpora, tmp_path):
 
 
 def test_a_cached_role_outside_the_six_is_a_damaged_line():
-    parsed = parse_session_file(b'{"role": "user", "ts": 1}\n', "s.jsonl", FieldAliases(), "main")
+    parsed = parse_session_file(b'{"role": "user", "ts": 1}\n', "s.jsonl", FieldAliases())
     payload = json.loads(json.dumps(ingest._encode_parse(parsed)))
-    assert ingest._decode_parse(payload, "s.jsonl", "main") == parsed
+    assert ingest._decode_parse(payload, "s.jsonl") == parsed
     payload[1][0] = ["usr"]
     with pytest.raises(ValueError):
-        ingest._decode_parse(payload, "s.jsonl", "main")
+        ingest._decode_parse(payload, "s.jsonl")
 
 
 def test_a_memory_cache_line_decodes_to_the_fresh_matches(corpora):
@@ -456,8 +457,14 @@ def test_events_come_back_in_path_then_line_order(files):
         _, events = scan_and_parse(root, conventions=conventions)
         expected = []
         for path in sorted(files):
-            scope = "other_agent" if path.startswith("subagents/") else "main"
-            expected.extend(parse_session_file(files[path], path, None, scope)[0])
+            expected.extend(parse_session_file(files[path], path)[0])
+        # a record's scope is its file's, here read off the path, not off discovery
+        main_records = [e for e in expected if not e.source_path.startswith("subagents/")]
+        for scope, records in (("main", main_records), ("all-agent", expected)):
+            config = RunConfig(
+                root=scratch, out_dir=str(root / "out"), scope=scope, conventions=conventions
+            )
+            assert Analysis(config).deduped == deduplicate(records)
     assert events == sorted(events, key=lambda e: (e.source_path, e.line_number))
     assert events == expected
 

@@ -30,7 +30,7 @@ from parem.pipeline import (
     run_analysis,
     write_outputs,
 )
-from parem.report import EVENTS_TOKENS_CSV, METRICS_CSV
+from parem.report import EVENTS_TOKENS_CSV, METRICS_CSV, PROXY_LEDGER_CSV
 from parem.synth import CorpusSpec, generate_corpus
 
 
@@ -509,16 +509,8 @@ def test_write_outputs_removes_every_file_it_wrote_when_one_write_fails(corpus, 
     # report.txt and the figures are written before the directory in the way
     (tmp_path / METRICS_CSV).mkdir(parents=True)
     with pytest.raises(IsADirectoryError):
-        write_outputs(analysis.bundle, config, analysis.deduped[0])
+        write_outputs(analysis.bundle, config.out_dir, analysis.deduped[0])
     assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
-
-
-def test_write_outputs_refuses_a_dedup_ledger_without_its_records(corpus, tmp_path):
-    root, _ = corpus
-    config = RunConfig(root=str(root), out_dir=str(tmp_path / "out"), dedup_ledger=True)
-    with pytest.raises(ValueError):
-        write_outputs(Analysis(config).bundle, config)
-    assert not (tmp_path / "out").exists()
 
 
 def test_dedup_ledger_reads_back_with_csv_reader(tmp_path):
@@ -536,6 +528,29 @@ def test_dedup_ledger_reads_back_with_csv_reader(tmp_path):
     assert rows == [["tier", "key", "source", "line"]] + [
         ["explicit_id", i, "sessions/a,b.jsonl", str(line)] for line, i in enumerate(ids, 1)
     ]
+
+
+def test_proxy_ledger_reads_back_with_csv_reader(tmp_path):
+    # a path that holds "#" and a heading that starts with "###": one
+    # "path#heading" field could not be split back into the two
+    root = tmp_path / "workspace"
+    (root / "memory").mkdir(parents=True)
+    (root / "memory" / "a#b.md").write_text(
+        "### 2026-02-03 notes\nDrafted the manuscript. Fixed a bug, then verified it.\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    window = ObservationWindow(date(2026, 2, 1), date(2026, 2, 28))
+    bundle, _ = run_analysis(RunConfig(root=str(root), out_dir=str(out), window=window))
+    with open(out / PROXY_LEDGER_CSV, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    assert bundle.output_proxies and bundle.governance_proxies
+    assert rows == [["date", "kind", "class", "family", "terms", "path", "heading"]] + [
+        [str(p.date), p.kind, p.governance_class or "", p.family or "", "|".join(p.matched_terms)]
+        + list(p.section_ref)
+        for p in bundle.output_proxies + bundle.governance_proxies
+    ]
+    assert {tuple(row[5:]) for row in rows[1:]} == {("memory/a#b.md", "### 2026-02-03 notes")}
 
 
 def write_trajectory(root, lines):

@@ -269,9 +269,12 @@ class TestExportCsvs:
     def test_proxy_ledger_shape(self, corpus_bundle):
         bundle, ground_truth = corpus_bundle
         rows = read_csv(export_csvs(bundle)[PROXY_LEDGER_CSV])
-        assert rows[0] == ["date", "kind", "class", "terms", "source"]
+        assert rows[0] == ["date", "kind", "class", "family", "terms", "path", "heading"]
         kinds = {row[1] for row in rows[1:]}
         assert kinds == {"output", "governance"}
+        # an output proxy names its family, a governance proxy its class
+        assert all(row[3 if row[1] == "output" else 2] for row in rows[1:])
+        assert all(row[5].startswith("memory/") and row[6].startswith("#") for row in rows[1:])
         outputs = sum(1 for row in rows[1:] if row[1] == "output")
         assert outputs == ground_truth.output_proxies
 
