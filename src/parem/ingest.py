@@ -176,6 +176,12 @@ class WorkspaceConventions:
     trajectory_dirs: tuple[str, ...] = ("trajectories",)
     version: str = "workspace-layout/1"
 
+    def __post_init__(self) -> None:
+        # only session directories are read, so a trajectory directory must be one
+        unread = [name for name in self.trajectory_dirs if name not in self.session_dirs]
+        if unread:
+            raise ValueError(f"trajectory_dirs not in session_dirs: {', '.join(map(repr, unread))}")
+
     def is_trajectory(self, relpath: str) -> bool:
         parts = relpath.replace("\\", "/").split("/")
         if parts and parts[0] in self.trajectory_dirs:

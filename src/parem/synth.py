@@ -10,6 +10,8 @@ platform RNGs, so a (spec, seed) pair yields a byte-identical tree anywhere.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -59,6 +61,13 @@ DEFAULT_GOVERNANCE_PLANTS: dict[str, int] = {
 }
 
 _ROUTES: tuple[str, ...] = ("route-a", "route-b", "route-c")
+_TOKEN_KINDS: tuple[str, ...] = ("input", "output", "cache_read", "cache_write")
+
+# A session record's role: a uniform draw falls below the first edge for a
+# user record, below the second for an assistant record, and so on.
+_SESSION_ROLES: tuple[str, ...] = ("user", "assistant", "tool_result", "tool_call", "other")
+_ROLE_EDGES: tuple[float, ...] = (0.20, 0.55, 0.80, 0.90)
+
 _TOOLS: tuple[str, ...] = ("shell", "search", "editor")
 
 _FILLER_SENTENCES: tuple[str, ...] = (
@@ -155,7 +164,7 @@ class CorpusSpec:
     skill_count: int = 3
     caps: tuple[int, ...] = DEFAULT_CAPS
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.days < 1:
             raise ValueError("days must be >= 1")
         if self.session_files_per_day < 1:
@@ -233,20 +242,24 @@ def _dump(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-class _Writer:
-    """Collects lines per relative path, then writes everything in one pass."""
+# The spellings of a session record, each one the aliases recognize: its
+# (role key, timestamp key, timestamp from epoch seconds, content key). A
+# duplicate of a record with an explicit id is copied in the second.
+_SPELLINGS: tuple[tuple, ...] = (
+    ("role", "timestamp", _iso_z, "content"),
+    ("type", "ts", lambda seconds: seconds * 1000, "text"),
+    ("role", "created_at", lambda seconds: seconds, "body"),
+)
 
-    def __init__(self) -> None:
-        self.lines: dict[str, list[str]] = {}
 
-    def append(self, relpath: str, line: str) -> None:
-        self.lines.setdefault(relpath, []).append(line)
-
-    def write_all(self, root: Path) -> None:
-        for relpath in sorted(self.lines):
-            full = root / relpath
-            full.parent.mkdir(parents=True, exist_ok=True)
-            full.write_text("\n".join(self.lines[relpath]) + "\n", encoding="utf-8")
+def _session_line(
+    spelling: int, role: str, content: str, ts_seconds: int | None, extra: dict
+) -> str:
+    role_key, ts_key, ts_form, content_key = _SPELLINGS[spelling]
+    record = {role_key: role, content_key: content, **extra}
+    if ts_seconds is not None:
+        record[ts_key] = ts_form(ts_seconds)
+    return _dump(record)
 
 
 def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> GroundTruth:
@@ -255,12 +268,10 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> GroundTruth:
     The ground-truth file lands at ``out_dir/ground_truth.json`` so it never
     pollutes the scanned tree.
     """
-    spec.validate()
     rng = SplitMix64(spec.seed)
     out_path = Path(out_dir)
-    workspace = out_path / "workspace"
-    workspace.mkdir(parents=True, exist_ok=True)
-    writer = _Writer()
+    # each file's lines, by its path in the workspace; written in one pass at the end
+    files: dict[str, list[str]] = defaultdict(list)
 
     window_start = spec.start_date
     window_end = spec.start_date + timedelta(days=spec.days - 1)
@@ -268,23 +279,16 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> GroundTruth:
     counter = 0
     junk_counter = 0
     decoy_counter = 0
-    role_counts = {
-        "user": 0,
-        "assistant": 0,
-        "tool_result": 0,
-        "tool_call": 0,
-        "model_completed": 0,
-        "other": 0,
-    }
-    drc = 0
+    # one tally per fact; DRC, the strict completions, the token totals and
+    # the active days are read off these
+    role_counts = dict.fromkeys(
+        ("user", "assistant", "tool_result", "tool_call", "model_completed", "other"), 0
+    )
     timed_ts_ms: set[int] = set()
-    active_dates: set[date] = set()
-    token_totals = {"input": 0, "output": 0, "cache_read": 0, "cache_write": 0}
     route_totals: dict[str, dict[str, int]] = {}
-    completions_strict = 0
     completion_ts_used: set[int] = set()
+    # main session files that hold a record
     recoverable_files: set[str] = set()
-    dated_sections = 0
 
     def maybe_junk(relpath: str) -> None:
         nonlocal junk_counter
@@ -295,96 +299,50 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> GroundTruth:
                 # any proper prefix of a serialized object is invalid JSON
                 sample = _dump({"role": "assistant", "content": f"cut {junk_counter}"})
                 cut = rng.randint(1, len(sample) - 1)
-                writer.append(relpath, sample[:cut])
+                files[relpath].append(sample[:cut])
             elif kind == 1:
                 template = _JUNK_TEXT[rng.randint(0, len(_JUNK_TEXT) - 1)]
-                writer.append(relpath, template.format(n=junk_counter))
+                files[relpath].append(template.format(n=junk_counter))
             else:
                 # valid JSON with no recognized field still counts as junk
-                writer.append(relpath, _dump({"blob": junk_counter, "noise": True}))
+                files[relpath].append(_dump({"blob": junk_counter, "noise": True}))
 
-    def emit_session_event(day: date, relpath: str) -> None:
-        nonlocal counter, drc
+    def emit_session_event(day_start: int, relpath: str, overlap: str) -> None:
+        nonlocal counter
         counter += 1
-        roll = rng.random()
-        if roll < 0.20:
-            role = "user"
-        elif roll < 0.55:
-            role = "assistant"
-        elif roll < 0.80:
-            role = "tool_result"
-        elif roll < 0.90:
-            role = "tool_call"
-        else:
-            role = "other"
+        role = _SESSION_ROLES[bisect_right(_ROLE_EDGES, rng.random())]
+        raw_role = role if role != "other" else "system"
         content = f"log entry {counter:06d}"
         event_id = f"evt-{counter:06d}" if rng.random() < spec.explicit_id_rate else None
         untimed = rng.random() < spec.untimed_rate
-        ts_seconds = None
-        if not untimed:
-            day_start = int(
-                datetime(day.year, day.month, day.day, tzinfo=timezone.utc).timestamp()
-            )
-            ts_seconds = day_start + rng.randint(0, 86_399)
+        ts_seconds = None if untimed else day_start + rng.randint(0, 86_399)
+        if ts_seconds is not None:
             timed_ts_ms.add(ts_seconds * 1000)
-            active_dates.add(day)
-
-        style = rng.randint(0, 2)
-        record: dict = {}
-        raw_role = role if role != "other" else "system"
-        if style == 0:
-            record["role"] = raw_role
-            if ts_seconds is not None:
-                record["timestamp"] = _iso_z(ts_seconds)
-            record["content"] = content
-        elif style == 1:
-            record["type"] = raw_role
-            if ts_seconds is not None:
-                record["ts"] = ts_seconds * 1000
-            record["text"] = content
-        else:
-            record["role"] = raw_role
-            if ts_seconds is not None:
-                record["created_at"] = ts_seconds
-            record["body"] = content
-        if event_id is not None:
-            record["id"] = event_id
+        spelling = rng.randint(0, len(_SPELLINGS) - 1)
+        extra = {} if event_id is None else {"id": event_id}
         if role in ("tool_call", "tool_result"):
-            record["tool_name"] = _TOOLS[rng.randint(0, len(_TOOLS) - 1)]
+            extra["tool_name"] = _TOOLS[rng.randint(0, len(_TOOLS) - 1)]
 
         maybe_junk(relpath)
-        line = _dump(record)
-        writer.append(relpath, line)
+        line = _session_line(spelling, raw_role, content, ts_seconds, extra)
+        files[relpath].append(line)
         recoverable_files.add(relpath)
         role_counts[role] += 1
-        drc += 1
 
         if rng.random() < spec.duplication_rate:
-            overlap = f"sessions/{day.isoformat()}-overlap.jsonl"
             if event_id is not None:
-                # alternate alias spelling; the explicit id still wins
-                copy = {"id": event_id, "type": raw_role, "text": content}
-                if ts_seconds is not None:
-                    copy["ts"] = ts_seconds * 1000
-                if "tool_name" in record:
-                    copy["tool_name"] = record["tool_name"]
-                writer.append(overlap, _dump(copy))
-            else:
-                writer.append(overlap, line)
+                # the alias spelling; the explicit id still wins
+                line = _session_line(1, raw_role, content, ts_seconds, extra)
+            files[overlap].append(line)
             recoverable_files.add(overlap)
 
-    def emit_completion(day: date, relpath: str) -> None:
-        nonlocal drc, completions_strict
-        day_start = int(
-            datetime(day.year, day.month, day.day, tzinfo=timezone.utc).timestamp()
-        )
+    def emit_completion(day_start: int, relpath: str, overlap: str) -> None:
         while True:
             ts_seconds = day_start + rng.randint(0, 86_399)
             if ts_seconds not in completion_ts_used:
                 completion_ts_used.add(ts_seconds)
                 break
         timed_ts_ms.add(ts_seconds * 1000)
-        active_dates.add(day)
         route = _ROUTES[rng.randint(0, len(_ROUTES) - 1)]
         input_tokens = rng.randint(spec.input_token_mean // 2, spec.input_token_mean * 3 // 2)
         output_tokens = rng.randint(spec.output_token_mean // 2, spec.output_token_mean * 3 // 2)
@@ -411,29 +369,22 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> GroundTruth:
         }
         maybe_junk(relpath)
         line = _dump(record)
-        writer.append(relpath, line)
+        files[relpath].append(line)
         recoverable_files.add(relpath)
         role_counts["model_completed"] += 1
-        drc += 1
-        completions_strict += 1
-        for key, value in usage.items():
-            token_totals[key] += value
-        bucket = route_totals.setdefault(
-            route, {"input": 0, "output": 0, "cache_read": 0, "cache_write": 0, "completions": 0}
-        )
+        bucket = route_totals.setdefault(route, dict.fromkeys((*_TOKEN_KINDS, "completions"), 0))
         for key, value in usage.items():
             bucket[key] += value
         bucket["completions"] += 1
 
         if rng.random() < spec.duplication_rate:
-            overlap = f"trajectories/{day.isoformat()}-overlap.jsonl"
-            writer.append(overlap, line)
+            files[overlap].append(line)
             recoverable_files.add(overlap)
 
-    def emit_decoy(day: date, relpath: str) -> None:
+    def emit_decoy(relpath: str) -> None:
         # untimed model-completed record outside the trajectory subset; its
         # tokens must never reach the strict token sums
-        nonlocal drc, decoy_counter
+        nonlocal decoy_counter
         decoy_counter += 1
         record = {
             "type": "model.completed",
@@ -447,112 +398,87 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> GroundTruth:
             },
         }
         line = _dump(record)
-        writer.append(relpath, line)
+        files[relpath].append(line)
         recoverable_files.add(relpath)
         role_counts["model_completed"] += 1
-        drc += 1
         if rng.random() < spec.duplication_rate:
-            writer.append(relpath, line)
+            files[relpath].append(line)
 
     # ----- main per-day generation -----
-    all_days = [window_start + timedelta(days=i) for i in range(spec.days)]
-    memory_day_lines: dict[date, list[str]] = {}
+    # ISO dates of the days not skipped; each has a memory file. The first
+    # day is never skipped, so there is always one.
+    memory_days: list[str] = []
 
-    for index, day in enumerate(all_days):
+    for index in range(spec.days):
         if index > 0 and rng.random() < spec.skip_day_rate:
             continue
-        day_files = [
-            f"sessions/{day.isoformat()}-{k:02d}.jsonl"
-            for k in range(spec.session_files_per_day)
-        ]
+        day = window_start + timedelta(days=index)
+        iso = day.isoformat()
+        day_start = int(datetime(day.year, day.month, day.day, tzinfo=timezone.utc).timestamp())
+        day_files = [f"sessions/{iso}-{k:02d}.jsonl" for k in range(spec.session_files_per_day)]
+        overlap = f"sessions/{iso}-overlap.jsonl"
         n_events = rng.randint(*spec.events_per_day)
         for _ in range(n_events):
-            emit_session_event(day, day_files[rng.randint(0, len(day_files) - 1)])
+            emit_session_event(day_start, day_files[rng.randint(0, len(day_files) - 1)], overlap)
 
+        trajectory, overlap = f"trajectories/{iso}.jsonl", f"trajectories/{iso}-overlap.jsonl"
         n_completions = rng.randint(*spec.completions_per_day)
-        if n_completions > 0:
-            trajectory = f"trajectories/{day.isoformat()}.jsonl"
-            for _ in range(n_completions):
-                emit_completion(day, trajectory)
+        for _ in range(n_completions):
+            emit_completion(day_start, trajectory, overlap)
 
         if rng.random() < spec.decoy_completion_rate:
-            emit_decoy(day, day_files[0])
+            emit_decoy(day_files[0])
 
         if rng.random() < spec.junk_only_file_rate:
-            detached = f"sessions/{day.isoformat()}-detached.log"
             junk_counter += 1
-            writer.append(detached, _JUNK_TEXT[0])
-            writer.append(detached, _JUNK_TEXT[2].format(n=junk_counter))
+            files[f"sessions/{iso}-detached.log"] += [
+                _JUNK_TEXT[0],
+                _JUNK_TEXT[2].format(n=junk_counter),
+            ]
 
-        memory_day_lines[day] = [f"## {day.isoformat()} log"]
+        memory_days.append(iso)
         fillers = rng.randint(1, 3)
-        for _ in range(fillers):
-            memory_day_lines[day].append(
-                _FILLER_SENTENCES[rng.randint(0, len(_FILLER_SENTENCES) - 1)]
-            )
-        dated_sections += 1
-
-    memory_days = sorted(memory_day_lines)
+        files[f"memory/{iso}.md"] = [f"## {iso} log"] + [
+            _FILLER_SENTENCES[rng.randint(0, len(_FILLER_SENTENCES) - 1)] for _ in range(fillers)
+        ]
 
     # ----- planted proxies, one section each so counts stay exact -----
-    output_planted = 0
-    if memory_days:
-        for n in range(spec.planted_output_sentences):
-            day = memory_days[rng.randint(0, len(memory_days) - 1)]
-            template = _OUTPUT_TEMPLATES[n % len(_OUTPUT_TEMPLATES)]
-            memory_day_lines[day].append(f"## {day.isoformat()} entry-out-{n:03d}")
-            memory_day_lines[day].append(template.format(n=n))
-            dated_sections += 1
-            output_planted += 1
+    outputs = [
+        (f"out-{n:03d}", _OUTPUT_TEMPLATES[n % len(_OUTPUT_TEMPLATES)].format(n=n))
+        for n in range(spec.planted_output_sentences)
+    ]
+    governance_planted = {
+        name: count for name, count in sorted(spec.planted_governance.items()) if count > 0
+    }
+    governance = [
+        (f"gov-{name}-{n:03d}", _GOVERNANCE_TEMPLATES[name].format(n=n))
+        for name, count in governance_planted.items()
+        for n in range(count)
+    ]
+    for label, sentence in outputs + governance:
+        iso = memory_days[rng.randint(0, len(memory_days) - 1)]
+        files[f"memory/{iso}.md"] += [f"## {iso} entry-{label}", sentence]
+    # exclusion bait must extract to nothing
+    files[f"memory/{memory_days[0]}.md"] += [f"## {memory_days[0]} entry-bait", _EXCLUSION_BAIT]
 
-        governance_planted: dict[str, int] = {}
-        for class_name in sorted(spec.planted_governance):
-            count = spec.planted_governance[class_name]
-            for n in range(count):
-                day = memory_days[rng.randint(0, len(memory_days) - 1)]
-                memory_day_lines[day].append(
-                    f"## {day.isoformat()} entry-gov-{class_name}-{n:03d}"
-                )
-                memory_day_lines[day].append(
-                    _GOVERNANCE_TEMPLATES[class_name].format(n=n)
-                )
-                dated_sections += 1
-                governance_planted[class_name] = governance_planted.get(class_name, 0) + 1
-
-        # exclusion bait must extract to nothing
-        bait_day = memory_days[0]
-        memory_day_lines[bait_day].append(f"## {bait_day.isoformat()} entry-bait")
-        memory_day_lines[bait_day].append(_EXCLUSION_BAIT)
-        dated_sections += 1
-    else:
-        governance_planted = {}
-
-    for day in memory_days:
-        writer.append(f"memory/{day.isoformat()}.md", "\n".join(memory_day_lines[day]))
-
-    writer.append("memory/MEMORY.md", "# workspace index\n\nundated notes live here\n")
-    memory_file_count = len(memory_days) + 1
+    files["memory/MEMORY.md"].append("# workspace index\n\nundated notes live here\n")
 
     # ----- skills, agents, artifact surfaces -----
     for i in range(spec.skill_count):
-        writer.append(f"skills/skill-{i:02d}/SKILL.md", f"# skill {i}\n\nreusable procedure {i}\n")
+        files[f"skills/skill-{i:02d}/SKILL.md"].append(f"# skill {i}\n\nreusable procedure {i}\n")
 
-    agent_session_files: set[str] = set()
     for i in range(spec.agent_count):
-        writer.append(f"agents/agent-{i}/agent.json", _dump({"name": f"agent-{i}"}))
-        for day in memory_days[: max(1, len(memory_days) // 2)]:
-            relpath = f"agents/agent-{i}/sessions/{day.isoformat()}.jsonl"
-            agent_session_files.add(relpath)
+        files[f"agents/agent-{i}/agent.json"].append(_dump({"name": f"agent-{i}"}))
+        for iso in memory_days[: max(1, len(memory_days) // 2)]:
             for k in range(spec.agent_events_per_day):
-                writer.append(
-                    relpath,
+                files[f"agents/agent-{i}/sessions/{iso}.jsonl"].append(
                     _dump(
                         {
-                            "id": f"agent-{i}-evt-{day.isoformat()}-{k}",
+                            "id": f"agent-{i}-evt-{iso}-{k}",
                             "role": "assistant",
                             "content": f"agent {i} entry {k}",
                         }
-                    ),
+                    )
                 )
 
     surface_counts: dict[str, int] = {}
@@ -560,43 +486,47 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> GroundTruth:
         count = spec.surface_tree[root]
         surface = SURFACE_BY_ROOT.get(root, "unclassified")
         for i in range(count):
-            writer.append(f"{root}/item-{i:03d}.md", f"placeholder {root} {i}\n")
+            files[f"{root}/item-{i:03d}.md"].append(f"placeholder {root} {i}\n")
         if count > 0:
             surface_counts[surface] = surface_counts.get(surface, 0) + count
 
-    writer.write_all(workspace)
+    workspace = out_path / "workspace"
+    for directory in sorted({relpath.rpartition("/")[0] for relpath in files}):
+        (workspace / directory).mkdir(parents=True, exist_ok=True)
+    for relpath in sorted(files):
+        (workspace / relpath).write_text("\n".join(files[relpath]) + "\n", encoding="utf-8")
 
     # session-file counts come from files actually written, so a day file
-    # that drew zero events never inflates the inventory
-    written_main = [
-        path
-        for path in writer.lines
-        if path.split("/", 1)[0] in ("sessions", "trajectories")
-    ]
-    recoverable_main = sum(1 for path in written_main if path in recoverable_files)
+    # that drew zero events never inflates the inventory; every line of an
+    # agent's session file is a record
+    session_files_main = sum(
+        1 for path in files if path.split("/", 1)[0] in ("sessions", "trajectories")
+    )
+    agent_sessions = sum(1 for path in files if path.startswith("agents/") and "/sessions/" in path)
 
     unique_ts = sorted(timed_ts_ms)
+    buckets = route_totals.values()
     ground_truth = GroundTruth(
         window_start=window_start,
         window_end=window_end,
-        drc=drc,
-        active_days=len(active_dates),
-        dated_sections=dated_sections,
+        drc=sum(role_counts.values()),
+        active_days=len({ts // 86_400_000 for ts in unique_ts}),
+        dated_sections=len(memory_days) + len(outputs) + len(governance) + 1,
         role_counts=role_counts,
         ate_hours_by_cap={cap: _capped_hours(unique_ts, cap) for cap in spec.caps},
-        token_totals=token_totals,
+        token_totals={kind: sum(bucket[kind] for bucket in buckets) for kind in _TOKEN_KINDS},
         route_totals=route_totals,
-        completions_strict=completions_strict,
-        output_proxies=output_planted,
+        completions_strict=sum(bucket["completions"] for bucket in buckets),
+        output_proxies=len(outputs),
         governance_by_class=governance_planted,
         surface_counts=surface_counts,
-        memory_files=memory_file_count,
+        memory_files=len(memory_days) + 1,
         agent_dirs=spec.agent_count,
         skill_files=spec.skill_count,
-        session_files_main=len(written_main),
-        recoverable_main=recoverable_main,
-        session_files_all=len(written_main) + len(agent_session_files),
-        recoverable_all=recoverable_main + len(agent_session_files),
+        session_files_main=session_files_main,
+        recoverable_main=len(recoverable_files),
+        session_files_all=session_files_main + agent_sessions,
+        recoverable_all=len(recoverable_files) + agent_sessions,
     )
 
     (out_path / "ground_truth.json").write_text(

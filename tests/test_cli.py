@@ -179,6 +179,12 @@ def test_analyze_rejects_a_misspelt_config_key_before_writing(corpus, tmp_path, 
         ("analyze", {"classification": ["x"]}, "RunConfig.classification"),
         ("analyze", {"window": ["2024-01-01"]}, "RunConfig.window"),
         ("synth", {"start_date": 5}, "CorpusSpec.start_date"),
+        ("synth", {"days": 0}, "CorpusSpec: days must be >= 1"),
+        (
+            "analyze",
+            {"conventions": {"trajectory_dirs": ["traj"]}},
+            "RunConfig.conventions: trajectory_dirs not in session_dirs: 'traj'",
+        ),
         (
             "analyze",
             {"output_rules": {"families": {"x": ["wrote"]}, "exclusions": ["("]}},
@@ -200,6 +206,8 @@ def test_analyze_rejects_a_misspelt_config_key_before_writing(corpus, tmp_path, 
         "list-for-an-object",
         "list-for-the-window",
         "spec-date-as-a-number",
+        "spec-out-of-range",
+        "trajectory-dir-not-a-session-dir",
         "exclusion-that-does-not-compile",
         "family-class-not-in-the-priority",
     ],

@@ -31,7 +31,7 @@ from parem.pipeline import (
     write_outputs,
 )
 from parem.report import EVENTS_TOKENS_CSV, METRICS_CSV, PROXY_LEDGER_CSV
-from parem.synth import CorpusSpec, generate_corpus
+from parem.synth import DEFAULT_GOVERNANCE_PLANTS, CorpusSpec, generate_corpus
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +178,21 @@ def test_config_file_with_a_misspelt_key_is_rejected(tmp_path, data, unknown):
         from_json(RunConfig, load_config_file(path))
 
 
+def test_a_trajectory_directory_must_also_be_a_session_directory(tmp_path):
+    # only session directories are read: traj/ alone would leave the strict subset empty
+    with pytest.raises(ValueError, match="trajectory_dirs not in session_dirs: 'traj'$"):
+        WorkspaceConventions(trajectory_dirs=("traj",))
+    (tmp_path / "traj").mkdir()
+    record = {"type": "model.completed", "ts": 1_704_067_200_000, "usage": {"input": 3}}
+    (tmp_path / "traj" / "t.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+    conventions = WorkspaceConventions(session_dirs=("sessions", "traj"), trajectory_dirs=("traj",))
+    day = date(2024, 1, 1)
+    config = RunConfig(
+        root=str(tmp_path), window=ObservationWindow(day, day), conventions=conventions
+    )
+    assert len(Analysis(config).strict) == 1
+
+
 # Text from a fixed alphabet: a first draw from all of Unicode builds
 # Hypothesis's character table, too slow for its health check when this
 # module runs alone in a checkout with no .hypothesis/ directory.
@@ -230,23 +245,52 @@ _ALIASES = st.builds(
     FieldAliases,
     **{f.name: _TEXT if f.type == "str" else _TEXTS for f in fields(FieldAliases)},
 )
-_CONVENTIONS = st.builds(
-    WorkspaceConventions,
-    **{f.name: _TEXT if f.type == "str" else _TEXTS for f in fields(WorkspaceConventions)},
+_CONVENTIONS = _TEXTS.flatmap(
+    lambda session_dirs: st.builds(
+        WorkspaceConventions,
+        session_dirs=st.just(session_dirs),
+        # a trajectory directory must also be a session directory
+        trajectory_dirs=(
+            st.lists(st.sampled_from(session_dirs), max_size=3).map(tuple)
+            if session_dirs
+            else st.just(())
+        ),
+        **{
+            f.name: _TEXT if f.type == "str" else _TEXTS
+            for f in fields(WorkspaceConventions)
+            if f.name not in ("session_dirs", "trajectory_dirs")
+        },
+    )
 )
+
+
+def _ranges(low: int):
+    return st.lists(st.integers(min_value=low), min_size=2, max_size=2).map(
+        lambda ends: tuple(sorted(ends))
+    )
+
+
+# each field inside the range CorpusSpec accepts
 _SPECS = st.builds(
     CorpusSpec,
-    start_date=st.dates(),
-    events_per_day=st.tuples(st.integers(), st.integers()),
-    completions_per_day=st.tuples(st.integers(), st.integers()),
-    planted_governance=st.dictionaries(_KEYS, st.integers(), max_size=3),
-    surface_tree=st.dictionaries(_TEXT, st.integers(), max_size=3),
-    caps=st.lists(st.integers(), max_size=4).map(tuple),
     **{
-        f.name: st.integers() if f.type == "int" else st.floats(allow_nan=False)
+        f.name: st.integers() if f.type == "int" else st.floats(0.0, 1.0)
         for f in fields(CorpusSpec)
         if f.type in ("int", "float")
-    },
+    }
+    | dict(
+        days=st.integers(min_value=1),
+        session_files_per_day=st.integers(min_value=1),
+        cache_dominance_target=st.floats(0.0, 1.0, exclude_max=True),
+        start_date=st.dates(),
+        events_per_day=_ranges(1),
+        completions_per_day=_ranges(0),
+        planted_governance=st.dictionaries(
+            st.sampled_from(sorted(DEFAULT_GOVERNANCE_PLANTS)), st.integers(), max_size=3
+        ),
+        surface_tree=st.dictionaries(_TEXT, st.integers(), max_size=3),
+        caps=st.lists(st.integers(), min_size=1, max_size=4).map(tuple),
+    ),
 )
 _CONFIGS = st.builds(
     RunConfig,

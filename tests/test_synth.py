@@ -86,15 +86,56 @@ def test_ground_truth_outside_workspace(tmp_path):
 
 def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
-        CorpusSpec(days=0).validate()
+        CorpusSpec(days=0)
     with pytest.raises(ValueError):
-        CorpusSpec(duplication_rate=1.5).validate()
+        CorpusSpec(duplication_rate=1.5)
     with pytest.raises(ValueError):
-        CorpusSpec(cache_dominance_target=1.0).validate()
+        CorpusSpec(cache_dominance_target=1.0)
     with pytest.raises(ValueError):
-        CorpusSpec(events_per_day=(5, 2)).validate()
+        CorpusSpec(events_per_day=(5, 2))
     with pytest.raises(ValueError):
-        CorpusSpec(planted_governance={"mystery": 1}).validate()
+        CorpusSpec(planted_governance={"mystery": 1})
+    # a spec file is checked as it is read, and the failure names the record
+    with pytest.raises(ValueError, match="^CorpusSpec: days must be >= 1$"):
+        from_json(CorpusSpec, {"days": 0})
+
+
+# Digests of the whole output, workspace and ground_truth.json, of three small
+# specs: they pin bytes that no analysis output reads, such as the artifact
+# files, the junk lines and agent.json.
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        (
+            CorpusSpec(seed=33, days=6),
+            "b2d1b1411e402016f90d18673586341ad7e92205f47ae2d9867bd5de7f7a2def",
+        ),
+        (
+            CorpusSpec(
+                seed=2, days=1, completions_per_day=(0, 0), planted_output_sentences=0
+            ),
+            "fcc54f31eab7d128a7ad6ce7466eb861bdd0cfb407acff5ebb21122d099640e3",
+        ),
+        (
+            CorpusSpec(
+                seed=3, days=30, skip_day_rate=0.9, junk_rate=0.6, explicit_id_rate=0.0
+            ),
+            "e04f113404fee8b85ba5d47b4d03678249065e63624a85ddf33cfbaf726ec9b9",
+        ),
+    ],
+    ids=["six-days", "one-day-no-completions", "sparse-days-heavy-junk"],
+)
+def test_the_generator_writes_the_pinned_bytes(tmp_path, spec, digest):
+    generate_corpus(spec, tmp_path)
+    assert hash_tree(tmp_path) == digest
+
+
+def test_the_inventory_counts_only_session_files_written(tmp_path):
+    # with no agent events no agent session file is written, and none is counted
+    ground_truth = generate_corpus(CorpusSpec(seed=4, days=4, agent_events_per_day=0), tmp_path)
+    inventory = Analysis(RunConfig(root=str(tmp_path / "workspace"))).read[0]
+    assert ground_truth.session_files_all == inventory.session_files_all == 17
+    assert ground_truth.recoverable_all == inventory.recoverable_all
 
 
 def test_spec_round_trip():
