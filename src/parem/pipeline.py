@@ -12,6 +12,7 @@ the same configuration yields byte-identical files.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -429,12 +430,22 @@ def run_analysis(config: RunConfig) -> tuple[ReportBundle, list[Path]]:
     each memory file's sections (``MEMORY_CACHE``), so a rerun parses and
     matches only new or changed files. The caches are not among the written
     outputs and never change them.
+
+    The cyclic garbage collector is paused for the run and left as it was
+    found: every stage builds acyclic records, which reference counting
+    frees, so a collection pass would walk them all and free nothing.
     """
-    analysis = Analysis(config, cached=True)
-    bundle = analysis.bundle
-    deduped = analysis.deduped[0] if config.dedup_ledger else None
-    del analysis  # free the records and stage results before writing: lower peak memory
-    return bundle, write_outputs(bundle, config.out_dir, deduped)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        analysis = Analysis(config, cached=True)
+        bundle = analysis.bundle
+        deduped = analysis.deduped[0] if config.dedup_ledger else None
+        del analysis  # free the records and stage results before writing: lower peak memory
+        return bundle, write_outputs(bundle, config.out_dir, deduped)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def load_config_file(path: str | Path) -> dict:

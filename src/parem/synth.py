@@ -10,8 +10,10 @@ platform RNGs, so a (spec, seed) pair yields a byte-identical tree anywhere.
 from __future__ import annotations
 
 import json
+import os
 from bisect import bisect_right
 from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -123,14 +125,24 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
+    # ``random`` and ``randint`` run the mix of ``next_u64`` inline, which
+    # saves a method call on each of a corpus's hundreds of thousands of draws
+
     def random(self) -> float:
-        return (self.next_u64() >> 11) / float(1 << 53)
+        self.state = z = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        # exact: a 53-bit integer scaled by a power of two
+        return ((z ^ (z >> 31)) >> 11) * 2.0**-53
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high]."""
         if high < low:
             raise ValueError(f"empty range [{low}, {high}]")
-        return low + self.next_u64() % (high - low + 1)
+        self.state = z = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return low + (z ^ (z >> 31)) % (high - low + 1)
 
 
 @dataclass(frozen=True)
@@ -174,19 +186,41 @@ class CorpusSpec:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
+        # junk is drawn while a draw falls below the rate, so at 1 it never stops
+        if not self.junk_rate < 1.0:
+            raise ValueError(f"junk_rate must be below 1, got {self.junk_rate}")
+        counts = {
+            name: getattr(self, name)
+            for name in ("input_token_mean", "output_token_mean", "cache_write_token_mean",
+                         "planted_output_sentences", "agent_count", "agent_events_per_day",
+                         "skill_count")
+        }
+        counts.update((f"planted_governance[{k!r}]", v) for k, v in self.planted_governance.items())
+        counts.update((f"surface_tree[{k!r}]", v) for k, v in self.surface_tree.items())
+        for name, value in counts.items():
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if not 0.0 <= self.cache_dominance_target < 1.0:
             raise ValueError("cache_dominance_target must be in [0, 1)")
         lo, hi = self.events_per_day
         if lo < 1 or hi < lo:
             raise ValueError(f"events_per_day range invalid: {self.events_per_day}")
+        # each completion of a day takes a second of its own
         lo, hi = self.completions_per_day
-        if lo < 0 or hi < lo:
+        if lo < 0 or hi < lo or hi > 86_400:
             raise ValueError(f"completions_per_day range invalid: {self.completions_per_day}")
         if not self.caps:
             raise ValueError("caps must not be empty")
         unknown = set(self.planted_governance) - set(_GOVERNANCE_TEMPLATES)
         if unknown:
             raise ValueError(f"unknown governance classes: {sorted(unknown)}")
+        # a key is joined below the workspace, which it must not leave
+        for root in self.surface_tree:
+            if any(part in ("", ".", "..") for part in root.split("/")):
+                raise ValueError(
+                    "surface_tree keys must be relative POSIX paths with no empty, "
+                    f"'.' or '..' part, got {root!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -238,8 +272,8 @@ def _capped_hours(unique_ts_ms: list[int], cap_minutes: int) -> float:
     return total / 3_600_000.0
 
 
-def _dump(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+# one encoder for every line: ``json.dumps`` with keywords builds a new one per call
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 # The spellings of a session record, each one the aliases recognize: its
@@ -491,10 +525,30 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> GroundTruth:
             surface_counts[surface] = surface_counts.get(surface, 0) + count
 
     workspace = out_path / "workspace"
-    for directory in sorted({relpath.rpartition("/")[0] for relpath in files}):
-        (workspace / directory).mkdir(parents=True, exist_ok=True)
+    by_directory: dict[str, list[str]] = defaultdict(list)
     for relpath in sorted(files):
-        (workspace / relpath).write_text("\n".join(files[relpath]) + "\n", encoding="utf-8")
+        by_directory[relpath.rpartition("/")[0]].append(relpath)
+    for directory in by_directory:
+        (workspace / directory).mkdir(parents=True, exist_ok=True)
+
+    def write_directory(relpaths: list[str]) -> None:
+        # three system calls a file, fewer than write_text's buffered text
+        # file makes: each call releases the GIL, which the two threads then
+        # contend to take back
+        for relpath in relpaths:
+            data = memoryview(("\n".join(files[relpath]) + "\n").encode("utf-8"))
+            fd = os.open(workspace / relpath, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
+
+    # creating a file is kernel work done outside the GIL, so two threads
+    # overlap it; reading every result raises a worker's error here
+    with ThreadPoolExecutor(2) as pool:
+        for _ in pool.map(write_directory, by_directory.values()):
+            pass
 
     # session-file counts come from files actually written, so a day file
     # that drew zero events never inflates the inventory; every line of an
@@ -503,6 +557,10 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> GroundTruth:
         1 for path in files if path.split("/", 1)[0] in ("sessions", "trajectories")
     )
     agent_sessions = sum(1 for path in files if path.startswith("agents/") and "/sessions/" in path)
+    # the directories directly below agents/, as discovery counts them
+    agent_dirs = {
+        path.split("/")[1] for path in files if path.startswith("agents/") and path.count("/") > 1
+    }
 
     unique_ts = sorted(timed_ts_ms)
     buckets = route_totals.values()
@@ -521,8 +579,8 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> GroundTruth:
         governance_by_class=governance_planted,
         surface_counts=surface_counts,
         memory_files=len(memory_days) + 1,
-        agent_dirs=spec.agent_count,
-        skill_files=spec.skill_count,
+        agent_dirs=len(agent_dirs),
+        skill_files=sum(1 for path in files if path.startswith("skills/")),
         session_files_main=session_files_main,
         recoverable_main=len(recoverable_files),
         session_files_all=session_files_main + agent_sessions,

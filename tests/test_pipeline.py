@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import itertools
 import json
@@ -264,31 +265,45 @@ _CONVENTIONS = _TEXTS.flatmap(
 )
 
 
-def _ranges(low: int):
-    return st.lists(st.integers(min_value=low), min_size=2, max_size=2).map(
+def _ranges(low: int, high: int | None = None):
+    return st.lists(st.integers(low, high), min_size=2, max_size=2).map(
         lambda ends: tuple(sorted(ends))
     )
+
+
+# a relative POSIX path with no empty, "." or ".." part
+_RELATIVE_PATHS = st.lists(
+    st.text(alphabet="ab._- é☃", min_size=1, max_size=4).filter(
+        lambda part: part not in (".", "..")
+    ),
+    min_size=1,
+    max_size=3,
+).map("/".join)
 
 
 # each field inside the range CorpusSpec accepts
 _SPECS = st.builds(
     CorpusSpec,
     **{
-        f.name: st.integers() if f.type == "int" else st.floats(0.0, 1.0)
+        f.name: st.integers(min_value=0) if f.type == "int" else st.floats(0.0, 1.0)
         for f in fields(CorpusSpec)
         if f.type in ("int", "float")
     }
     | dict(
+        seed=st.integers(),
         days=st.integers(min_value=1),
         session_files_per_day=st.integers(min_value=1),
+        junk_rate=st.floats(0.0, 1.0, exclude_max=True),
         cache_dominance_target=st.floats(0.0, 1.0, exclude_max=True),
         start_date=st.dates(),
         events_per_day=_ranges(1),
-        completions_per_day=_ranges(0),
+        completions_per_day=_ranges(0, 86_400),
         planted_governance=st.dictionaries(
-            st.sampled_from(sorted(DEFAULT_GOVERNANCE_PLANTS)), st.integers(), max_size=3
+            st.sampled_from(sorted(DEFAULT_GOVERNANCE_PLANTS)),
+            st.integers(min_value=0),
+            max_size=3,
         ),
-        surface_tree=st.dictionaries(_TEXT, st.integers(), max_size=3),
+        surface_tree=st.dictionaries(_RELATIVE_PATHS, st.integers(min_value=0), max_size=3),
         caps=st.lists(st.integers(), min_size=1, max_size=4).map(tuple),
     ),
 )
@@ -544,6 +559,52 @@ def test_report_json_is_valid_json(corpus, tmp_path):
         "sha256": hashlib.sha256(events).hexdigest(),
     }
     assert events.count(b"\n") == 1 + ground_truth.completions_strict
+
+
+@pytest.fixture
+def collector():
+    """Restore the cyclic collector's state after the test, whatever it left."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("fails", [False, True], ids=["runs", "raises"])
+def test_run_analysis_leaves_the_collector_as_it_found_it(
+    corpus, tmp_path, collector, enabled, fails
+):
+    out_dir = tmp_path / "out"
+    if fails:
+        out_dir.write_text("a file where the output directory must go\n", encoding="utf-8")
+    (gc.enable if enabled else gc.disable)()
+    config = RunConfig(root=str(corpus[0]), out_dir=str(out_dir))
+    if fails:
+        with pytest.raises(OSError):
+            run_analysis(config)
+    else:
+        run_analysis(config)
+    assert gc.isenabled() is enabled
+
+
+def test_a_run_leaves_as_many_cycles_on_a_larger_corpus(tmp_path, collector):
+    # run_analysis pauses the collector because its records hold no cycles:
+    # a stage that made a cycle per record would make this count grow
+    for days in (2, 8):
+        generate_corpus(CorpusSpec(seed=5, days=days), tmp_path / f"{days}-days")
+    gc.disable()
+
+    def cycles_left(days: int, out: str) -> int:
+        gc.collect()
+        root = tmp_path / f"{days}-days" / "workspace"
+        run_analysis(RunConfig(root=str(root), out_dir=str(tmp_path / out)))
+        return gc.collect()
+
+    cycles_left(2, "warm-up")  # first-use caches are made once per process
+    assert cycles_left(2, "small") == cycles_left(8, "large")
 
 
 def test_write_outputs_removes_every_file_it_wrote_when_one_write_fails(corpus, tmp_path):

@@ -34,6 +34,15 @@ def test_splitmix64_reference_values():
         assert 0.0 <= rng3.random() < 1.0
 
 
+def test_the_inline_draws_match_next_u64():
+    # random and randint run next_u64's mix inline; next_u64 is the reference
+    drawn, reference = SplitMix64(31), SplitMix64(31)
+    for _ in range(1000):
+        assert drawn.random() == (reference.next_u64() >> 11) / float(1 << 53)
+        assert drawn.randint(-5, 1_000_003) == -5 + reference.next_u64() % 1_000_009
+    assert drawn.state == reference.state
+
+
 def test_same_seed_byte_identical(tmp_path):
     spec = CorpusSpec(seed=33, days=6)
     generate_corpus(spec, tmp_path / "a")
@@ -100,6 +109,53 @@ def test_invalid_specs_rejected():
         from_json(CorpusSpec, {"days": 0})
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        # junk is drawn until a draw falls at or above the rate: at 1 it hangs
+        (dict(junk_rate=1.0), "junk_rate must be below 1"),
+        (dict(agent_count=-1), "agent_count must be >= 0"),
+        (dict(skill_count=-2), "skill_count must be >= 0"),
+        (dict(agent_events_per_day=-1), "agent_events_per_day must be >= 0"),
+        (dict(planted_output_sentences=-1), "planted_output_sentences must be >= 0"),
+        (dict(input_token_mean=-1), "input_token_mean must be >= 0"),
+        (dict(output_token_mean=-1), "output_token_mean must be >= 0"),
+        (dict(cache_write_token_mean=-1), "cache_write_token_mean must be >= 0"),
+        (dict(planted_governance={"safety": -1}), r"planted_governance\['safety'\] must be >= 0"),
+        (dict(surface_tree={"ops": -3}), r"surface_tree\['ops'\] must be >= 0"),
+        # a day has 86,400 distinct seconds for its completions
+        (dict(completions_per_day=(1, 86_401)), "completions_per_day range invalid"),
+        # a key that leaves the workspace, or names it or its parent
+        (dict(surface_tree={"../../escaped": 1}), "surface_tree keys must be relative"),
+        (dict(surface_tree={"/abs": 1}), "surface_tree keys must be relative"),
+        (dict(surface_tree={"": 1}), "surface_tree keys must be relative"),
+        (dict(surface_tree={"a//b": 1}), "surface_tree keys must be relative"),
+        (dict(surface_tree={"a/.": 1}), "surface_tree keys must be relative"),
+        (dict(surface_tree={"a/b/": 1}), "surface_tree keys must be relative"),
+    ],
+)
+def test_a_spec_that_would_hang_or_leave_the_workspace_is_refused(fields, message):
+    with pytest.raises(ValueError, match=message):
+        CorpusSpec(**fields)
+
+
+def test_the_widest_accepted_spec_values_are_accepted():
+    CorpusSpec(
+        junk_rate=0.999,
+        agent_count=0,
+        skill_count=0,
+        completions_per_day=(0, 86_400),
+        surface_tree={"a/b.c/..d": 0},
+    )
+
+
+def test_a_failed_write_in_a_worker_thread_reaches_the_caller(tmp_path):
+    # a directory where the generator must write the memory index
+    (tmp_path / "workspace" / "memory" / "MEMORY.md").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        generate_corpus(CorpusSpec(seed=4, days=2), tmp_path)
+
+
 # Digests of the whole output, workspace and ground_truth.json, of three small
 # specs: they pin bytes that no analysis output reads, such as the artifact
 # files, the junk lines and agent.json.
@@ -136,6 +192,8 @@ def test_the_inventory_counts_only_session_files_written(tmp_path):
     inventory = Analysis(RunConfig(root=str(tmp_path / "workspace"))).read[0]
     assert ground_truth.session_files_all == inventory.session_files_all == 17
     assert ground_truth.recoverable_all == inventory.recoverable_all
+    assert ground_truth.agent_dirs == inventory.agent_dirs == 2
+    assert ground_truth.skill_files == inventory.skill_files == 3
 
 
 def test_spec_round_trip():
